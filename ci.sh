@@ -90,6 +90,12 @@ XQ_ARENA=1 XQ_THREADS=4 cargo test -q -p xq_core --test supervision
 cargo test -q -p xq_server
 XQ_ARENA=1 XQ_THREADS=4 cargo test -q -p xq_server
 
+# The serving benchmark (servebench/, a package outside the workspace that
+# BENCHMARK.json runs) has its own tests: workload generation, the
+# fastest-quarter estimator, the report format and the per-layer trace.
+step "servebench tests (cargo test --release --manifest-path servebench/Cargo.toml)"
+cargo test --release --offline --manifest-path servebench/Cargo.toml
+
 step "T16 parallel-scaling table (machine-readable: BENCH_T16.json)"
 cargo run --release -p xq_bench --bin harness -- --only t16 --json BENCH_T16.json > /dev/null
 

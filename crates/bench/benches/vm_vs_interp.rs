@@ -7,12 +7,16 @@
 //! * the per-request front end the cache removes — parse + eval vs a
 //!   warm `PlanCache` hit + exec;
 //! * the one-time costs the cache amortizes — parse, compile, and a
-//!   cold `get_or_compile`.
+//!   cold `get_or_compile`;
+//! * the serving benchmark's `heavy-eval` cross-join
+//!   (`<r>{ par_workload(Binary) }</r>` on Binary depth 8), where
+//!   evaluation is nearly the whole request and the VM's borrowed axis
+//!   scans and fused quantifier loop do the work.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use cv_xtree::{random_tree, TreeGen};
+use cv_xtree::{random_tree, DoublingFamily, TreeGen};
 use xq_core::vm::{compile_query, exec_with, PlanCache};
-use xq_core::{eval_with, parse_query, Budget, Env};
+use xq_core::{eval_with, parse_query, Budget, Env, Query};
 
 const QUERY: &str = "for $x in $root//a return <w>{ $x/* }</w>";
 
@@ -54,5 +58,22 @@ fn bench_engines(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engines);
+fn bench_heavy_eval(c: &mut Criterion) {
+    let q = Query::elem("r", xq_bench::par_workload(DoublingFamily::Binary));
+    let plan = compile_query(&q);
+    let env = Env::with_root(DoublingFamily::Binary.tree(8));
+    let budget = Budget::default();
+
+    let mut group = c.benchmark_group("vm_vs_interp/heavy_eval");
+    group.sample_size(10);
+    group.bench_function("interp_eval", |b| {
+        b.iter(|| eval_with(&q, &env, budget.clone()).unwrap())
+    });
+    group.bench_function("vm_exec", |b| {
+        b.iter(|| exec_with(&plan, &env, budget.clone()).unwrap())
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_engines, bench_heavy_eval);
 criterion_main!(benches);

@@ -544,6 +544,8 @@ fn t18_vm() -> Vec<T18Row> {
          T16 service shape. The vm_diff suite proves the engines byte- and \
          counter-identical; this table prices the difference.\n"
     );
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!("Host parallelism: {host} hardware thread(s).\n");
 
     let mut rows = Vec::new();
     let src = "for $x in $root//a return <w>{ $x/* }</w>";
@@ -598,6 +600,60 @@ fn t18_vm() -> Vec<T18Row> {
         label: "compile",
         total_us: compile_us,
         per_unit_us: compile_us,
+    });
+
+    // The serving benchmark's `heavy-eval` request: the T16 cross-join on
+    // the depth-8 binary doubling document, wrapped in one element. Here
+    // evaluation is nearly all of a request, so this row prices the VM's
+    // hot loops (borrowed axis scans and comparisons, the fused
+    // quantifier loop) where they dominate. Self-checking: the VM must
+    // charge exactly the interpreter's steps and items.
+    let heavy = xq_core::Query::elem(
+        "r",
+        xq_bench::par_workload(cv_xtree::DoublingFamily::Binary),
+    );
+    let heavy_env = xq_core::Env::with_root(cv_xtree::DoublingFamily::Binary.tree(8));
+    let (want, want_stats) = xq_core::eval_with(&heavy, &heavy_env, budget.clone()).unwrap();
+    let heavy_plan = compile_query(&heavy);
+    let (got, got_stats) = xq_core::vm::exec_with(&heavy_plan, &heavy_env, budget.clone()).unwrap();
+    assert_eq!(
+        got, want,
+        "VM and interpreter diverged on the heavy-eval shape"
+    );
+    assert_eq!(
+        (got_stats.steps, got_stats.items),
+        (want_stats.steps, want_stats.items),
+        "VM must charge the interpreter's steps and items on the heavy-eval shape"
+    );
+    let heavy_evals = 20u32;
+    let heavy_interp_us = time_us(heavy_evals, || {
+        xq_core::eval_with(&heavy, &heavy_env, budget.clone()).unwrap();
+    });
+    let heavy_vm_us = time_us(heavy_evals, || {
+        xq_core::vm::exec_with(&heavy_plan, &heavy_env, budget.clone()).unwrap();
+    });
+    println!(
+        "\nheavy-eval shape (`<r>{{ par_workload(Binary) }}</r>` on Binary depth 8): \
+         {} steps, {} items per evaluation in both engines",
+        got_stats.steps, got_stats.items
+    );
+    println!("\n| engine | per-eval (µs) | vs interpreter |");
+    println!("|---|---|---|");
+    for (label, us) in [
+        ("interpreter (pre-parsed AST)", heavy_interp_us),
+        ("VM (compiled plan)", heavy_vm_us),
+    ] {
+        println!("| {label} | {us:.1} | {:.2}x |", heavy_interp_us / us);
+    }
+    rows.push(T18Row {
+        label: "heavy_interp_eval",
+        total_us: heavy_interp_us,
+        per_unit_us: heavy_interp_us,
+    });
+    rows.push(T18Row {
+        label: "heavy_vm_exec",
+        total_us: heavy_vm_us,
+        per_unit_us: heavy_vm_us,
     });
 
     // The service comparison: the exact T16 batch shape (64 requests over

@@ -493,26 +493,30 @@ fn run_job(pool: &Pool, job: Job, cache: &mut HashMap<usize, (Arc<ArenaDoc>, Tre
     }
 }
 
-/// Spawns one worker thread. The `alive` gauge increments inside the
-/// thread (paired with the sentinel's decrement), so a failed spawn
-/// never skews it.
+/// Spawns one worker thread. The `alive` gauge counts the worker before
+/// the spawn, so it is exact as soon as this returns — even if the new
+/// thread has not been scheduled yet. A failed spawn undoes the count;
+/// otherwise the thread's sentinel pairs it with the decrement.
 fn spawn_worker(
     pool: &Arc<Pool>,
     id: usize,
     notices: Sender<Notice>,
 ) -> std::io::Result<JoinHandle<()>> {
-    let pool = Arc::clone(pool);
+    pool.alive.fetch_add(1, Ordering::SeqCst);
+    let worker_pool = Arc::clone(pool);
     std::thread::Builder::new()
         .name(format!("xq-worker-{id}"))
         .spawn(move || {
-            pool.alive.fetch_add(1, Ordering::SeqCst);
             let _sentinel = Sentinel {
                 id,
                 notices,
-                alive: Arc::clone(&pool.alive),
-                deaths: Arc::clone(&pool.deaths),
+                alive: Arc::clone(&worker_pool.alive),
+                deaths: Arc::clone(&worker_pool.deaths),
             };
-            worker_loop(&pool);
+            worker_loop(&worker_pool);
+        })
+        .inspect_err(|_| {
+            pool.alive.fetch_sub(1, Ordering::SeqCst);
         })
 }
 
@@ -878,9 +882,11 @@ impl QueryService {
         self.worker_count
     }
 
-    /// Worker threads running right now. Below [`QueryService::workers`]
-    /// transiently while the supervisor respawns a crashed worker (or
-    /// during startup), permanently once the restart budget is spent.
+    /// Worker threads running right now, counted from the moment each is
+    /// spawned (so this equals [`QueryService::workers`] as soon as the
+    /// service is constructed). Below it transiently while the
+    /// supervisor respawns a crashed worker, permanently once the
+    /// restart budget is spent.
     pub fn alive_workers(&self) -> usize {
         self.pool.alive.load(Ordering::SeqCst)
     }

@@ -10,12 +10,21 @@
 //! counter over the flat instruction sequence. No recursion: `for`/`let`
 //! loops and quantifiers run as jump-backed loops, so evaluation depth is
 //! heap-bounded rather than call-stack-bounded.
+//!
+//! Values on the stacks are `Item`s: a tree *borrowed* from the
+//! caller's environment (the document and its subtrees), or one the
+//! query built. Axis scans walk borrowed children in place and
+//! comparisons read borrowed slots, so the hot loops touch no refcount;
+//! a `Tree` is cloned only where Figure 1's result keeps one — the
+//! children of a constructed element and the final output list (plus
+//! matches scanned out of a constructed tree, which has no document to
+//! borrow from).
 
 use super::compile::CompiledPlan;
 use super::ir::{OpCode, VarRef};
 use crate::ast::EqMode;
 use crate::semantics::{Budget, Env, EvalStats, XqError};
-use cv_xtree::Tree;
+use cv_xtree::{Axis, NodeTest, Tree};
 
 /// Executes a compiled plan in `env` under `budget` — the VM counterpart
 /// of [`eval_with`](crate::eval_with), byte- and counter-identical to it.
@@ -38,7 +47,7 @@ pub fn exec_with(
     debug_assert!(m.bools.is_empty() && m.frames.is_empty());
     let out = m.lists.pop().expect("a compiled query leaves its result");
     debug_assert!(m.lists.is_empty());
-    Ok((out, m.stats))
+    Ok((out.into_iter().map(Item::into_tree).collect(), m.stats))
 }
 
 /// Executes a compiled plan on input tree `t` (bound to `$root`) under the
@@ -47,11 +56,36 @@ pub fn exec_query(plan: &CompiledPlan, t: &Tree) -> Result<Vec<Tree>, XqError> {
     exec_with(plan, &Env::with_root(t.clone()), Budget::default()).map(|(out, _)| out)
 }
 
+/// A VM value: a tree borrowed from the caller's [`Env`] for the whole
+/// run, or one the query constructed (an element, or a match scanned out
+/// of one).
+#[derive(Clone)]
+enum Item<'e> {
+    Doc(&'e Tree),
+    Built(Tree),
+}
+
+impl Item<'_> {
+    fn tree(&self) -> &Tree {
+        match self {
+            Item::Doc(t) => t,
+            Item::Built(t) => t,
+        }
+    }
+
+    fn into_tree(self) -> Tree {
+        match self {
+            Item::Doc(t) => t.clone(),
+            Item::Built(t) => t,
+        }
+    }
+}
+
 /// An open loop: remaining work items plus (for `for`/`let`) the output
 /// accumulated so far. Quantifier frames leave `out` empty.
-struct Frame {
-    items: std::vec::IntoIter<Tree>,
-    out: Vec<Tree>,
+struct Frame<'e> {
+    items: std::vec::IntoIter<Item<'e>>,
+    out: Vec<Item<'e>>,
 }
 
 struct Machine<'e> {
@@ -61,13 +95,31 @@ struct Machine<'e> {
     /// The caller's environment depth — static scope depths in `TickQ`
     /// offset from here, reproducing the interpreter's `max_env_depth`.
     env_depth: usize,
-    locals: Vec<Option<Tree>>,
-    lists: Vec<Vec<Tree>>,
+    locals: Vec<Option<Item<'e>>>,
+    lists: Vec<Vec<Item<'e>>>,
     bools: Vec<bool>,
-    frames: Vec<Frame>,
+    frames: Vec<Frame<'e>>,
 }
 
-impl Machine<'_> {
+/// The body the executor runs as one fused loop: `quant.next` at `pc`
+/// followed by `tick.c`, one `cmp.var`/`cmp.const`, and the
+/// `quant.check` that jumps back to that `quant.next` and exits where it
+/// does. Returns the comparison.
+fn fused_quant_body(ops: &[OpCode], pc: usize) -> Option<&OpCode> {
+    let OpCode::QuantNext { exit, .. } = &ops[pc] else {
+        return None;
+    };
+    match ops.get(pc + 1..pc + 4)? {
+        [OpCode::TickC, cmp @ (OpCode::CmpVars(..) | OpCode::CmpConst(..)), OpCode::QuantCheck {
+            back,
+            exit: check_exit,
+            ..
+        }] if *back as usize == pc && check_exit == exit => Some(cmp),
+        _ => None,
+    }
+}
+
+impl<'e> Machine<'e> {
     fn step(&mut self) -> Result<(), XqError> {
         self.stats.steps += 1;
         // One shared charge path with the interpreter (cancel flag, then
@@ -76,14 +128,28 @@ impl Machine<'_> {
         self.budget.charge_step(self.stats.steps)
     }
 
-    fn emit(&mut self, out: &mut Vec<Tree>, t: Tree) -> Result<(), XqError> {
+    fn emit(&mut self, out: &mut Vec<Item<'e>>, t: Item<'e>) -> Result<(), XqError> {
         self.stats.items += 1;
         self.budget.charge_item(self.stats.items)?;
         out.push(t);
         Ok(())
     }
 
-    fn load(&self, r: &VarRef) -> Result<Tree, XqError> {
+    /// The variable's current value, borrowed.
+    fn lookup(&self, r: &VarRef) -> Result<&Tree, XqError> {
+        match r {
+            VarRef::Local(slot, _) => Ok(self.locals[*slot as usize]
+                .as_ref()
+                .expect("compiled local is live inside its binder")
+                .tree()),
+            VarRef::Free(v) => self
+                .env
+                .lookup(v)
+                .ok_or_else(|| XqError::UnboundVariable(v.name().to_string())),
+        }
+    }
+
+    fn load(&self, r: &VarRef) -> Result<Item<'e>, XqError> {
         match r {
             VarRef::Local(slot, _) => Ok(self.locals[*slot as usize]
                 .clone()
@@ -91,12 +157,12 @@ impl Machine<'_> {
             VarRef::Free(v) => self
                 .env
                 .lookup(v)
-                .cloned()
+                .map(Item::Doc)
                 .ok_or_else(|| XqError::UnboundVariable(v.name().to_string())),
         }
     }
 
-    fn pop_list(&mut self) -> Vec<Tree> {
+    fn pop_list(&mut self) -> Vec<Item<'e>> {
         self.lists.pop().expect("list operand on the stack")
     }
 
@@ -104,12 +170,115 @@ impl Machine<'_> {
         self.bools.pop().expect("boolean operand on the stack")
     }
 
-    fn tree_eq(a: &Tree, b: &Tree, mode: EqMode) -> Result<bool, XqError> {
-        match mode {
-            EqMode::Deep => Ok(a == b),
-            EqMode::Atomic => Ok(a.label() == b.label()),
-            EqMode::Mon => Err(XqError::BadEqualityMode),
+    /// Evaluates a `cmp.var`/`cmp.const` on borrowed operands: `x` is
+    /// looked up before `y`, and only then does `=mon` raise — the
+    /// interpreter's error order.
+    fn compare(&self, op: &OpCode) -> Result<bool, XqError> {
+        match op {
+            OpCode::CmpVars(x, y, mode) => {
+                let (tx, ty) = (self.lookup(x)?, self.lookup(y)?);
+                match mode {
+                    EqMode::Deep => Ok(tx == ty),
+                    EqMode::Atomic => Ok(tx.label() == ty.label()),
+                    EqMode::Mon => Err(XqError::BadEqualityMode),
+                }
+            }
+            // Against the constant leaf `<a/>`, without building it.
+            OpCode::CmpConst(x, a, mode) => {
+                let tx = self.lookup(x)?;
+                match mode {
+                    EqMode::Deep => Ok(tx.is_leaf() && tx.label() == a),
+                    EqMode::Atomic => Ok(tx.label() == a),
+                    EqMode::Mon => Err(XqError::BadEqualityMode),
+                }
+            }
+            _ => unreachable!("compare on a non-comparison opcode"),
         }
+    }
+
+    /// Runs the rest of the innermost quantifier frame whose body is the
+    /// single comparison `cmp` (see [`fused_quant_body`]): per candidate,
+    /// bind, tick, compare, decide — the charges `quant.next`, `tick.c`,
+    /// the comparison and `quant.check` make one instruction at a time.
+    /// Returns the quantifier's verdict.
+    fn fused_quant(&mut self, slot: u16, some: bool, cmp: &OpCode) -> Result<bool, XqError> {
+        let frame = self.frames.pop().expect("open quantifier frame");
+        for t in frame.items {
+            self.locals[slot as usize] = Some(t);
+            self.step()?;
+            if self.compare(cmp)? == some {
+                // true decides `some`; false decides `every`.
+                return Ok(some);
+            }
+        }
+        // Exhausted without a decision: `some` is false, `every`
+        // vacuously true.
+        Ok(!some)
+    }
+
+    /// Scans `axis` from `base` in document order, charging one step per
+    /// scanned node and one item per match; `keep` turns a match into a
+    /// value.
+    fn scan<'a>(
+        &mut self,
+        base: &'a Tree,
+        axis: Axis,
+        test: &NodeTest,
+        out: &mut Vec<Item<'e>>,
+        keep: &impl Fn(&'a Tree) -> Item<'e>,
+    ) -> Result<(), XqError> {
+        match axis {
+            Axis::SelfAxis => self.visit(base, test, out, keep),
+            Axis::Child => base
+                .children()
+                .iter()
+                .try_for_each(|c| self.visit(c, test, out, keep)),
+            Axis::Descendant => self.descend(base, test, out, keep),
+            Axis::DescendantOrSelf => {
+                self.visit(base, test, out, keep)?;
+                self.descend(base, test, out, keep)
+            }
+        }
+    }
+
+    /// Visits the proper descendants of `t` in preorder, on an explicit
+    /// stack so a deep document costs heap, not call stack.
+    fn descend<'a>(
+        &mut self,
+        t: &'a Tree,
+        test: &NodeTest,
+        out: &mut Vec<Item<'e>>,
+        keep: &impl Fn(&'a Tree) -> Item<'e>,
+    ) -> Result<(), XqError> {
+        let mut stack = vec![t.children().iter()];
+        while let Some(it) = stack.last_mut() {
+            match it.next() {
+                Some(c) => {
+                    self.visit(c, test, out, keep)?;
+                    if !c.is_leaf() {
+                        stack.push(c.children().iter());
+                    }
+                }
+                None => {
+                    stack.pop();
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn visit<'a>(
+        &mut self,
+        s: &'a Tree,
+        test: &NodeTest,
+        out: &mut Vec<Item<'e>>,
+        keep: &impl Fn(&'a Tree) -> Item<'e>,
+    ) -> Result<(), XqError> {
+        self.step()?;
+        if test.matches(s.label()) {
+            self.emit(out, keep(s))?;
+        }
+        Ok(())
     }
 
     fn run(&mut self, ops: &[OpCode]) -> Result<(), XqError> {
@@ -130,9 +299,9 @@ impl Machine<'_> {
                     self.lists.push(out);
                 }
                 OpCode::MakeElem(a) => {
-                    let children = self.pop_list();
+                    let children = self.pop_list().into_iter().map(Item::into_tree);
                     let mut out = Vec::with_capacity(1);
-                    self.emit(&mut out, Tree::node(a.clone(), children))?;
+                    self.emit(&mut out, Item::Built(Tree::node(a.clone(), children)))?;
                     self.lists.push(out);
                 }
                 OpCode::Concat => {
@@ -146,11 +315,11 @@ impl Machine<'_> {
                 OpCode::AxisStep(axis, test) => {
                     let bases = self.pop_list();
                     let mut out = Vec::new();
-                    for t in &bases {
-                        for s in t.axis(*axis) {
-                            self.step()?;
-                            if test.matches(s.label()) {
-                                self.emit(&mut out, s)?;
+                    for base in &bases {
+                        match base {
+                            Item::Doc(t) => self.scan(t, *axis, test, &mut out, &Item::Doc)?,
+                            Item::Built(t) => {
+                                self.scan(t, *axis, test, &mut out, &|s| Item::Built(s.clone()))?
                             }
                         }
                     }
@@ -189,15 +358,9 @@ impl Machine<'_> {
                     continue;
                 }
                 OpCode::PushBool(b) => self.bools.push(*b),
-                OpCode::CmpVars(x, y, mode) => {
-                    let tx = self.load(x)?;
-                    let ty = self.load(y)?;
-                    self.bools.push(Self::tree_eq(&tx, &ty, *mode)?);
-                }
-                OpCode::CmpConst(x, a, mode) => {
-                    let tx = self.load(x)?;
-                    self.bools
-                        .push(Self::tree_eq(&tx, &Tree::leaf(a.clone()), *mode)?);
+                cmp @ (OpCode::CmpVars(..) | OpCode::CmpConst(..)) => {
+                    let verdict = self.compare(cmp)?;
+                    self.bools.push(verdict);
                 }
                 OpCode::NonEmpty => {
                     let l = self.pop_list();
@@ -243,6 +406,12 @@ impl Machine<'_> {
                 OpCode::QuantNext {
                     slot, some, exit, ..
                 } => {
+                    if let Some(cmp) = fused_quant_body(ops, pc) {
+                        let verdict = self.fused_quant(*slot, *some, cmp)?;
+                        self.bools.push(verdict);
+                        pc = *exit as usize;
+                        continue;
+                    }
                     let frame = self.frames.last_mut().expect("open quantifier frame");
                     match frame.items.next() {
                         Some(t) => self.locals[*slot as usize] = Some(t),
@@ -278,31 +447,86 @@ impl Machine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vm::compile_query;
-    use crate::{eval_with, parse_query};
+    use crate::ast::{Cond, Query};
+    use crate::vm::{compile_query, compile_query_text};
+    use crate::{eval_with, parse_query, CancelFlag};
     use cv_xtree::parse_tree;
 
-    fn both(src: &str, doc: &str, budget: Budget) {
-        let q = parse_query(src).unwrap();
-        let t = parse_tree(doc).unwrap();
-        let env = Env::with_root(t);
-        let want = eval_with(&q, &env, budget.clone());
-        let got = exec_with(&compile_query(&q), &env, budget);
-        match (&want, &got) {
-            (Ok((wt, ws)), Ok((gt, gs))) => {
-                assert_eq!(gt, wt, "{src}");
-                assert_eq!(gs.steps, ws.steps, "{src}: steps");
-                assert_eq!(gs.items, ws.items, "{src}: items");
-                assert_eq!(gs.max_env_depth, ws.max_env_depth, "{src}: depth");
+    /// A run in comparable form: result trees and counters, or the error.
+    type Outcome = Result<(Vec<Tree>, u64, u64, usize), XqError>;
+
+    fn outcome(r: Result<(Vec<Tree>, EvalStats), XqError>) -> Outcome {
+        r.map(|(out, s)| (out, s.steps, s.items, s.max_env_depth))
+    }
+
+    /// Interpreter vs VM on `q` over `doc`: equal outcomes under the
+    /// default budget, under every step cap and every item cap up to the
+    /// first one that no longer bites (so the error point crosses every
+    /// opcode), and with a cancel flag tripping at every tick up to one
+    /// past the full run — where both engines must also have polled the
+    /// flag the same number of times.
+    fn sweep(q: &Query, doc: &str) {
+        let env = Env::with_root(parse_tree(doc).unwrap());
+        let plan = compile_query(q);
+        let run = |budget: Budget| {
+            let want = outcome(eval_with(q, &env, budget.clone()));
+            let got = outcome(exec_with(&plan, &env, budget));
+            assert_eq!(got, want, "{q}");
+            want
+        };
+        let _ = run(Budget::default());
+        for which in ["steps", "items"] {
+            for cap in 0.. {
+                let budget = match which {
+                    "steps" => Budget {
+                        max_steps: cap,
+                        ..Budget::default()
+                    },
+                    _ => Budget {
+                        max_items: cap,
+                        ..Budget::default()
+                    },
+                };
+                if run(budget) != Err(XqError::Budget { which }) {
+                    break;
+                }
             }
-            (Err(we), Err(ge)) => assert_eq!(ge, we, "{src}"),
-            _ => panic!("{src}: interpreter {want:?} vs vm {got:?}"),
+        }
+        let counting = CancelFlag::counting();
+        eval_with(q, &env, Budget::default().with_cancel(counting.clone())).ok();
+        for k in 1..=counting.polls() + 1 {
+            let (fi, fv) = (CancelFlag::tripping_at(k), CancelFlag::tripping_at(k));
+            let want = outcome(eval_with(
+                q,
+                &env,
+                Budget::default().with_cancel(fi.clone()),
+            ));
+            let got = outcome(exec_with(
+                &plan,
+                &env,
+                Budget::default().with_cancel(fv.clone()),
+            ));
+            assert_eq!(got, want, "{q}: trip at {k}");
+            assert_eq!(fv.polls(), fi.polls(), "{q}: polls when tripping at {k}");
         }
     }
 
+    fn sweep_text(src: &str, doc: &str) {
+        sweep(&parse_query(src).unwrap(), doc);
+    }
+
+    /// Quantifiers in `plan` that the executor runs as a fused loop.
+    fn fused_loops(plan: &CompiledPlan) -> usize {
+        let ops = plan.instrs().ops();
+        (0..ops.len())
+            .filter(|&pc| fused_quant_body(ops, pc).is_some())
+            .count()
+    }
+
+    const DOC: &str = "<r><a><b/></a><b/><a/><k><a/></k><b><c/></b></r>";
+
     #[test]
     fn vm_matches_interpreter_on_representative_queries() {
-        let doc = "<r><a><b/><k/></a><b/><a/><k><a/></k></r>";
         for src in [
             "()",
             "<a/>",
@@ -314,59 +538,104 @@ mod tests {
             "for $x in $root//a return <w>{ $x/* }</w>",
             "let $z := $root return for $x in $z/* return $x",
             "for $x in $root/* return for $y in $x/* return <p>{ $y }</p>",
+            "for $x in $root//* return for $y in $root//* return <t>{ $y }</t>",
             "if ($root = $root) then <eq/>",
-            "if (some $x in $root/* satisfies $x =atomic <k/>) then <hit/>",
-            "if (every $x in $root/* satisfies $x =atomic $x) then <all/>",
             "if (not($root/b) and $root/a) then <both/>",
             "if ($root/zzz or $root/a) then <or/>",
             "for $x in (for $w in $root/* where $w/b return $w) return <f>{ $x }</f>",
             "for $x in $root/a return for $x in $x/* return $x",
+            "$nope",
+            "if ($nope = $root) then <x/>",
+            "if ($nope =atomic $gone) then <x/>",
         ] {
-            both(src, doc, Budget::default());
+            sweep_text(src, DOC);
         }
     }
 
     #[test]
-    fn budget_exhaustion_is_identical_to_the_interpreter() {
-        let doc = "<r><a/><a/><a/><a/></r>";
-        let src = "for $x in $root//* return for $y in $root//* return <t>{ $y }</t>";
-        // Sweep tight budgets so the error point crosses every opcode.
-        for max_steps in 0..60 {
-            both(
-                src,
-                doc,
-                Budget {
-                    max_steps,
-                    ..Budget::default()
-                },
-            );
+    fn fused_quantifiers_match_the_interpreter() {
+        // some/every × cmp.var/cmp.const × atomic/deep, each both deciding
+        // early and running to the end of its candidates.
+        for src in [
+            "if (some $y in $root//* satisfies $y =atomic <k/>) then <hit/>",
+            "if (some $y in $root//* satisfies $y =atomic <zzz/>) then <hit/>",
+            "if (some $y in $root//* satisfies $y = <b/>) then <hit/>",
+            "if (some $y in $root//b satisfies $y = <c/>) then <hit/>",
+            "if (every $y in $root/* satisfies $y =atomic <a/>) then <all/>",
+            "if (every $y in $root//b satisfies $y =atomic <b/>) then <all/>",
+            "if (every $y in $root//b satisfies $y = <b/>) then <all/>",
+            "if (every $y in $root//c satisfies $y = <c/>) then <all/>",
+            "for $x in $root/* return if (some $y in $root//* satisfies $x =atomic $y) then <hit/>",
+            "for $x in $root//a return if (some $y in $root//b satisfies $x =atomic $y) then <hit/>",
+            "for $x in $root/* return if (some $y in $root//* satisfies $x = $y) then <hit/>",
+            "for $x in $root//b return if (some $y in $root/* satisfies $y = $x) then <hit/>",
+            "for $x in $root//a return if (every $y in $root//a satisfies $y =atomic $x) then <all/>",
+            "for $x in $root//a return if (every $y in $root//a satisfies $y = $x) then <all/>",
+            "for $x in $root//* return if (every $y in $root/zzz satisfies $y = $x) then <all/>",
+            // Quantifiers over constructed sources, alone and against
+            // document nodes.
+            "let $z := <a><b/><b/></a> return if (some $y in $z/* satisfies $y =atomic <b/>) then <hit/>",
+            "let $z := <a><b/><c/></a> return if (every $y in $z/* satisfies $y = <b/>) then <all/>",
+            "let $z := <a><b/><c/></a> return for $x in $root//b return \
+             if (some $y in $z/* satisfies $x = $y) then <hit>{ $x }</hit>",
+            // Unbound variables inside `satisfies`: x is looked up first.
+            "if (some $y in $root/* satisfies $y =atomic $nope) then <hit/>",
+            "if (some $y in $root/* satisfies $nope =atomic $y) then <hit/>",
+            "if (some $y in $root/* satisfies $nope = $gone) then <hit/>",
+            "if (every $y in $root/* satisfies $nope =atomic <a/>) then <hit/>",
+            "if (some $y in $root/zzz satisfies $nope =atomic $y) then <hit/>",
+        ] {
+            assert_eq!(fused_loops(&compile_query_text(src).unwrap()), 1, "{src}");
+            sweep_text(src, DOC);
         }
-        for max_items in 0..40 {
-            both(
-                src,
-                doc,
-                Budget {
-                    max_items,
-                    ..Budget::default()
-                },
-            );
-        }
+        // A quantifier body that is more than one comparison takes the
+        // instruction-at-a-time path.
+        let src = "if (some $y in $root/* satisfies ($y =atomic <a/> and $y/b)) then <hit/>";
+        assert_eq!(fused_loops(&compile_query_text(src).unwrap()), 0);
+        sweep_text(src, DOC);
     }
 
     #[test]
-    fn unbound_and_mon_errors_match() {
-        both("$nope", "<a/>", Budget::default());
-        both("if ($nope = $root) then <x/>", "<a/>", Budget::default());
-        // `=mon` has no surface syntax; build the AST directly.
-        use crate::ast::{Cond, EqMode, Query};
-        let q = Query::if_then(
-            Cond::VarEq("root".into(), "root".into(), EqMode::Mon),
-            Query::leaf("x"),
-        );
-        let env = Env::with_root(parse_tree("<a/>").unwrap());
-        let want = eval_with(&q, &env, Budget::default()).unwrap_err();
+    fn mon_errors_match_inside_and_outside_fused_quantifiers() {
+        // `=mon` has no surface syntax; build the ASTs directly.
+        let all = |v: &str| Query::step(Query::var(v), Axis::Child, NodeTest::Wildcard);
+        let none = Query::step(Query::var("root"), Axis::Child, NodeTest::Tag("zzz".into()));
+        let eq = |x: &str, y: &str| Cond::VarEq(x.into(), y.into(), EqMode::Mon);
+        let eq_a = |x: &str| Cond::ConstEq(x.into(), "a".into(), EqMode::Mon);
+        for (cond, fused) in [
+            (eq("root", "root"), 0),
+            (Cond::some("y", all("root"), eq("y", "root")), 1),
+            (Cond::every("y", all("root"), eq_a("y")), 1),
+            // Unbound beats `=mon`: the lookup comes first.
+            (Cond::some("y", all("root"), eq("nope", "y")), 1),
+            (Cond::some("y", all("root"), eq("y", "nope")), 1),
+            // Never reached: no candidates, no error.
+            (Cond::some("y", none.clone(), eq("y", "root")), 1),
+            (Cond::every("y", none, eq_a("y")), 1),
+        ] {
+            let q = Query::if_then(cond, Query::leaf("x"));
+            assert_eq!(fused_loops(&compile_query(&q)), fused, "{q}");
+            sweep(&q, DOC);
+        }
+        let q = Query::if_then(eq("root", "root"), Query::leaf("x"));
+        let env = Env::with_root(parse_tree(DOC).unwrap());
         let got = exec_with(&compile_query(&q), &env, Budget::default()).unwrap_err();
-        assert_eq!(got, want);
         assert_eq!(got, XqError::BadEqualityMode);
+    }
+
+    #[test]
+    fn axis_steps_over_constructed_trees_match_the_interpreter() {
+        for src in [
+            "let $z := <a><b><c/></b><b/></a> return ($z/*, $z/b, $z//*, $z//b, \
+             $z/self::a, $z/self::b, $z/dos::*, $z/dos::b)",
+            // A constructed tree holding document subtrees: its matches are
+            // copied out, then stepped from again.
+            "let $w := <w>{ $root/* }</w> return for $y in $w//b return ($y/*, $y/self::*)",
+            "for $x in $root/* return let $w := <w>{ $x }</w> return $w/dos::*",
+            "let $w := <w>{ ($root//a, <b/>) }</w> return for $y in $w/* return \
+             if (some $v in $w//* satisfies $v = $y) then $y//*",
+        ] {
+            sweep_text(src, DOC);
+        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Koch's complexity bounds (PODS 2005) are stated over data trees whose
 //! *size* dominates everything; the [`Tree`] representation spends that
-//! budget on one `Rc<TreeNode>` allocation per node and one `Rc<str>` per
+//! budget on one `Arc<TreeNode>` allocation per node and one `Arc<str>` per
 //! label. This module provides the flat alternative suggested by the §5.1
 //! path-set encoding (and the flat-value encoding of Prop 6.1): all node
 //! data lives in contiguous, [`NodeId`]-indexed parallel vectors, and
@@ -22,7 +22,7 @@
 //!
 //! The descendants of `v` are exactly the id range
 //! `v+1 .. subtree_ends[v]`, so a descendant axis scan is a linear walk
-//! over a `u32` range with no pointer chasing and no `Rc` refcount
+//! over a `u32` range with no pointer chasing and no refcount
 //! traffic — the core of the T15 speedup over [`Tree::axis`].
 //!
 //! **Sharing across threads.** Labels are interned into one *global*,
@@ -81,7 +81,7 @@ impl LabelId {
 
     /// Resolves the id back to its [`Label`]. The first resolution on a
     /// thread takes a shard read lock; later ones hit the thread's resolve
-    /// cache (a cheap `Rc` clone).
+    /// cache (an `Arc` clone: one atomic increment).
     pub fn label(self) -> Label {
         RESOLVE_CACHE.with(|cache| {
             let mut cache = cache.borrow_mut();
@@ -240,8 +240,8 @@ pub fn forest_from_itokens(itokens: &[IToken]) -> Result<Vec<Tree>, crate::XmlEr
 }
 
 /// One lock stripe of the global interner: the labels owned by this shard
-/// (slot-indexed) plus the reverse map. `Arc<str>` rather than [`Label`]
-/// (`Rc<str>`) so the table is shareable across threads.
+/// (slot-indexed) plus the reverse map, as `Arc<str>` so the table is
+/// shareable across threads.
 #[derive(Default)]
 struct Shard {
     labels: Vec<Arc<str>>,
@@ -386,8 +386,8 @@ pub struct ArenaDoc {
 /// Incremental preorder construction of an [`ArenaDoc`]: call
 /// [`open`](ArenaBuilder::open)/[`close`](ArenaBuilder::close) in tag-string
 /// order (or [`leaf`](ArenaBuilder::leaf)), then [`finish`](ArenaBuilder::finish).
-/// Generators use this to build documents arena-natively, with no `Rc`
-/// tree ever materialized.
+/// Generators use this to build documents arena-natively, with no
+/// [`Tree`] ever materialized.
 pub struct ArenaBuilder {
     doc: ArenaDoc,
     /// Open nodes: (node, offset into `scratch` where its child list

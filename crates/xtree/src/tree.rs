@@ -82,9 +82,11 @@ struct TreeNode {
 /// Nodes are `Arc`-backed, so a `Tree` is `Send + Sync`: the data-parallel
 /// evaluators build shared values (notably the `$root` tree) **once** and
 /// hand each worker a pointer-bump clone, instead of materializing one
-/// copy per worker. Clones stay O(1); the cost of the atomic refcount is
-/// in the noise next to the evaluator's allocation traffic (the
-/// `par_scaling` bench tracks it).
+/// copy per worker. Clones stay O(1), but each clone and drop is an
+/// atomic refcount operation, and in a hot loop those add up: on the
+/// serving benchmark's `heavy-eval` cross-join they were about half of
+/// the bytecode VM's evaluation time before the VM switched to borrowing
+/// document subtrees. Code that only reads a tree should borrow it.
 #[derive(Clone)]
 pub struct Tree(Arc<TreeNode>);
 
