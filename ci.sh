@@ -9,6 +9,9 @@ step() { printf '\n=== %s\n' "$*"; }
 step "cargo build --release"
 cargo build --release
 
+step "cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
+
 step "cargo test -q --workspace"
 cargo test -q --workspace
 

@@ -6,7 +6,8 @@
 //! * [`doc`] — document loading for the suites, with the `XQ_ARENA`
 //!   switch between the `Rc` tree and the arena document store;
 //! * [`parser`] — a parser for the surface syntax used in the paper's
-//!   examples;
+//!   examples, with a nesting cap ([`MAX_QUERY_DEPTH`]) that keeps deep
+//!   texts from overflowing a worker's stack;
 //! * [`semantics`] — the Figure 1 denotational semantics (environments of
 //!   trees → lists of trees), with resource budgets;
 //! * [`plan`] — the parallel planner: a recursive analysis producing a
@@ -17,14 +18,16 @@
 //!   order-preserving interned-token splice merge;
 //! * [`service`] — a supervised worker pool batching many (query,
 //!   document) pairs, the serve-heavy-traffic shape, with per-request
-//!   panic containment;
+//!   panic containment, evaluating over each document's tree
+//!   materialized once per process;
 //! * [`fault`] — seeded, deterministic fault injection (named fault
 //!   points, `XQ_FAULT_SPEC`/`XQ_FAULT_SEED`) for chaos-testing the
 //!   serving stack;
 //! * [`vm`] — the bytecode VM: queries lower once to a flat instruction
-//!   sequence (static slots, baked planner hint and optimizer verdict)
-//!   held in a process-wide lock-striped plan cache, executed on a stack
-//!   machine byte-identical to the Figure 1 interpreter;
+//!   sequence (static slots and a baked planner hint; the optimizer
+//!   verdict is computed on demand, off the compile path) held in a
+//!   process-wide lock-striped plan cache, executed on a stack machine
+//!   byte-identical to the Figure 1 interpreter;
 //! * [`fragments`] — feature analysis and the composition-free fragments
 //!   `XQ⁻`/`XQ∼` of §7, with the Prop 7.1 interconversions;
 //! * [`translate`] — the Figure 2/3 translations to and from monad algebra
@@ -50,7 +53,7 @@ pub use fragments::{
     Features,
 };
 pub use par::{eval_compiled_par, eval_query_par, outer_for_split, resolve_node_source, ParStats};
-pub use parser::{parse_query, QueryParseError};
+pub use parser::{parse_query, QueryParseError, MAX_QUERY_DEPTH};
 pub use plan::{ParPlan, ShardPlan};
 pub use semantics::{
     boolean_result, eval_cond_with, eval_query, eval_with, Budget, CancelFlag, Env, EvalStats,

@@ -24,11 +24,12 @@
 //! asserts this at 1/2/4/8 threads over the random-query corpus.
 //!
 //! **Shared values are built once.** If any shard body or opaque leaf
-//! mentions `$root`, the root tree is materialized **once** before the
-//! thread split and shared with every worker by an `Arc` pointer bump
-//! (`Tree` is `Arc`-backed) — not once per worker, which at `N` workers
-//! cost `N` full-tree materializations per query. Hoisted `let` bindings
-//! are shared the same way.
+//! mentions `$root`, the executor binds the document's
+//! [`shared_tree`](ArenaDoc::shared_tree) — materialized once per
+//! document, not per query or per worker — and hands it to every worker
+//! by an `Arc` pointer bump (`Tree` is `Arc`-backed). Hoisted `let`
+//! bindings are built once per query before the thread split and shared
+//! the same way.
 //!
 //! **Budget semantics.** Each worker draws on the step/item caps of the
 //! [`Budget`] independently for its chunk (a shared atomic counter would
@@ -41,7 +42,7 @@
 //! [`Budget::max_steps`]), so the next item fails deterministically.
 //!
 //! Queries with no shardable loop of at least two items (or `threads <=
-//! 1`) fall back to the sequential evaluator on the materialized tree —
+//! 1`) fall back to the sequential evaluator on the shared tree —
 //! [`ParStats::parallelized`] reports which path ran.
 
 use crate::ast::{Query, Var};
@@ -324,15 +325,13 @@ pub fn eval_query_par(
 ) -> Result<(Vec<Tree>, ParStats), XqError> {
     let threads = budget.threads.count();
     if threads <= 1 {
-        return eval_seq(q, doc, budget, threads, None);
+        return eval_seq(q, doc, budget, threads);
     }
-    // Reuse whatever root build the planner's filter predicates already
-    // made — on both the parallel and the fallback path.
-    let (plan, planner_root) = ParPlan::of_with_root_cache(q, doc, budget.clone(), None);
+    let plan = ParPlan::of(q, doc, budget.clone());
     if !plan.engages() {
-        return eval_seq(q, doc, budget, threads, planner_root);
+        return eval_seq(q, doc, budget, threads);
     }
-    eval_plan(&plan, doc, budget, threads, planner_root)
+    eval_plan(&plan, doc, budget, threads)
 }
 
 /// [`eval_query_par`] for a compiled plan: the data-parallel entry point
@@ -350,27 +349,25 @@ pub fn eval_compiled_par(
 ) -> Result<(Vec<Tree>, ParStats), XqError> {
     let threads = budget.threads.count();
     if threads <= 1 || !plan.par_hint() {
-        return exec_seq(plan, doc, budget, threads, None);
+        return exec_seq(plan, doc, budget, threads);
     }
-    let (par_plan, planner_root) =
-        ParPlan::of_with_root_cache(plan.query(), doc, budget.clone(), None);
+    let par_plan = ParPlan::of(plan.query(), doc, budget.clone());
     if !par_plan.engages() {
-        return exec_seq(plan, doc, budget, threads, planner_root);
+        return exec_seq(plan, doc, budget, threads);
     }
-    eval_plan(&par_plan, doc, budget, threads, planner_root)
+    eval_plan(&par_plan, doc, budget, threads)
 }
 
-/// The compiled sequential fallback: materialize the tree once (reusing
-/// any build the planner already made) and run the VM executor.
+/// The compiled sequential fallback: run the VM executor over the
+/// document's shared tree.
 fn exec_seq(
     plan: &crate::vm::CompiledPlan,
     doc: &ArenaDoc,
     budget: Budget,
     threads: usize,
-    root_cache: Option<Tree>,
 ) -> Result<(Vec<Tree>, ParStats), XqError> {
-    let root = root_cache.unwrap_or_else(|| doc.to_tree());
-    let (out, stats) = crate::vm::exec_with(plan, &Env::with_root(root), budget)?;
+    let env = Env::with_root(doc.shared_tree().clone());
+    let (out, stats) = crate::vm::exec_with(plan, &env, budget)?;
     Ok((
         out,
         ParStats {
@@ -386,26 +383,18 @@ fn exec_seq(
 
 /// Executes an already-built, engaging plan. Callers that need the
 /// engagement decision before committing to this path (`QueryService`
-/// keeps non-engaging threaded requests on its cached-tree route) plan
+/// keeps non-engaging threaded requests on its sequential route) plan
 /// once and pass the plan here instead of re-planning via
-/// [`eval_query_par`]. `root_cache` is an already-materialized root tree
-/// (the planner's predicate build, or a service cache hit) — reused so
-/// the "root built once per query" contract holds across planner and
-/// executor.
+/// [`eval_query_par`]. A plan that reads `$root` binds the document's
+/// [`shared_tree`](ArenaDoc::shared_tree), so planner, executor and
+/// every worker share one materialization.
 pub(crate) fn eval_plan(
     plan: &ParPlan<'_>,
     doc: &ArenaDoc,
     budget: Budget,
     threads: usize,
-    root_cache: Option<Tree>,
 ) -> Result<(Vec<Tree>, ParStats), XqError> {
-    // Build shared values once, before any thread split (satellite fix:
-    // this used to happen once per worker).
-    let root = if plan.needs_root() {
-        Some(root_cache.unwrap_or_else(|| doc.to_tree()))
-    } else {
-        None
-    };
+    let root = plan.needs_root().then(|| doc.shared_tree().clone());
     let mut exec = Exec {
         doc,
         budget,
@@ -423,17 +412,15 @@ pub(crate) fn eval_plan(
     Ok((out, exec.stats))
 }
 
-/// The sequential fallback: materialize the tree once (reusing any build
-/// the planner already made) and run Figure 1.
+/// The sequential fallback: run Figure 1 over the document's shared tree.
 fn eval_seq(
     q: &Query,
     doc: &ArenaDoc,
     budget: Budget,
     threads: usize,
-    root_cache: Option<Tree>,
 ) -> Result<(Vec<Tree>, ParStats), XqError> {
-    let root = root_cache.unwrap_or_else(|| doc.to_tree());
-    let (out, stats) = eval_with(q, &Env::with_root(root), budget)?;
+    let env = Env::with_root(doc.shared_tree().clone());
+    let (out, stats) = eval_with(q, &env, budget)?;
     Ok((
         out,
         ParStats {

@@ -17,6 +17,16 @@
 //! eqop   ::= "=" | "=deep" (deep) | "eq" | "=atomic" (atomic)
 //! ```
 //!
+//! The parser bounds how deeply the query it builds may nest
+//! ([`MAX_QUERY_DEPTH`]): parsing, compiling, evaluating and dropping a
+//! query all recurse over its AST, so an unbounded text could overflow a
+//! worker's stack — which no unwind fence can catch. A text that would
+//! nest deeper is rejected with a [`QueryParseError`] *while* it is being
+//! parsed, before any over-deep tree exists. Nested parentheses,
+//! constructors and binders count one level each; comma lists, path
+//! steps and `and`/`or` chains count one level per item, step or operand,
+//! because the AST nests them that deep.
+//!
 //! Sugar handled here rather than in the AST:
 //!
 //! * `where` clauses become `if` in the `return` body;
@@ -50,12 +60,24 @@ impl std::fmt::Display for QueryParseError {
 
 impl std::error::Error for QueryParseError {}
 
+/// The deepest AST nesting [`parse_query`] accepts. Far above the
+/// queries people write (no query in the test corpora, golden files or
+/// experiment tables nests 40 levels), and low enough that parsing,
+/// compiling, evaluating on either engine, serializing and dropping the
+/// deepest accepted query fits a 2 MiB thread stack even in an
+/// unoptimized build (the `deep_queries` suite checks every nesting
+/// construct).
+pub const MAX_QUERY_DEPTH: usize = 256;
+
 /// Parses a query in the surface syntax.
 pub fn parse_query(src: &str) -> Result<Query, QueryParseError> {
     let mut p = Parser {
         src,
         pos: 0,
         fresh: 0,
+        depth: 0,
+        deepest: 0,
+        too_deep: false,
     };
     let q = p.query()?;
     p.skip_ws();
@@ -69,6 +91,15 @@ struct Parser<'a> {
     src: &'a str,
     pos: usize,
     fresh: usize,
+    /// AST depth of the node being parsed, counting the ancestors known
+    /// so far (a path step or `and`/`or` wrapping it is added later, by
+    /// [`Parser::reach`]).
+    depth: usize,
+    /// The deepest AST depth reached inside the current
+    /// [`Parser::begin_measure`] region.
+    deepest: usize,
+    /// Set when the text nests deeper than [`MAX_QUERY_DEPTH`].
+    too_deep: bool,
 }
 
 /// An equality operand before desugaring.
@@ -84,6 +115,48 @@ impl<'a> Parser<'a> {
             offset: self.pos,
             message: m.into(),
         }
+    }
+
+    /// Records that the tree being built reaches AST depth `depth`,
+    /// failing past [`MAX_QUERY_DEPTH`].
+    fn reach(&mut self, depth: usize) -> Result<(), QueryParseError> {
+        if depth > MAX_QUERY_DEPTH {
+            self.too_deep = true;
+            return Err(self.err(format!("query nests deeper than {MAX_QUERY_DEPTH} levels")));
+        }
+        self.deepest = self.deepest.max(depth);
+        Ok(())
+    }
+
+    /// Runs `f` on a node `levels` below the current one.
+    fn nested<T>(
+        &mut self,
+        levels: usize,
+        f: fn(&mut Self) -> Result<T, QueryParseError>,
+    ) -> Result<T, QueryParseError> {
+        self.reach(self.depth + levels)?;
+        self.depth += levels;
+        let out = f(self);
+        self.depth -= levels;
+        out
+    }
+
+    /// Starts measuring the height of what is parsed next at the current
+    /// depth; returns the enclosing region's mark for
+    /// [`Parser::end_measure`]. (A pair of calls rather than a closure:
+    /// every frame on the recursive descent costs stack.)
+    fn begin_measure(&mut self) -> usize {
+        std::mem::replace(&mut self.deepest, self.depth)
+    }
+
+    /// The height of what was parsed since the matching
+    /// [`Parser::begin_measure`]: how many levels below the current depth
+    /// its deepest node sits. Callers that wrap it afterwards (path
+    /// steps, `and`/`or` folds) add the wrapping to that height.
+    fn end_measure(&mut self, outer: usize) -> usize {
+        let height = self.deepest - self.depth;
+        self.deepest = self.deepest.max(outer);
+        height
     }
 
     fn rest(&self) -> &'a str {
@@ -180,89 +253,137 @@ impl<'a> Parser<'a> {
     // ----- queries --------------------------------------------------------
 
     fn query(&mut self) -> Result<Query, QueryParseError> {
-        let mut items = vec![self.item()?];
+        // `Query::seq` nests the k-th item (from 0) under at most k + 1
+        // `Seq` nodes.
+        let mut items = vec![self.nested(1, Self::item)?];
         while self.eat(",") {
-            items.push(self.item()?);
+            let levels = items.len() + 1;
+            items.push(self.nested(levels, Self::item)?);
         }
         Ok(Query::seq(items))
     }
 
+    // `item`, `element` and `cond_atom` inline what `nested(1, …)` does:
+    // they are the recursion itself, and one frame fewer per level lets
+    // more nesting fit a stack.
     fn item(&mut self) -> Result<Query, QueryParseError> {
+        self.reach(self.depth + 1)?;
+        self.depth += 1;
+        let out = self.item_here();
+        self.depth -= 1;
+        out
+    }
+
+    // One small function per construct keeps each frame on the recursive
+    // descent small, so more nesting fits a worker's stack.
+    fn item_here(&mut self) -> Result<Query, QueryParseError> {
         self.skip_ws();
         if self.eat_kw("for") {
-            let v = self.variable()?;
-            if !self.eat_kw("in") {
-                return Err(self.err("expected 'in'"));
-            }
-            let source = self.item()?;
-            let where_cond = if self.eat_kw("where") {
-                Some(self.cond()?)
-            } else {
-                None
-            };
-            if !self.eat_kw("return") {
-                return Err(self.err("expected 'return'"));
-            }
-            let body = self.item()?;
-            let body = match where_cond {
-                Some(c) => Query::if_then(c, body),
-                None => body,
-            };
-            return Ok(Query::for_in(v, source, body));
+            return self.for_rest();
         }
         if self.eat_kw("let") {
-            let v = self.variable()?;
-            self.expect(":=")?;
-            let bound = self.item()?;
-            if !self.eat_kw("return") {
-                return Err(self.err("expected 'return'"));
-            }
-            let body = self.item()?;
-            return Ok(Query::let_in(v, bound, body));
+            return self.let_rest();
         }
         if self.eat_kw("if") {
-            let cond = if self.eat("(") {
-                let c = self.cond()?;
-                self.expect(")")?;
-                c
-            } else {
-                self.cond()?
-            };
-            if !self.eat_kw("then") {
-                return Err(self.err("expected 'then'"));
-            }
-            let then = self.item()?;
-            if self.eat_kw("else") {
-                let els = self.item()?;
-                // if φ then α else β := (if φ then α, if not(φ) then β)
-                return Ok(Query::seq([
-                    Query::if_then(cond.clone(), then),
-                    Query::if_then(cond.negate(), els),
-                ]));
-            }
-            return Ok(Query::if_then(cond, then));
+            return self.if_rest();
         }
         if self.peek_str("<") {
             return self.element();
         }
         if self.eat("(") {
-            if self.eat(")") {
-                return Ok(Query::Empty);
-            }
-            let q = self.query()?;
-            self.expect(")")?;
-            return Ok(self.steps(q)?);
+            return self.paren_rest();
         }
         if self.peek_str("$") {
             let v = self.variable()?;
-            return self.steps(Query::Var(v));
+            return self.steps(Query::Var(v), 0);
         }
         Err(self.err("expected a query"))
     }
 
-    /// Parses trailing `/ν`, `//ν`, `/axis::ν` steps after a base query.
-    fn steps(&mut self, mut base: Query) -> Result<Query, QueryParseError> {
+    /// `for` has been consumed.
+    fn for_rest(&mut self) -> Result<Query, QueryParseError> {
+        let v = self.variable()?;
+        if !self.eat_kw("in") {
+            return Err(self.err("expected 'in'"));
+        }
+        let source = self.item()?;
+        // `where φ return β` becomes `if φ then β`: one level deeper.
+        let where_cond = if self.eat_kw("where") {
+            Some(self.nested(1, Self::cond)?)
+        } else {
+            None
+        };
+        if !self.eat_kw("return") {
+            return Err(self.err("expected 'return'"));
+        }
+        let body = self.nested(usize::from(where_cond.is_some()), Self::item)?;
+        let body = match where_cond {
+            Some(c) => Query::if_then(c, body),
+            None => body,
+        };
+        Ok(Query::for_in(v, source, body))
+    }
+
+    /// `let` has been consumed.
+    fn let_rest(&mut self) -> Result<Query, QueryParseError> {
+        let v = self.variable()?;
+        self.expect(":=")?;
+        let bound = self.item()?;
+        if !self.eat_kw("return") {
+            return Err(self.err("expected 'return'"));
+        }
+        let body = self.item()?;
+        Ok(Query::let_in(v, bound, body))
+    }
+
+    /// `if` has been consumed.
+    fn if_rest(&mut self) -> Result<Query, QueryParseError> {
+        // Counted as if an `else` follows: its desugaring puts the
+        // branches under `Seq` and `If`, and the negated condition under
+        // `Seq`, `If` and `Not`.
+        let cond = if self.eat("(") {
+            let c = self.nested(2, Self::cond)?;
+            self.expect(")")?;
+            c
+        } else {
+            self.nested(2, Self::cond)?
+        };
+        if !self.eat_kw("then") {
+            return Err(self.err("expected 'then'"));
+        }
+        let then = self.nested(1, Self::item)?;
+        if self.eat_kw("else") {
+            let els = self.nested(1, Self::item)?;
+            // if φ then α else β := (if φ then α, if not(φ) then β)
+            return Ok(Query::seq([
+                Query::if_then(cond.clone(), then),
+                Query::if_then(cond.negate(), els),
+            ]));
+        }
+        Ok(Query::if_then(cond, then))
+    }
+
+    /// `(` has been consumed: `()`, or a parenthesized query and its steps.
+    fn paren_rest(&mut self) -> Result<Query, QueryParseError> {
+        if self.eat(")") {
+            return Ok(Query::Empty);
+        }
+        let outer = self.begin_measure();
+        let q = self.query();
+        let height = self.end_measure(outer);
+        let q = q?;
+        self.expect(")")?;
+        self.steps(q, height)
+    }
+
+    /// Parses trailing `/ν`, `//ν`, `/axis::ν` steps after a base query
+    /// of the given height: each step nests the base one level deeper.
+    fn steps(&mut self, mut base: Query, mut height: usize) -> Result<Query, QueryParseError> {
         loop {
+            if self.peek_str("/") {
+                height += 1;
+                self.reach(self.depth + height)?;
+            }
             if self.eat("//") {
                 let nt = self.node_test()?;
                 base = Query::step(base, Axis::Descendant, nt);
@@ -308,6 +429,14 @@ impl<'a> Parser<'a> {
     }
 
     fn element(&mut self) -> Result<Query, QueryParseError> {
+        self.reach(self.depth + 1)?;
+        self.depth += 1;
+        let out = self.element_here();
+        self.depth -= 1;
+        out
+    }
+
+    fn element_here(&mut self) -> Result<Query, QueryParseError> {
         self.expect("<")?;
         let tag = self
             .ident()
@@ -322,12 +451,14 @@ impl<'a> Parser<'a> {
             if self.peek_str("</") {
                 break;
             }
+            // The body `Seq` nests the k-th part k + 1 levels down.
+            let levels = parts.len() + 1;
             if self.eat("{") {
-                let q = self.query()?;
+                let q = self.nested(levels, Self::query)?;
                 self.expect("}")?;
                 parts.push(q);
             } else if self.peek_str("<") {
-                parts.push(self.element()?);
+                parts.push(self.nested(levels, Self::element)?);
             } else {
                 return Err(self.err("expected '{', an element, or a closing tag"));
             }
@@ -346,24 +477,47 @@ impl<'a> Parser<'a> {
     // ----- conditions -------------------------------------------------------
 
     fn cond(&mut self) -> Result<Cond, QueryParseError> {
-        let mut c = self.cond_and()?;
+        let outer = self.begin_measure();
+        let c = self.cond_and();
+        let mut height = self.end_measure(outer);
+        let mut c = c?;
         while self.eat_kw("or") {
-            let rhs = self.cond_and()?;
-            c = c.or(rhs);
+            let outer = self.begin_measure();
+            let rhs = self.cond_and();
+            let rhs_height = self.end_measure(outer);
+            c = c.or(rhs?);
+            // The fold nests both operands one level under the new `Or`.
+            height = height.max(rhs_height) + 1;
+            self.reach(self.depth + height)?;
         }
         Ok(c)
     }
 
     fn cond_and(&mut self) -> Result<Cond, QueryParseError> {
-        let mut c = self.cond_atom()?;
+        let outer = self.begin_measure();
+        let c = self.cond_atom();
+        let mut height = self.end_measure(outer);
+        let mut c = c?;
         while self.eat_kw("and") {
-            let rhs = self.cond_atom()?;
-            c = c.and(rhs);
+            let outer = self.begin_measure();
+            let rhs = self.cond_atom();
+            let rhs_height = self.end_measure(outer);
+            c = c.and(rhs?);
+            height = height.max(rhs_height) + 1;
+            self.reach(self.depth + height)?;
         }
         Ok(c)
     }
 
     fn cond_atom(&mut self) -> Result<Cond, QueryParseError> {
+        self.reach(self.depth + 1)?;
+        self.depth += 1;
+        let out = self.cond_atom_here();
+        self.depth -= 1;
+        out
+    }
+
+    fn cond_atom_here(&mut self) -> Result<Cond, QueryParseError> {
         self.skip_ws();
         if self.eat_kw("not") {
             self.expect("(")?;
@@ -372,27 +526,11 @@ impl<'a> Parser<'a> {
             return Ok(c.negate());
         }
         if self.eat_kw("some") {
-            let v = self.variable()?;
-            if !self.eat_kw("in") {
-                return Err(self.err("expected 'in'"));
-            }
-            let src = self.item()?;
-            if !self.eat_kw("satisfies") {
-                return Err(self.err("expected 'satisfies'"));
-            }
-            let sat = self.cond_atom()?;
+            let (v, src, sat) = self.quantifier_rest()?;
             return Ok(Cond::some(v, src, sat));
         }
         if self.eat_kw("every") {
-            let v = self.variable()?;
-            if !self.eat_kw("in") {
-                return Err(self.err("expected 'in'"));
-            }
-            let src = self.item()?;
-            if !self.eat_kw("satisfies") {
-                return Err(self.err("expected 'satisfies'"));
-            }
-            let sat = self.cond_atom()?;
+            let (v, src, sat) = self.quantifier_rest()?;
             return Ok(Cond::every(v, src, sat));
         }
         if self.eat_kw("true") {
@@ -410,52 +548,81 @@ impl<'a> Parser<'a> {
             return Ok(Cond::query(self.item()?));
         }
         if self.eat("(") {
-            if self.eat(")") {
-                // The empty sequence as a (false) condition.
-                return Ok(Cond::query(Query::Empty));
-            }
-            // Could be a parenthesized condition or a parenthesized query;
-            // try the condition reading first and backtrack on failure —
-            // or when a step follows (then it was a query after all).
-            let save = self.pos;
-            if let Ok(c) = self.cond() {
-                if self.eat(")") && !self.peek_str("/") {
-                    return Ok(c);
-                }
-            }
-            self.pos = save;
-            let q = self.query()?;
-            self.expect(")")?;
-            let q = self.steps(q)?;
-            return Ok(Cond::query(q));
+            return self.cond_paren_rest();
         }
         // An element: either a ⟨a/⟩ equality operand or a query condition.
         if self.peek_str("<") {
-            let el = self.element()?;
-            let is_leaf = matches!(&el, Query::Elem(_, b) if matches!(&**b, Query::Empty));
-            let has_eq = self.peek_str("=") || self.peek_str("eq ");
-            if !(is_leaf && has_eq) {
-                return Ok(Cond::query(el));
-            }
-            // Fall through to the equality machinery with the leaf operand.
-            let Query::Elem(tag, _) = el else {
-                unreachable!()
-            };
-            let mode = if self.eat("=deep") {
-                EqMode::Deep
-            } else if self.eat("=atomic") {
-                EqMode::Atomic
-            } else if self.eat("=") {
-                EqMode::Deep
-            } else {
-                self.expect("eq")?;
-                EqMode::Atomic
-            };
-            let rhs = self.eq_operand()?;
-            return Ok(self.desugar_eq(EqOperand::ConstLeaf(tag.as_str().to_string()), rhs, mode));
+            return self.cond_element();
         }
-        // operand (= operand)?
-        let lhs = self.eq_operand()?;
+        self.cond_operand()
+    }
+
+    /// `some`/`every` has been consumed: `$x in α satisfies φ`.
+    fn quantifier_rest(&mut self) -> Result<(Var, Query, Cond), QueryParseError> {
+        let v = self.variable()?;
+        if !self.eat_kw("in") {
+            return Err(self.err("expected 'in'"));
+        }
+        let src = self.item()?;
+        if !self.eat_kw("satisfies") {
+            return Err(self.err("expected 'satisfies'"));
+        }
+        let sat = self.cond_atom()?;
+        Ok((v, src, sat))
+    }
+
+    /// `(` has been consumed in condition position.
+    fn cond_paren_rest(&mut self) -> Result<Cond, QueryParseError> {
+        if self.eat(")") {
+            // The empty sequence as a (false) condition.
+            return Ok(Cond::query(Query::Empty));
+        }
+        // Could be a parenthesized condition or a parenthesized query;
+        // try the condition reading first and backtrack on failure — or
+        // when a step follows (then it was a query after all).
+        // A condition reading that nests too deep rejects the text: the
+        // query reading would only report a less helpful error.
+        let save = (self.pos, self.deepest);
+        match self.cond() {
+            Ok(c) if self.eat(")") && !self.peek_str("/") => return Ok(c),
+            Err(e) if self.too_deep => return Err(e),
+            _ => {}
+        }
+        (self.pos, self.deepest) = save;
+        Ok(Cond::query(self.paren_rest()?))
+    }
+
+    /// An element in condition position: a ⟨a/⟩ equality operand or a
+    /// query condition.
+    fn cond_element(&mut self) -> Result<Cond, QueryParseError> {
+        let el = self.element()?;
+        let is_leaf = matches!(&el, Query::Elem(_, b) if matches!(&**b, Query::Empty));
+        let has_eq = self.peek_str("=") || self.peek_str("eq ");
+        if !(is_leaf && has_eq) {
+            return Ok(Cond::query(el));
+        }
+        // Fall through to the equality machinery with the leaf operand.
+        let Query::Elem(tag, _) = el else {
+            unreachable!()
+        };
+        let mode = if self.eat("=deep") {
+            EqMode::Deep
+        } else if self.eat("=atomic") {
+            EqMode::Atomic
+        } else if self.eat("=") {
+            EqMode::Deep
+        } else {
+            self.expect("eq")?;
+            EqMode::Atomic
+        };
+        let rhs = self.nested(2, Self::eq_operand)?;
+        Ok(self.desugar_eq(EqOperand::ConstLeaf(tag.as_str().to_string()), rhs, mode))
+    }
+
+    /// `operand (eqop operand)?` — `desugar_eq` puts a path operand at
+    /// most two levels down, under `some` binders.
+    fn cond_operand(&mut self) -> Result<Cond, QueryParseError> {
+        let lhs = self.nested(2, Self::eq_operand)?;
         let mode = if self.eat("=deep") {
             Some(EqMode::Deep)
         } else if self.eat("=atomic") {
@@ -474,7 +641,7 @@ impl<'a> Parser<'a> {
                 EqOperand::ConstLeaf(_) => Err(self.err("an element is not a condition")),
             },
             Some(mode) => {
-                let rhs = self.eq_operand()?;
+                let rhs = self.nested(2, Self::eq_operand)?;
                 Ok(self.desugar_eq(lhs, rhs, mode))
             }
         }
@@ -496,7 +663,7 @@ impl<'a> Parser<'a> {
             };
         }
         let v = self.variable()?;
-        let q = self.steps(Query::Var(v.clone()))?;
+        let q = self.steps(Query::Var(v.clone()), 0)?;
         match q {
             Query::Var(v) => Ok(EqOperand::Var(v)),
             path => Ok(EqOperand::Path(path)),
@@ -762,6 +929,60 @@ mod tests {
         assert!(parse_query("<a></b>").is_err());
         assert!(parse_query("if $x then").is_err());
         assert!(parse_query("$x/unknownaxis::a").is_err());
+    }
+
+    /// `n` copies of `open`, then `core`, then `n` copies of `close`.
+    fn nest(n: usize, open: &str, core: &str, close: &str) -> String {
+        format!("{}{core}{}", open.repeat(n), close.repeat(n))
+    }
+
+    fn assert_too_deep(src: &str) {
+        let e = parse_query(src).expect_err("an over-deep query must not parse");
+        assert!(e.message.contains("nests deeper"), "{e}");
+    }
+
+    #[test]
+    fn over_deep_queries_are_parse_errors() {
+        const N: usize = 100_000;
+        assert_too_deep(&nest(N, "(", "$root", ")"));
+        assert_too_deep(&nest(N, "<a>", "", "</a>"));
+        assert_too_deep(&nest(N, "<a>{", "$root", "}</a>"));
+        assert_too_deep(&nest(N, "for $x in $root return ", "$x", ""));
+        assert_too_deep(&format!("({})", vec!["$root"; N].join(", ")));
+        assert_too_deep(&format!("$root{}", "/a".repeat(N)));
+        assert_too_deep(&format!("$root{}", "//a".repeat(N)));
+        assert_too_deep(&format!(
+            "if ({}) then <y/>",
+            vec!["$root"; N].join(" and ")
+        ));
+        assert_too_deep(&format!("if ({}) then <y/>", vec!["$root"; N].join(" or ")));
+        assert_too_deep(&nest(N, "if (not(", "$root", "))"));
+        assert_too_deep(&nest(N, "if ($root) then <a/> else ", "<b/>", ""));
+        assert_too_deep(&nest(N, "<o>{ (", "$root", ")/a }</o>"));
+    }
+
+    #[test]
+    fn post_wrapped_nesting_adds_up() {
+        // Parentheses around step chains: each level is shallow on its
+        // own, but the AST stacks every chain on the one inside it.
+        let chain = "/a".repeat(MAX_QUERY_DEPTH / 8);
+        assert_too_deep(&nest(16, "(", "$root", &format!("){chain}")));
+        // The same for `and` chains nested in parentheses.
+        let conj = " and $root".repeat(MAX_QUERY_DEPTH / 8);
+        assert_too_deep(&format!(
+            "if ({}) then <y/>",
+            nest(16, "(", "$root", &format!("{conj})"))
+        ));
+    }
+
+    #[test]
+    fn wide_queries_are_not_deep() {
+        // Many shallow parts side by side: the cap bounds nesting, not size.
+        let wide = vec!["<b>{ $root/a }</b>"; MAX_QUERY_DEPTH / 4].join(", ");
+        let parts = "<p>{ $root }</p>".repeat(MAX_QUERY_DEPTH / 4);
+        p(&format!(
+            "<out>{{ for $x in $root/* return ({wide}) }}{parts}</out>"
+        ));
     }
 
     #[test]

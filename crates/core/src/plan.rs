@@ -45,7 +45,7 @@
 use crate::ast::{cond_as_query, Query, Var};
 use crate::fragments::free_vars;
 use crate::semantics::{eval_cond_with_stats, Budget, Env};
-use cv_xtree::{ArenaDoc, Label, NodeId, Tree};
+use cv_xtree::{ArenaDoc, Label, NodeId};
 
 /// Ceiling on the number of `NodeId` slots a flattened work-list may
 /// materialize (rows × row width). Flattening a `for`-nest trades memory
@@ -128,34 +128,17 @@ impl<'q> ParPlan<'q> {
     /// evaluation across the whole planning session draws on one shared
     /// instance of it, so planner work never exceeds one sequential
     /// evaluation's allowance. Exhaustion aborts the affected resolution
-    /// and that loop falls back to the sequential path.
+    /// and that loop falls back to the sequential path. Predicates that
+    /// mention `$root` read the document's
+    /// [`shared_tree`](ArenaDoc::shared_tree) — materialized once per
+    /// document and shared with the executors — so planning never builds
+    /// a tree of its own.
     pub fn of(q: &'q Query, doc: &ArenaDoc, budget: Budget) -> ParPlan<'q> {
-        ParPlan::of_with_root_cache(q, doc, budget, None).0
-    }
-
-    /// [`ParPlan::of`], threading the root-tree build through the
-    /// planning session: `root_seed` is an already-materialized root tree
-    /// (e.g. a `QueryService` worker's document cache hit) the planner
-    /// will use instead of building its own for `$root`-referencing
-    /// filter predicates; the returned tree is whichever build the
-    /// session ended up holding (the seed, or the planner's own), so
-    /// executors and caches reuse it instead of making another — keeping
-    /// the "root built once per query" contract across planner, executor,
-    /// and service cache.
-    pub fn of_with_root_cache(
-        q: &'q Query,
-        doc: &ArenaDoc,
-        budget: Budget,
-        root_seed: Option<Tree>,
-    ) -> (ParPlan<'q>, Option<Tree>) {
         let mut planner = Planner {
             doc,
             remaining: budget,
-            root: root_seed,
         };
-        let mut env = Vec::new();
-        let plan = planner.plan(q, &mut env);
-        (plan, planner.root)
+        planner.plan(q, &mut Vec::new())
     }
 
     /// Whether executing this plan would actually split work across
@@ -194,14 +177,14 @@ impl<'q> ParPlan<'q> {
     }
 }
 
-/// Planner state: the document, the shared predicate allowance (the
-/// caller's budget, drawn down by every filter verdict), and the lazily
-/// materialized root tree (built only if some filter predicate actually
-/// mentions `$root`).
+/// Planner state: the document and the shared predicate allowance (the
+/// caller's budget, drawn down by every filter verdict). A filter
+/// predicate that mentions `$root` binds the document's
+/// [`shared_tree`](ArenaDoc::shared_tree), the same tree the executors
+/// use.
 struct Planner<'d> {
     doc: &'d ArenaDoc,
     remaining: Budget,
-    root: Option<Tree>,
 }
 
 /// Bindings the planner has pinned to arena nodes (hoisted `let`s and,
@@ -363,9 +346,7 @@ impl<'d> Planner<'d> {
         let fv = free_vars(&cond_as_query(cond));
         let mut tree_env = Env::new();
         if fv.contains(&Var::root()) {
-            let doc = self.doc;
-            let root = self.root.get_or_insert_with(|| doc.to_tree()).clone();
-            tree_env.bind(Var::root(), root);
+            tree_env.bind(Var::root(), self.doc.shared_tree().clone());
         }
         for (v, n) in env {
             if fv.contains(v) {

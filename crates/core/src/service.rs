@@ -54,10 +54,12 @@
 //! [`Faults`] registry in [`crate::fault`];
 //! with no registry configured every hook is a single `None` test.
 //!
-//! Workers keep a small per-document cache of the materialized [`Tree`]
-//! (the Figure 1 evaluator's input form), keyed by the `Arc` pointer
-//! identity, so serving many queries against the same hot document pays
-//! the arena → tree conversion once per worker, not once per request.
+//! Every route evaluates over the document's
+//! [`shared_tree`](ArenaDoc::shared_tree) — the materialized [`Tree`]
+//! (the Figure 1 evaluator's input form) built once per document and
+//! shared by every worker — so serving many queries against the same
+//! document pays the arena → tree conversion once per process, not once
+//! per request or per worker. Workers hold no per-worker state.
 
 use crate::fault::{FaultPoint, Faults, INJECTED_PANIC_PREFIX};
 use crate::semantics::{eval_with, Budget, Env, XqError};
@@ -86,7 +88,7 @@ pub struct Request {
     /// loops across that many scoped workers *inside* the pool worker —
     /// intra-query parallelism on top of the pool's inter-query
     /// parallelism. The default ([`Threads::One`](crate::Threads)) keeps
-    /// requests on the cached-tree sequential path.
+    /// requests on the sequential path over the shared tree.
     pub budget: Budget,
 }
 
@@ -430,7 +432,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// The worker body: receive, evaluate under the unwind fence, deliver.
 fn worker_loop(pool: &Pool) {
-    let mut cache = HashMap::new();
     loop {
         // Lock only around the receive so idle workers never block a
         // busy one. A poisoned mutex is recovered, not propagated: the
@@ -446,12 +447,12 @@ fn worker_loop(pool: &Pool) {
             Ok(job) => job,
             Err(_) => break, // service dropped: shut down
         };
-        run_job(pool, job, &mut cache);
+        run_job(pool, job);
     }
 }
 
 /// Serves one job with full RAII accounting; see the guard type docs.
-fn run_job(pool: &Pool, job: Job, cache: &mut HashMap<usize, (Arc<ArenaDoc>, Tree)>) {
+fn run_job(pool: &Pool, job: Job) {
     let Job {
         request,
         delivery,
@@ -467,16 +468,13 @@ fn run_job(pool: &Pool, job: Job, cache: &mut HashMap<usize, (Arc<ArenaDoc>, Tre
     // The unwind fence. `AssertUnwindSafe` is justified by audit:
     // * `request` is shared immutable state (Arc'd query text, document,
     //   budget clone) — nothing to corrupt.
-    // * `cache` (the worker's doc-tree map) mutates only via
-    //   `entry().or_insert_with(build)`: a panic inside `build` inserts
-    //   nothing, leaving the map consistent.
+    // * The document's shared tree is a `OnceLock`: a panic inside its
+    //   build leaves it uninitialized, and the next caller builds again.
     // * The process-wide plan cache and label interner are lock-striped;
     //   their locks recover from poisoning (`PoisonError::into_inner`)
     //   and every write is insert-after-construct, so a panic under a
     //   write lock at worst loses the entry being inserted.
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        serve(&request, cache, pool.mode, faults)
-    }));
+    let result = catch_unwind(AssertUnwindSafe(|| serve(&request, pool.mode, faults)));
     // Gauge before reply: a collected batch implies `in_flight` has
     // already been released for each of its requests (tests assert the
     // gauges are zero immediately after `run_batch` returns).
@@ -641,38 +639,8 @@ pub struct QueryService {
     queue_capacity: usize,
 }
 
-/// How many materialized documents each worker keeps (eviction is a full
-/// clear — requests batches are expected to cycle few distinct docs).
-const DOC_CACHE_CAP: usize = 32;
-
-/// The worker's materialized view of a request's document: one tree per
-/// (worker, document), whatever route the request takes. `build` supplies
-/// the tree on a miss (usually `doc.to_tree()`, or a build the planner
-/// already made).
-fn cached_tree_or(
-    request: &Request,
-    cache: &mut HashMap<usize, (Arc<ArenaDoc>, Tree)>,
-    build: impl FnOnce() -> Tree,
-) -> Tree {
-    let key = Arc::as_ptr(&request.doc) as usize;
-    if cache.len() >= DOC_CACHE_CAP && !cache.contains_key(&key) {
-        cache.clear();
-    }
-    cache
-        .entry(key)
-        // Holding the Arc in the cache keeps the pointer identity stable.
-        .or_insert_with(|| (request.doc.clone(), build()))
-        .1
-        .clone()
-}
-
-fn cached_tree(request: &Request, cache: &mut HashMap<usize, (Arc<ArenaDoc>, Tree)>) -> Tree {
-    cached_tree_or(request, cache, || request.doc.to_tree())
-}
-
 fn serve(
     request: &Request,
-    cache: &mut HashMap<usize, (Arc<ArenaDoc>, Tree)>,
     mode: ServeMode,
     faults: Option<&Faults>,
 ) -> Result<String, ServiceError> {
@@ -694,18 +662,15 @@ fn serve(
         .preflight()
         .map_err(|e| ServiceError::from_eval(&e))?;
     match mode {
-        ServeMode::Interp => serve_interp(request, cache),
-        ServeMode::CachedVm => serve_cached_vm(request, cache),
+        ServeMode::Interp => serve_interp(request),
+        ServeMode::CachedVm => serve_cached_vm(request),
     }
 }
 
 /// The compiled route: one shared [`PlanCache`] probe replaces the
-/// worker-side per-request parse (and re-derives nothing — scoping, the
-/// planner hint, and the optimizer verdict are baked into the plan).
-fn serve_cached_vm(
-    request: &Request,
-    cache: &mut HashMap<usize, (Arc<ArenaDoc>, Tree)>,
-) -> Result<String, ServiceError> {
+/// worker-side per-request parse (and re-derives nothing — scoping and
+/// the planner hint are baked into the plan).
+fn serve_cached_vm(request: &Request) -> Result<String, ServiceError> {
     let plan = PlanCache::global()
         .get_or_compile(&request.query)
         .map_err(|e| ServiceError::Parse(e.to_string()))?;
@@ -713,83 +678,44 @@ fn serve_cached_vm(
     // The baked hint proves most non-shardable queries out of the planner
     // without walking the AST; hinted queries plan as before.
     if threads > 1 && plan.par_hint() {
-        let key = Arc::as_ptr(&request.doc) as usize;
-        let seed = cache.get(&key).map(|(_, t)| t.clone());
-        let (par_plan, planner_root) = crate::ParPlan::of_with_root_cache(
-            plan.query(),
-            &request.doc,
-            request.budget.clone(),
-            seed,
-        );
-        if let Some(t) = &planner_root {
-            let _ = cached_tree_or(request, cache, || t.clone());
-        }
+        let par_plan = crate::ParPlan::of(plan.query(), &request.doc, request.budget.clone());
         if par_plan.engages() {
-            let root = match planner_root {
-                Some(t) => Some(t),
-                None if par_plan.needs_root() => Some(cached_tree(request, cache)),
-                None => None,
-            };
-            let (out, _) = crate::par::eval_plan(
-                &par_plan,
-                &request.doc,
-                request.budget.clone(),
-                threads,
-                root,
-            )
-            .map_err(|e| ServiceError::from_eval(&e))?;
-            return Ok(out.iter().map(Tree::to_xml).collect());
+            return serve_plan(request, &par_plan, threads);
         }
     }
-    let tree = cached_tree(request, cache);
-    let (out, _) = crate::vm::exec_with(&plan, &Env::with_root(tree), request.budget.clone())
+    let env = Env::with_root(request.doc.shared_tree().clone());
+    let (out, _) = crate::vm::exec_with(&plan, &env, request.budget.clone())
         .map_err(|e| ServiceError::from_eval(&e))?;
     Ok(out.iter().map(Tree::to_xml).collect())
 }
 
 /// The pre-VM route, unchanged: parse per request, tree-walk Figure 1.
-fn serve_interp(
-    request: &Request,
-    cache: &mut HashMap<usize, (Arc<ArenaDoc>, Tree)>,
-) -> Result<String, ServiceError> {
+fn serve_interp(request: &Request) -> Result<String, ServiceError> {
     let query: Query =
         crate::parse_query(&request.query).map_err(|e| ServiceError::Parse(e.to_string()))?;
     let threads = request.budget.threads.count();
     if threads > 1 {
         // Intra-query parallelism: plan-driven sharding over the arena
-        // (byte-identical to the sequential path — par_diff's contract).
-        // Only when the plan actually engages — otherwise fall through to
-        // the cached-tree route below, so non-shardable threaded requests
-        // still hit the per-worker document cache instead of paying a
-        // fresh to_tree() per request.
-        // Seed the planner with the worker's cached tree (lookup only —
-        // no eager build), so $root-referencing filter predicates reuse
-        // it; whatever build the planning session ends with is folded
-        // back into the cache, so later requests for the same document
-        // never rebuild it either.
-        let key = Arc::as_ptr(&request.doc) as usize;
-        let seed = cache.get(&key).map(|(_, t)| t.clone());
-        let (plan, planner_root) =
-            crate::ParPlan::of_with_root_cache(&query, &request.doc, request.budget.clone(), seed);
-        if let Some(t) = &planner_root {
-            let _ = cached_tree_or(request, cache, || t.clone());
-        }
+        // (byte-identical to the sequential path — par_diff's contract),
+        // only when the plan actually engages.
+        let plan = crate::ParPlan::of(&query, &request.doc, request.budget.clone());
         if plan.engages() {
-            // Root-needing plans draw the tree from the same cache the
-            // sequential route uses — no per-request rebuild.
-            let root = match planner_root {
-                Some(t) => Some(t),
-                None if plan.needs_root() => Some(cached_tree(request, cache)),
-                None => None,
-            };
-            let (out, _) =
-                crate::par::eval_plan(&plan, &request.doc, request.budget.clone(), threads, root)
-                    .map_err(|e| ServiceError::from_eval(&e))?;
-            return Ok(out.iter().map(Tree::to_xml).collect());
+            return serve_plan(request, &plan, threads);
         }
     }
-    let tree = cached_tree(request, cache);
-    let (out, _) = eval_with(&query, &Env::with_root(tree), request.budget.clone())
+    let env = Env::with_root(request.doc.shared_tree().clone());
+    let (out, _) =
+        eval_with(&query, &env, request.budget.clone()).map_err(|e| ServiceError::from_eval(&e))?;
+    Ok(out.iter().map(Tree::to_xml).collect())
+}
+
+/// Runs an engaging parallel plan across `threads` scoped workers.
+fn serve_plan(
+    request: &Request,
+    plan: &crate::ParPlan<'_>,
+    threads: usize,
+) -> Result<String, ServiceError> {
+    let (out, _) = crate::par::eval_plan(plan, &request.doc, request.budget.clone(), threads)
         .map_err(|e| ServiceError::from_eval(&e))?;
     Ok(out.iter().map(Tree::to_xml).collect())
 }
@@ -1125,6 +1051,52 @@ mod tests {
     }
 
     #[test]
+    fn many_documents_serve_interpreter_bytes_on_every_route() {
+        // More documents than any per-worker cache ever held, cycled so
+        // each one is served several times by either worker: every route
+        // must read the same bytes off the document's shared tree.
+        use crate::semantics::Threads;
+        let docs: Vec<Arc<ArenaDoc>> = (0..64u64)
+            .map(|seed| {
+                let mut g = TreeGen::new(1000 + seed);
+                Arc::new(ArenaDoc::from_tree(&random_tree(&mut g, 12, &["a", "b"])))
+            })
+            .collect();
+        let queries = [
+            "for $x in $root//a return <w>{ $x/* }</w>",
+            "for $x in (for $w in $root/* where $w = $root/a return $w) return <f>{ $x }</f>",
+            "($root, $root//b)",
+        ];
+        let make = |threads: Threads| -> Vec<Request> {
+            (0..4 * docs.len())
+                .map(|i| {
+                    let mut r =
+                        Request::new(queries[i % queries.len()], docs[(i * 7) % 64].clone());
+                    r.budget = r.budget.with_threads(threads);
+                    r
+                })
+                .collect()
+        };
+        let want: Vec<Result<String, ServiceError>> = make(Threads::One)
+            .iter()
+            .map(|r| {
+                let out = eval_query(&crate::parse_query(&r.query).unwrap(), &r.doc.to_tree());
+                Ok(out.unwrap().iter().map(Tree::to_xml).collect())
+            })
+            .collect();
+        for mode in [ServeMode::CachedVm, ServeMode::Interp] {
+            let service = QueryService::with_mode(2, mode);
+            for threads in [Threads::One, Threads::N(2)] {
+                assert_eq!(
+                    service.run_batch(make(threads)),
+                    want,
+                    "{mode:?} at {threads:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn failures_stay_positional() {
         let docs = corpus();
         let service = QueryService::new(2);
@@ -1167,7 +1139,7 @@ mod tests {
             "(for $x in $root/a return <w>{ $x }</w>, for $y in $root/b return $y)",
             "for $x in $root/* return for $y in $x/* return <p>{ $y }</p>",
             // Not planner-shardable: a threaded request falls through to
-            // the cached-tree route and must still serve identical bytes.
+            // the sequential route and must still serve identical bytes.
             "$root/*",
         ];
         let service = QueryService::new(2);

@@ -2,15 +2,15 @@
 //!
 //! The Figure 1 interpreter ([`crate::semantics`]) tree-walks the
 //! [`Query`](crate::Query) AST per evaluation, chasing `Arc` nodes and
-//! re-deriving scoping, the parallel-planner engagement decision, and the
-//! `cv_monad::opt` verdict on every request. This module lowers the AST
-//! once into a flat instruction sequence and keeps the derived facts with
-//! it:
+//! re-deriving scoping and the parallel-planner engagement decision on
+//! every request. This module lowers the AST once into a flat instruction
+//! sequence and keeps the derived facts with it:
 //!
 //! * [`ir`] — the [`OpCode`]/[`InstrSeq`] instruction set;
 //! * [`compile`] — AST → instructions, static slot resolution for
-//!   binders, the document-independent [`compile::par_hint`],
-//!   and the baked monad-algebra optimizer verdict ([`MaInfo`]);
+//!   binders, and the document-independent [`compile::par_hint`]; the
+//!   monad-algebra optimizer verdict ([`MaInfo`]) is computed on demand
+//!   for the disassembly, never on the compile path;
 //! * [`exec`] — the stack executor, byte- and budget-counter-identical
 //!   to [`eval_with`](crate::eval_with) (the `vm_diff` differential suite
 //!   is the proof obligation);

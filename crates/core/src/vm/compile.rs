@@ -14,19 +14,19 @@
 //!   conservative [`par_hint`]: `false` proves the parallel planner could
 //!   never engage on any document, letting executors skip planning
 //!   entirely (the sound direction `engages ⇒ hint` is property-tested in
-//!   `vm_diff`);
-//! * **the `cv_monad::opt` verdict** — the Figure 2 translation is
-//!   optimized once ([`cv_monad::opt::optimize_report`]) and the fired
-//!   rules and size delta ride along as [`MaInfo`], surfaced in the
-//!   disassembly header.
+//!   `vm_diff`).
+//!
+//! The `cv_monad::opt` verdict on the query's Figure 2 translation is
+//! *not* compiled in: no execution path reads it, so a compile is
+//! lowering + [`par_hint`] only (after the parse, for text).
+//! [`CompiledPlan::ma`] computes it on demand for the disassembly header.
 
 use super::ir::{InstrSeq, OpCode, VarRef};
 use crate::ast::{Cond, Query, Var};
 use std::fmt::Write as _;
 
-/// The compile-time `cv_monad::opt` verdict for a query's Figure 2
-/// monad-algebra translation (absent when the query leaves the
-/// translatable fragment).
+/// The `cv_monad::opt` verdict for a query's Figure 2 monad-algebra
+/// translation (absent when the query leaves the translatable fragment).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MaInfo {
     /// Optimizer rules that fired, in application order.
@@ -49,7 +49,6 @@ pub struct CompiledPlan {
     instrs: InstrSeq,
     slots: usize,
     par_hint: bool,
-    ma: Option<MaInfo>,
 }
 
 impl CompiledPlan {
@@ -81,9 +80,18 @@ impl CompiledPlan {
         self.par_hint
     }
 
-    /// The baked `cv_monad::opt` verdict, if the query translates.
-    pub fn ma(&self) -> Option<&MaInfo> {
-        self.ma.as_ref()
+    /// The `cv_monad::opt` verdict, if the query translates: the Figure 2
+    /// translation optimized by [`cv_monad::opt::optimize_report`].
+    /// Computed on every call — no execution path reads it, so it stays
+    /// off the compile (and plan-cache miss) path.
+    pub fn ma(&self) -> Option<MaInfo> {
+        let expr = crate::translate::ma_query(&self.query).ok()?;
+        let (_, report) = cv_monad::opt::optimize_report(&expr, cv_monad::CollectionKind::List);
+        Some(MaInfo {
+            rules: report.rules,
+            size_before: report.size_before,
+            size_after: report.size_after,
+        })
     }
 
     /// The disassembly listing: a header (source, slot count, par hint,
@@ -102,7 +110,7 @@ impl CompiledPlan {
             if self.par_hint { "yes" } else { "no" }
         )
         .unwrap();
-        match &self.ma {
+        match self.ma() {
             Some(ma) if ma.rules.is_empty() => {
                 writeln!(out, "; ma.opt {} ops (no rules fired)", ma.size_after).unwrap();
             }
@@ -144,21 +152,12 @@ fn compile_with_source(q: &Query, source: Option<String>) -> CompiledPlan {
         slots: 0,
     };
     c.query(q);
-    let ma = crate::translate::ma_query(q).ok().map(|expr| {
-        let (_, report) = cv_monad::opt::optimize_report(&expr, cv_monad::CollectionKind::List);
-        MaInfo {
-            rules: report.rules,
-            size_before: report.size_before,
-            size_after: report.size_after,
-        }
-    });
     CompiledPlan {
         query: q.clone(),
         source,
         instrs: InstrSeq::from_ops(c.ops),
         slots: c.slots,
         par_hint: par_hint(q),
-        ma,
     }
 }
 
@@ -448,7 +447,7 @@ mod tests {
     }
 
     #[test]
-    fn ma_verdict_is_baked_for_translatable_queries() {
+    fn ma_verdict_is_computed_for_translatable_queries() {
         let plan = compiled("for $x in $root/a return <w>{ $x }</w>");
         let ma = plan.ma().expect("query translates");
         assert!(ma.size_after <= ma.size_before);

@@ -56,14 +56,12 @@ fn bytes(trees: &[Tree]) -> Vec<u8> {
         .into_bytes()
 }
 
+/// A run's outcome: serialized result bytes, steps and items.
+type Outcome = Result<(Vec<u8>, u64, u64), XqError>;
+
 /// Runs `q` on the given engine with a counting (never-tripping) flag,
 /// returning the outcome and the number of ticks the run polled.
-fn run_counted(
-    q: &Query,
-    env: &Env,
-    budget: Budget,
-    vm: bool,
-) -> (Result<(Vec<u8>, u64, u64), XqError>, u64) {
+fn run_counted(q: &Query, env: &Env, budget: Budget, vm: bool) -> (Outcome, u64) {
     let flag = CancelFlag::counting();
     let budget = budget.with_cancel(flag.clone());
     let r = if vm {

@@ -95,9 +95,9 @@ pub fn optimize(e: &Expr, kind: CollectionKind) -> (Expr, Trace) {
 /// A thread-shareable summary of one [`optimize`] run: which rules fired
 /// and how the expression size changed. [`Expr`] (and therefore [`Trace`],
 /// which stores redex snapshots) is `Rc`-backed and cannot cross threads;
-/// compile-time consumers that cache plans process-wide — `xq_core`'s
-/// bytecode plan store bakes the optimizer verdict into each cached plan —
-/// keep this report instead.
+/// consumers that only need the verdict — `xq_core`'s
+/// `CompiledPlan::ma`, which computes it on demand for the bytecode
+/// disassembly — keep this report instead.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OptReport {
     /// Names of the rules that fired, in application order (the
@@ -400,7 +400,7 @@ impl Optimizer {
         if v == rel2 || !is_proj2(vx, t, key) || *rx != Expr::Proj(rel.clone()) || pr != rel2 {
             return None;
         }
-        if !(pa.len() == 2 && pa[0] == *rel2 && pa[1] == *key) || !is_path_to(pb, v) {
+        if !(pa.len() == 2 && pa[0] == *rel2 && pa[1] == *key && is_path_to(pb, v)) {
             return None;
         }
         let Expr::MkTuple(cfs) = &**mm else {

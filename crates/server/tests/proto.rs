@@ -350,6 +350,38 @@ fn disconnect_cancels_in_flight_work() {
     );
 }
 
+/// A deep query text used to overflow a worker's stack — an abort that
+/// took the whole server down, since no unwind fence catches it. A
+/// 40 KB path of 20,000 steps (well under the frame size limit) now
+/// answers `parse`, and the same connection keeps being served.
+#[test]
+fn deep_query_is_a_parse_error_and_the_server_keeps_serving() {
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        docs: golden_docs(),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let deep = format!("$root{}", "/a".repeat(20_000));
+    assert!(deep.len() > 40_000);
+    let mut client = Client::connect(&server);
+    client.send(&format!(
+        r#"{{"op":"query","id":1,"doc":"d0","query":"{deep}"}}"#
+    ));
+    let resp = client.recv();
+    assert!(
+        resp.contains(r#""ok":false"#) && resp.contains(r#""code":"parse""#),
+        "deep query not answered as a parse error: {resp}"
+    );
+    assert!(resp.contains("nests deeper"), "{resp}");
+    client.send(r#"{"op":"query","id":2,"doc":"d0","query":"$root/*"}"#);
+    let resp = client.recv();
+    assert!(
+        resp.contains(r#""ok":true"#),
+        "server stopped serving after a deep query: {resp}"
+    );
+}
+
 /// Regression for the PR 8 cancel-registry bugfix: a duplicate query id
 /// used to `insert` over the first request's cancel flag, and the
 /// duplicate's completion then `remove`d the registration, leaving the

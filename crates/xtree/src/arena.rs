@@ -43,7 +43,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
-use std::sync::{Arc, LazyLock, PoisonError, RwLock};
+use std::sync::{Arc, LazyLock, OnceLock, PoisonError, RwLock};
 
 /// An interned label: a `u32` handle into the global sharded
 /// [`LabelInterner`]. Equality and hashing are O(1) integer operations;
@@ -378,9 +378,13 @@ pub struct ArenaDoc {
     child_spans: Vec<Range<u32>>,
     child_ids: Vec<NodeId>,
     subtree_ends: Vec<u32>,
-    // Every field is a vector of plain data (`LabelId`s resolve through
-    // the global interner), so `ArenaDoc` is automatically `Send + Sync`
-    // — asserted at compile time in the test suite.
+    /// The whole document as a [`Tree`], built on first use by
+    /// [`ArenaDoc::shared_tree`] and shared by every thread after that.
+    shared: OnceLock<Tree>,
+    // Every field is plain data (`LabelId`s resolve through the global
+    // interner) or an `Arc`-backed `Tree` behind a `OnceLock`, so
+    // `ArenaDoc` is automatically `Send + Sync` — asserted at compile
+    // time in the test suite.
 }
 
 /// Incremental preorder construction of an [`ArenaDoc`]: call
@@ -420,6 +424,7 @@ impl ArenaBuilder {
                 child_spans: Vec::with_capacity(nodes),
                 child_ids: Vec::with_capacity(nodes.saturating_sub(1)),
                 subtree_ends: Vec::with_capacity(nodes),
+                shared: OnceLock::new(),
             },
             stack: Vec::new(),
             scratch: Vec::new(),
@@ -750,8 +755,19 @@ impl ArenaDoc {
 
     /// Converts the whole document back to a [`Tree`]
     /// (`ArenaDoc::from_tree` ∘ `to_tree` is the identity — tested).
+    /// Builds a fresh tree on every call; evaluators that only need the
+    /// document as a tree use [`ArenaDoc::shared_tree`] instead.
     pub fn to_tree(&self) -> Tree {
         self.subtree(self.root())
+    }
+
+    /// The whole document as a [`Tree`], materialized once per document:
+    /// the first call builds it (as [`ArenaDoc::to_tree`] would), and
+    /// every later call — from any thread — returns the same tree
+    /// (pointer-equal). Racing first calls build it once; the others
+    /// wait for that build. The tree lives as long as the document.
+    pub fn shared_tree(&self) -> &Tree {
+        self.shared.get_or_init(|| self.to_tree())
     }
 
     /// Iterative preorder tag-string walk — the one traversal behind
@@ -853,6 +869,27 @@ mod tests {
         assert_send_sync::<IToken>();
         assert_send_sync::<LabelInterner>();
         assert_send_sync::<Tree>();
+    }
+
+    #[test]
+    fn shared_tree_is_built_once_across_racing_threads() {
+        let doc = ArenaDoc::from_tree(&sample());
+        let barrier = std::sync::Barrier::new(8);
+        let addrs: Vec<usize> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        doc.shared_tree() as *const Tree as usize
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(addrs.iter().all(|&a| a == addrs[0]), "{addrs:?}");
+        assert_eq!(doc.shared_tree() as *const Tree as usize, addrs[0]);
+        assert_eq!(*doc.shared_tree(), doc.to_tree());
+        assert_eq!(*doc.shared_tree(), sample());
     }
 
     #[test]

@@ -251,7 +251,7 @@ impl std::fmt::Display for DoublingFamily {
 }
 
 fn binary_label(depth: u32) -> &'static str {
-    if depth % 2 == 0 {
+    if depth.is_multiple_of(2) {
         "a"
     } else {
         "b"
