@@ -11,11 +11,12 @@
 //! * the serving benchmark's `heavy-eval` cross-join
 //!   (`<r>{ par_workload(Binary) }</r>` on Binary depth 8), where
 //!   evaluation is nearly the whole request and the VM's borrowed axis
-//!   scans and fused quantifier loop do the work.
+//!   scans and fused quantifier loop do the work — over the tree
+//!   environment and over the arena document (the served route).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cv_xtree::{random_tree, DoublingFamily, TreeGen};
-use xq_core::vm::{compile_query, exec_with, PlanCache};
+use xq_core::vm::{compile_query, exec_doc, exec_with, PlanCache};
 use xq_core::{eval_with, parse_query, Budget, Env, Query};
 
 const QUERY: &str = "for $x in $root//a return <w>{ $x/* }</w>";
@@ -62,6 +63,7 @@ fn bench_heavy_eval(c: &mut Criterion) {
     let q = Query::elem("r", xq_bench::par_workload(DoublingFamily::Binary));
     let plan = compile_query(&q);
     let env = Env::with_root(DoublingFamily::Binary.tree(8));
+    let arena = DoublingFamily::Binary.arena(8);
     let budget = Budget::default();
 
     let mut group = c.benchmark_group("vm_vs_interp/heavy_eval");
@@ -71,6 +73,9 @@ fn bench_heavy_eval(c: &mut Criterion) {
     });
     group.bench_function("vm_exec", |b| {
         b.iter(|| exec_with(&plan, &env, budget.clone()).unwrap())
+    });
+    group.bench_function("vm_exec_arena", |b| {
+        b.iter(|| exec_doc(&plan, &arena, budget.clone()).unwrap())
     });
     group.finish();
 }

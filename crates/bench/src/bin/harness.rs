@@ -632,9 +632,27 @@ fn t18_vm() -> Vec<T18Row> {
     let heavy_vm_us = time_us(heavy_evals, || {
         xq_core::vm::exec_with(&heavy_plan, &heavy_env, budget.clone()).unwrap();
     });
+    // The served route: the same plan over the arena document (node ids,
+    // preorder-range scans, interned-label compares), with the exact
+    // counts the serving benchmark's traced replay reports.
+    let heavy_arena = cv_xtree::DoublingFamily::Binary.arena(8);
+    let (got, got_stats) =
+        xq_core::vm::exec_doc(&heavy_plan, &heavy_arena, budget.clone()).unwrap();
+    assert_eq!(
+        got, want,
+        "the arena route diverged on the heavy-eval shape"
+    );
+    assert_eq!(
+        (got_stats.steps, got_stats.items),
+        (233_074, 58_482),
+        "the arena route must charge the heavy-eval request's steps and items"
+    );
+    let heavy_arena_us = time_us(heavy_evals, || {
+        xq_core::vm::exec_doc(&heavy_plan, &heavy_arena, budget.clone()).unwrap();
+    });
     println!(
         "\nheavy-eval shape (`<r>{{ par_workload(Binary) }}</r>` on Binary depth 8): \
-         {} steps, {} items per evaluation in both engines",
+         {} steps, {} items per evaluation in every engine",
         got_stats.steps, got_stats.items
     );
     println!("\n| engine | per-eval (µs) | vs interpreter |");
@@ -642,6 +660,7 @@ fn t18_vm() -> Vec<T18Row> {
     for (label, us) in [
         ("interpreter (pre-parsed AST)", heavy_interp_us),
         ("VM (compiled plan)", heavy_vm_us),
+        ("VM over the arena (served route)", heavy_arena_us),
     ] {
         println!("| {label} | {us:.1} | {:.2}x |", heavy_interp_us / us);
     }
@@ -654,6 +673,11 @@ fn t18_vm() -> Vec<T18Row> {
         label: "heavy_vm_exec",
         total_us: heavy_vm_us,
         per_unit_us: heavy_vm_us,
+    });
+    rows.push(T18Row {
+        label: "heavy_vm_exec_arena",
+        total_us: heavy_arena_us,
+        per_unit_us: heavy_arena_us,
     });
 
     // The service comparison: the exact T16 batch shape (64 requests over

@@ -23,13 +23,12 @@
 //! [`eval_query`](crate::eval_query) — the `par_diff` differential suite
 //! asserts this at 1/2/4/8 threads over the random-query corpus.
 //!
-//! **Shared values are built once.** If any shard body or opaque leaf
-//! mentions `$root`, the executor binds the document's
-//! [`shared_tree`](ArenaDoc::shared_tree) — materialized once per
-//! document, not per query or per worker — and hands it to every worker
-//! by an `Arc` pointer bump (`Tree` is `Arc`-backed). Hoisted `let`
-//! bindings are built once per query before the thread split and shared
-//! the same way.
+//! **Shared values are built once.** Shard bodies and opaque leaves run
+//! the Figure 1 interpreter over [`Tree`]s taken from the document's node
+//! table ([`ArenaDoc::shared_node`]) — materialized once per document,
+//! not per query or per worker — so binding `$root`, a hoisted `let` or
+//! a row's loop variables is an `Arc` pointer bump (`Tree` is
+//! `Arc`-backed), never a subtree copy.
 //!
 //! **Budget semantics.** Each worker draws on the step/item caps of the
 //! [`Budget`] independently for its chunk (a shared atomic counter would
@@ -42,7 +41,8 @@
 //! [`Budget::max_steps`]), so the next item fails deterministically.
 //!
 //! Queries with no shardable loop of at least two items (or `threads <=
-//! 1`) fall back to the sequential evaluator on the shared tree —
+//! 1`) fall back to the sequential evaluator — the interpreter on the
+//! shared tree, or the VM over the arena for compiled plans —
 //! [`ParStats::parallelized`] reports which path ran.
 
 use crate::ast::{Query, Var};
@@ -169,7 +169,7 @@ fn eval_rows(
         // One env reused across the loop: bind/pop around each row
         // (eval_with clones internally, so the bindings stay per-item).
         for (v, &n) in vars.iter().zip(row) {
-            env.bind(v.clone(), doc.subtree(n));
+            env.bind(v.clone(), doc.shared_node(n).clone());
         }
         let result = eval_with(body, &env, remaining.clone());
         for _ in vars {
@@ -237,13 +237,7 @@ impl Exec<'_> {
                 Ok(out)
             }
             ParPlan::Hoist(v, node, inner) => {
-                // `let $z := $root` is the common hoist; when the shared
-                // root tree already exists, rebinding it is a pointer
-                // bump, not a second full materialization.
-                let t = match &self.root {
-                    Some(rt) if *node == self.doc.root() => rt.clone(),
-                    _ => self.doc.subtree(*node),
-                };
+                let t = self.doc.shared_node(*node).clone();
                 self.hoisted.push((v.clone(), t));
                 let result = self.run(inner);
                 self.hoisted.pop();
@@ -359,15 +353,14 @@ pub fn eval_compiled_par(
 }
 
 /// The compiled sequential fallback: run the VM executor over the
-/// document's shared tree.
+/// arena document.
 fn exec_seq(
     plan: &crate::vm::CompiledPlan,
     doc: &ArenaDoc,
     budget: Budget,
     threads: usize,
 ) -> Result<(Vec<Tree>, ParStats), XqError> {
-    let env = Env::with_root(doc.shared_tree().clone());
-    let (out, stats) = crate::vm::exec_with(plan, &env, budget)?;
+    let (out, stats) = crate::vm::exec_doc(plan, doc, budget)?;
     Ok((
         out,
         ParStats {
@@ -387,7 +380,7 @@ fn exec_seq(
 /// once and pass the plan here instead of re-planning via
 /// [`eval_query_par`]. A plan that reads `$root` binds the document's
 /// [`shared_tree`](ArenaDoc::shared_tree), so planner, executor and
-/// every worker share one materialization.
+/// every worker share one materialization (the node table).
 pub(crate) fn eval_plan(
     plan: &ParPlan<'_>,
     doc: &ArenaDoc,

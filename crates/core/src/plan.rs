@@ -128,11 +128,11 @@ impl<'q> ParPlan<'q> {
     /// evaluation across the whole planning session draws on one shared
     /// instance of it, so planner work never exceeds one sequential
     /// evaluation's allowance. Exhaustion aborts the affected resolution
-    /// and that loop falls back to the sequential path. Predicates that
-    /// mention `$root` read the document's
-    /// [`shared_tree`](ArenaDoc::shared_tree) — materialized once per
-    /// document and shared with the executors — so planning never builds
-    /// a tree of its own.
+    /// and that loop falls back to the sequential path. Predicates read
+    /// `$root` and the pinned nodes from the document's node table
+    /// ([`ArenaDoc::shared_node`]) — materialized once per document and
+    /// shared with the executors — so planning never builds a tree of
+    /// its own.
     pub fn of(q: &'q Query, doc: &ArenaDoc, budget: Budget) -> ParPlan<'q> {
         let mut planner = Planner {
             doc,
@@ -179,9 +179,8 @@ impl<'q> ParPlan<'q> {
 
 /// Planner state: the document and the shared predicate allowance (the
 /// caller's budget, drawn down by every filter verdict). A filter
-/// predicate that mentions `$root` binds the document's
-/// [`shared_tree`](ArenaDoc::shared_tree), the same tree the executors
-/// use.
+/// predicate binds `$root` and pinned nodes to entries of the document's
+/// node table ([`ArenaDoc::shared_node`]), the trees the executors use.
 struct Planner<'d> {
     doc: &'d ArenaDoc,
     remaining: Budget,
@@ -350,12 +349,12 @@ impl<'d> Planner<'d> {
         }
         for (v, n) in env {
             if fv.contains(v) {
-                tree_env.bind(v.clone(), self.doc.subtree(*n));
+                tree_env.bind(v.clone(), self.doc.shared_node(*n).clone());
             }
         }
         let mut out = Vec::new();
         for n in candidates {
-            tree_env.bind(w.clone(), self.doc.subtree(n));
+            tree_env.bind(w.clone(), self.doc.shared_node(n).clone());
             let verdict = eval_cond_with_stats(cond, &tree_env, self.remaining.clone());
             tree_env.pop();
             match verdict {

@@ -54,12 +54,14 @@
 //! [`Faults`] registry in [`crate::fault`];
 //! with no registry configured every hook is a single `None` test.
 //!
-//! Every route evaluates over the document's
-//! [`shared_tree`](ArenaDoc::shared_tree) — the materialized [`Tree`]
-//! (the Figure 1 evaluator's input form) built once per document and
-//! shared by every worker — so serving many queries against the same
-//! document pays the arena → tree conversion once per process, not once
-//! per request or per worker. Workers hold no per-worker state.
+//! The compiled route runs the VM over the [`ArenaDoc`] itself
+//! ([`exec_doc`](crate::vm::exec_doc)): node ids, preorder-range axis
+//! scans and interned-label compares. The interpreter route evaluates
+//! over the document's [`shared_tree`](ArenaDoc::shared_tree) — the
+//! materialized [`Tree`] (the Figure 1 evaluator's input form) built
+//! once per document and shared by every worker. Either way a document
+//! is converted to trees at most once per process, not once per request
+//! or per worker. Workers hold no per-worker state.
 
 use crate::fault::{FaultPoint, Faults, INJECTED_PANIC_PREFIX};
 use crate::semantics::{eval_with, Budget, Env, XqError};
@@ -683,8 +685,7 @@ fn serve_cached_vm(request: &Request) -> Result<String, ServiceError> {
             return serve_plan(request, &par_plan, threads);
         }
     }
-    let env = Env::with_root(request.doc.shared_tree().clone());
-    let (out, _) = crate::vm::exec_with(&plan, &env, request.budget.clone())
+    let (out, _) = crate::vm::exec_doc(&plan, &request.doc, request.budget.clone())
         .map_err(|e| ServiceError::from_eval(&e))?;
     Ok(out.iter().map(Tree::to_xml).collect())
 }

@@ -28,5 +28,5 @@ pub mod ir;
 
 pub use cache::PlanCache;
 pub use compile::{compile_query, compile_query_text, par_hint, CompiledPlan, MaInfo};
-pub use exec::{exec_query, exec_with};
+pub use exec::{exec_doc, exec_query, exec_with};
 pub use ir::{InstrSeq, OpCode, VarRef};

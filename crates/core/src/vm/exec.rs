@@ -1,30 +1,44 @@
 //! The stack-based executor.
 //!
-//! Runs a [`CompiledPlan`] against an [`Env`] under a [`Budget`],
-//! producing exactly what [`eval_with`](crate::eval_with) produces — the
-//! same trees, the same [`EvalStats`] counters, and the same error at the
-//! same point when the budget runs out. That equivalence is the load-
-//! bearing contract (the `vm_diff` suite pins it per corpus query), so
-//! the machine is deliberately plain: three stacks (lists, booleans, loop
-//! frames), a static slot array for query-bound variables, and a program
-//! counter over the flat instruction sequence. No recursion: `for`/`let`
-//! loops and quantifiers run as jump-backed loops, so evaluation depth is
+//! Runs a [`CompiledPlan`] under a [`Budget`], producing exactly what
+//! [`eval_with`](crate::eval_with) produces — the same trees, the same
+//! [`EvalStats`] counters, and the same error at the same point when the
+//! budget runs out. That equivalence is the load-bearing contract (the
+//! `vm_diff` suite pins it per corpus query), so the machine is
+//! deliberately plain: three stacks (lists, booleans, loop frames), a
+//! static slot array for query-bound variables, and a program counter
+//! over the flat instruction sequence. No recursion: `for`/`let` loops
+//! and quantifiers run as jump-backed loops, so evaluation depth is
 //! heap-bounded rather than call-stack-bounded.
 //!
-//! Values on the stacks are `Item`s: a tree *borrowed* from the
-//! caller's environment (the document and its subtrees), or one the
-//! query built. Axis scans walk borrowed children in place and
-//! comparisons read borrowed slots, so the hot loops touch no refcount;
-//! a `Tree` is cloned only where Figure 1's result keeps one — the
-//! children of a constructed element and the final output list (plus
-//! matches scanned out of a constructed tree, which has no document to
-//! borrow from).
+//! Two entry points differ only in what free variables resolve against:
+//!
+//! * [`exec_doc`] — the served route — binds `$root` to the root of an
+//!   [`ArenaDoc`]. Document values are then `NodeId`s: axis steps walk
+//!   contiguous child slices and `id+1..subtree_end` preorder ranges,
+//!   node tests and comparisons against constants compare interned
+//!   [`LabelId`]s (query text is resolved with [`LabelId::lookup`], never
+//!   interned), and node-against-node `=deep` is the arena's iterative
+//!   preorder compare.
+//! * [`exec_with`] runs over an [`Env`] of [`Tree`]s (tests, the
+//!   harness, and callers holding trees).
+//!
+//! Values on the stacks are `Item`s: a document node (`Node`), a tree
+//! borrowed from the caller's environment for the whole run (`Doc`), or
+//! one the query built (`Built`). The hot loops touch no refcount. A
+//! `Tree` is produced only where Figure 1's result keeps one — the
+//! children of a constructed element and the final output list — and
+//! where a node meets a tree in `=deep`/`=atomic`; a node then borrows or
+//! clones its entry of the document's node table
+//! ([`ArenaDoc::shared_node`]), an `Arc` handle, never a copy. Matches
+//! scanned out of a constructed tree are cloned out of it, as there is
+//! no document to borrow from.
 
 use super::compile::CompiledPlan;
 use super::ir::{OpCode, VarRef};
 use crate::ast::EqMode;
 use crate::semantics::{Budget, Env, EvalStats, XqError};
-use cv_xtree::{Axis, NodeTest, Tree};
+use cv_xtree::{ArenaDoc, Axis, LabelId, NodeId, NodeTest, Tree};
 
 /// Executes a compiled plan in `env` under `budget` — the VM counterpart
 /// of [`eval_with`](crate::eval_with), byte- and counter-identical to it.
@@ -33,21 +47,19 @@ pub fn exec_with(
     env: &Env,
     budget: Budget,
 ) -> Result<(Vec<Tree>, EvalStats), XqError> {
-    let mut m = Machine {
-        budget,
-        stats: EvalStats::default(),
-        env,
-        env_depth: env.depth(),
-        locals: vec![None; plan.slots()],
-        lists: Vec::new(),
-        bools: Vec::new(),
-        frames: Vec::new(),
-    };
-    m.run(plan.instrs().ops())?;
-    debug_assert!(m.bools.is_empty() && m.frames.is_empty());
-    let out = m.lists.pop().expect("a compiled query leaves its result");
-    debug_assert!(m.lists.is_empty());
-    Ok((out.into_iter().map(Item::into_tree).collect(), m.stats))
+    Machine::new(plan, Input::Env(env), env.depth(), budget).run_plan(plan)
+}
+
+/// Executes a compiled plan with `$root` bound to the root of `doc`
+/// under `budget` — identical to [`exec_with`] over
+/// `Env::with_root(doc.to_tree())` (the bound root is the environment's
+/// one binding), but evaluated over the arena itself.
+pub fn exec_doc(
+    plan: &CompiledPlan,
+    doc: &ArenaDoc,
+    budget: Budget,
+) -> Result<(Vec<Tree>, EvalStats), XqError> {
+    Machine::new(plan, Input::Doc(doc), 1, budget).run_plan(plan)
 }
 
 /// Executes a compiled plan on input tree `t` (bound to `$root`) under the
@@ -56,27 +68,75 @@ pub fn exec_query(plan: &CompiledPlan, t: &Tree) -> Result<Vec<Tree>, XqError> {
     exec_with(plan, &Env::with_root(t.clone()), Budget::default()).map(|(out, _)| out)
 }
 
-/// A VM value: a tree borrowed from the caller's [`Env`] for the whole
-/// run, or one the query constructed (an element, or a match scanned out
-/// of one).
+/// What free variables resolve against.
+#[derive(Clone, Copy)]
+enum Input<'e> {
+    /// The caller's environment ([`exec_with`]).
+    Env(&'e Env),
+    /// A document whose root is `$root`, the only free binding
+    /// ([`exec_doc`]).
+    Doc(&'e ArenaDoc),
+}
+
+/// A VM value: a node of the input document, a tree borrowed from the
+/// caller's [`Env`] for the whole run, or one the query constructed (an
+/// element, or a match scanned out of one).
 #[derive(Clone)]
 enum Item<'e> {
+    Node(Node),
     Doc(&'e Tree),
     Built(Tree),
 }
 
-impl Item<'_> {
-    fn tree(&self) -> &Tree {
-        match self {
-            Item::Doc(t) => t,
-            Item::Built(t) => t,
+/// A document node's [`NodeId`], held as a full word. With every payload
+/// one word wide, an `Item` is a (tag, word) pair that moves in
+/// registers. A `u32` payload made it a memory aggregate, and the fused
+/// quantifier loop ran about twice as slow per candidate on both entry
+/// points (x86-64, 2-vCPU Xeon VM).
+#[derive(Clone, Copy)]
+struct Node(u64);
+
+impl Node {
+    fn new(id: NodeId) -> Node {
+        Node(id.0.into())
+    }
+
+    fn id(self) -> NodeId {
+        NodeId(self.0 as u32)
+    }
+}
+
+/// An operand of a comparison, borrowed from a slot or the environment.
+#[derive(Clone, Copy)]
+enum View<'a> {
+    Node(NodeId),
+    Tree(&'a Tree),
+}
+
+/// A node test resolved against the interner, once per axis step.
+#[derive(Clone, Copy)]
+enum IdTest {
+    /// `*`.
+    Any,
+    /// An interned tag.
+    Is(LabelId),
+    /// A tag never interned: no document node carries it.
+    Never,
+}
+
+impl IdTest {
+    fn of(test: &NodeTest) -> IdTest {
+        match test {
+            NodeTest::Wildcard => IdTest::Any,
+            NodeTest::Tag(l) => LabelId::lookup(l.as_str()).map_or(IdTest::Never, IdTest::Is),
         }
     }
 
-    fn into_tree(self) -> Tree {
+    fn matches(self, label: LabelId) -> bool {
         match self {
-            Item::Doc(t) => t.clone(),
-            Item::Built(t) => t,
+            IdTest::Any => true,
+            IdTest::Is(want) => want == label,
+            IdTest::Never => false,
         }
     }
 }
@@ -91,7 +151,7 @@ struct Frame<'e> {
 struct Machine<'e> {
     budget: Budget,
     stats: EvalStats,
-    env: &'e Env,
+    input: Input<'e>,
     /// The caller's environment depth — static scope depths in `TickQ`
     /// offset from here, reproducing the interpreter's `max_env_depth`.
     env_depth: usize,
@@ -120,6 +180,45 @@ fn fused_quant_body(ops: &[OpCode], pc: usize) -> Option<&OpCode> {
 }
 
 impl<'e> Machine<'e> {
+    fn new(plan: &CompiledPlan, input: Input<'e>, env_depth: usize, budget: Budget) -> Self {
+        Machine {
+            budget,
+            stats: EvalStats::default(),
+            input,
+            env_depth,
+            locals: vec![None; plan.slots()],
+            lists: Vec::new(),
+            bools: Vec::new(),
+            frames: Vec::new(),
+        }
+    }
+
+    fn run_plan(mut self, plan: &CompiledPlan) -> Result<(Vec<Tree>, EvalStats), XqError> {
+        self.run(plan.instrs().ops())?;
+        debug_assert!(self.bools.is_empty() && self.frames.is_empty());
+        let out = self.pop_list();
+        debug_assert!(self.lists.is_empty());
+        let out = out.into_iter().map(|t| self.tree_of(t)).collect();
+        Ok((out, self.stats))
+    }
+
+    /// The input document. Only [`exec_doc`] creates `Node` items, so
+    /// every caller holding one runs on that route.
+    fn doc(&self) -> &'e ArenaDoc {
+        match self.input {
+            Input::Doc(doc) => doc,
+            Input::Env(_) => unreachable!("document nodes exist only over an ArenaDoc"),
+        }
+    }
+
+    fn tree_of(&self, item: Item<'e>) -> Tree {
+        match item {
+            Item::Node(n) => self.doc().shared_node(n.id()).clone(),
+            Item::Doc(t) => t.clone(),
+            Item::Built(t) => t,
+        }
+    }
+
     fn step(&mut self) -> Result<(), XqError> {
         self.stats.steps += 1;
         // One shared charge path with the interpreter (cancel flag, then
@@ -135,17 +234,34 @@ impl<'e> Machine<'e> {
         Ok(())
     }
 
+    /// A free variable's value: `$root` is the document's root on the
+    /// [`exec_doc`] route, anything else is looked up in the environment.
+    fn free(&self, v: &crate::ast::Var) -> Result<Item<'e>, XqError> {
+        let found = match self.input {
+            Input::Env(env) => env.lookup(v).map(Item::Doc),
+            Input::Doc(doc) => (v.name() == "root").then(|| Item::Node(Node::new(doc.root()))),
+        };
+        found.ok_or_else(|| XqError::UnboundVariable(v.name().to_string()))
+    }
+
     /// The variable's current value, borrowed.
-    fn lookup(&self, r: &VarRef) -> Result<&Tree, XqError> {
+    fn view(&self, r: &VarRef) -> Result<View<'_>, XqError> {
         match r {
-            VarRef::Local(slot, _) => Ok(self.locals[*slot as usize]
-                .as_ref()
-                .expect("compiled local is live inside its binder")
-                .tree()),
-            VarRef::Free(v) => self
-                .env
-                .lookup(v)
-                .ok_or_else(|| XqError::UnboundVariable(v.name().to_string())),
+            VarRef::Local(slot, _) => Ok(
+                match self.locals[*slot as usize]
+                    .as_ref()
+                    .expect("compiled local is live inside its binder")
+                {
+                    Item::Node(n) => View::Node(n.id()),
+                    Item::Doc(t) => View::Tree(t),
+                    Item::Built(t) => View::Tree(t),
+                },
+            ),
+            VarRef::Free(v) => Ok(match self.free(v)? {
+                Item::Node(n) => View::Node(n.id()),
+                Item::Doc(t) => View::Tree(t),
+                Item::Built(_) => unreachable!("free variables are never constructed"),
+            }),
         }
     }
 
@@ -154,11 +270,7 @@ impl<'e> Machine<'e> {
             VarRef::Local(slot, _) => Ok(self.locals[*slot as usize]
                 .clone()
                 .expect("compiled local is live inside its binder")),
-            VarRef::Free(v) => self
-                .env
-                .lookup(v)
-                .map(Item::Doc)
-                .ok_or_else(|| XqError::UnboundVariable(v.name().to_string())),
+            VarRef::Free(v) => self.free(v),
         }
     }
 
@@ -170,29 +282,74 @@ impl<'e> Machine<'e> {
         self.bools.pop().expect("boolean operand on the stack")
     }
 
+    /// The interned id of a `cmp.const` constant, resolved once per
+    /// execution of the opcode and only over a document (`None` when no
+    /// document carries the label, or on the [`exec_with`] route).
+    fn const_id(&self, op: &OpCode) -> Option<LabelId> {
+        match (op, self.input) {
+            (OpCode::CmpConst(_, a, _), Input::Doc(_)) => LabelId::lookup(a.as_str()),
+            _ => None,
+        }
+    }
+
     /// Evaluates a `cmp.var`/`cmp.const` on borrowed operands: `x` is
     /// looked up before `y`, and only then does `=mon` raise — the
-    /// interpreter's error order.
-    fn compare(&self, op: &OpCode) -> Result<bool, XqError> {
+    /// interpreter's error order. `konst` is [`Machine::const_id`] of `op`.
+    fn compare(&self, op: &OpCode, konst: Option<LabelId>) -> Result<bool, XqError> {
         match op {
             OpCode::CmpVars(x, y, mode) => {
-                let (tx, ty) = (self.lookup(x)?, self.lookup(y)?);
+                let (vx, vy) = (self.view(x)?, self.view(y)?);
                 match mode {
-                    EqMode::Deep => Ok(tx == ty),
-                    EqMode::Atomic => Ok(tx.label() == ty.label()),
+                    EqMode::Deep => Ok(self.deep_eq(vx, vy)),
+                    EqMode::Atomic => Ok(self.atomic_eq(vx, vy)),
                     EqMode::Mon => Err(XqError::BadEqualityMode),
                 }
             }
             // Against the constant leaf `<a/>`, without building it.
             OpCode::CmpConst(x, a, mode) => {
-                let tx = self.lookup(x)?;
+                let vx = self.view(x)?;
                 match mode {
-                    EqMode::Deep => Ok(tx.is_leaf() && tx.label() == a),
-                    EqMode::Atomic => Ok(tx.label() == a),
+                    EqMode::Deep => Ok(match vx {
+                        View::Node(n) => {
+                            let doc = self.doc();
+                            doc.is_leaf(n) && Some(doc.label_id(n)) == konst
+                        }
+                        View::Tree(t) => t.is_leaf() && t.label() == a,
+                    }),
+                    EqMode::Atomic => Ok(match vx {
+                        View::Node(n) => Some(self.doc().label_id(n)) == konst,
+                        View::Tree(t) => t.label() == a,
+                    }),
                     EqMode::Mon => Err(XqError::BadEqualityMode),
                 }
             }
             _ => unreachable!("compare on a non-comparison opcode"),
+        }
+    }
+
+    /// `=deep`: the arena's preorder compare between nodes, the node's
+    /// shared subtree against a tree.
+    fn deep_eq(&self, x: View<'_>, y: View<'_>) -> bool {
+        match (x, y) {
+            (View::Node(a), View::Node(b)) => self.doc().deep_eq(a, b),
+            (View::Node(n), View::Tree(t)) | (View::Tree(t), View::Node(n)) => {
+                self.doc().shared_node(n) == t
+            }
+            (View::Tree(s), View::Tree(t)) => s == t,
+        }
+    }
+
+    /// `=atomic`: Figure 1's root-label equality, on any two values.
+    fn atomic_eq(&self, x: View<'_>, y: View<'_>) -> bool {
+        match (x, y) {
+            (View::Node(a), View::Node(b)) => {
+                let doc = self.doc();
+                doc.label_id(a) == doc.label_id(b)
+            }
+            (View::Node(n), View::Tree(t)) | (View::Tree(t), View::Node(n)) => {
+                self.doc().shared_node(n).label() == t.label()
+            }
+            (View::Tree(s), View::Tree(t)) => s.label() == t.label(),
         }
     }
 
@@ -203,10 +360,11 @@ impl<'e> Machine<'e> {
     /// Returns the quantifier's verdict.
     fn fused_quant(&mut self, slot: u16, some: bool, cmp: &OpCode) -> Result<bool, XqError> {
         let frame = self.frames.pop().expect("open quantifier frame");
+        let konst = self.const_id(cmp);
         for t in frame.items {
             self.locals[slot as usize] = Some(t);
             self.step()?;
-            if self.compare(cmp)? == some {
+            if self.compare(cmp, konst)? == some {
                 // true decides `some`; false decides `every`.
                 return Ok(some);
             }
@@ -281,6 +439,47 @@ impl<'e> Machine<'e> {
         Ok(())
     }
 
+    /// [`Machine::scan`] from a document node: a child slice or a
+    /// preorder id range, in document order, with the same charges.
+    fn scan_node(
+        &mut self,
+        base: NodeId,
+        axis: Axis,
+        test: IdTest,
+        out: &mut Vec<Item<'e>>,
+    ) -> Result<(), XqError> {
+        let doc = self.doc();
+        match axis {
+            Axis::SelfAxis => self.visit_node(doc, base, test, out),
+            Axis::Child => doc
+                .children(base)
+                .iter()
+                .try_for_each(|&c| self.visit_node(doc, c, test, out)),
+            Axis::Descendant => doc
+                .descendants(base)
+                .try_for_each(|c| self.visit_node(doc, c, test, out)),
+            Axis::DescendantOrSelf => {
+                self.visit_node(doc, base, test, out)?;
+                doc.descendants(base)
+                    .try_for_each(|c| self.visit_node(doc, c, test, out))
+            }
+        }
+    }
+
+    fn visit_node(
+        &mut self,
+        doc: &ArenaDoc,
+        n: NodeId,
+        test: IdTest,
+        out: &mut Vec<Item<'e>>,
+    ) -> Result<(), XqError> {
+        self.step()?;
+        if test.matches(doc.label_id(n)) {
+            self.emit(out, Item::Node(Node::new(n)))?;
+        }
+        Ok(())
+    }
+
     fn run(&mut self, ops: &[OpCode]) -> Result<(), XqError> {
         let mut pc = 0usize;
         while pc < ops.len() {
@@ -299,9 +498,11 @@ impl<'e> Machine<'e> {
                     self.lists.push(out);
                 }
                 OpCode::MakeElem(a) => {
-                    let children = self.pop_list().into_iter().map(Item::into_tree);
+                    let children = self.pop_list();
+                    let children = children.into_iter().map(|t| self.tree_of(t));
+                    let elem = Tree::node(a.clone(), children);
                     let mut out = Vec::with_capacity(1);
-                    self.emit(&mut out, Item::Built(Tree::node(a.clone(), children)))?;
+                    self.emit(&mut out, Item::Built(elem))?;
                     self.lists.push(out);
                 }
                 OpCode::Concat => {
@@ -315,8 +516,14 @@ impl<'e> Machine<'e> {
                 OpCode::AxisStep(axis, test) => {
                     let bases = self.pop_list();
                     let mut out = Vec::new();
+                    // Resolved at the first document base, once per step.
+                    let mut ids = None;
                     for base in &bases {
                         match base {
+                            Item::Node(n) => {
+                                let ids = *ids.get_or_insert_with(|| IdTest::of(test));
+                                self.scan_node(n.id(), *axis, ids, &mut out)?
+                            }
                             Item::Doc(t) => self.scan(t, *axis, test, &mut out, &Item::Doc)?,
                             Item::Built(t) => {
                                 self.scan(t, *axis, test, &mut out, &|s| Item::Built(s.clone()))?
@@ -359,7 +566,7 @@ impl<'e> Machine<'e> {
                 }
                 OpCode::PushBool(b) => self.bools.push(*b),
                 cmp @ (OpCode::CmpVars(..) | OpCode::CmpConst(..)) => {
-                    let verdict = self.compare(cmp)?;
+                    let verdict = self.compare(cmp, self.const_id(cmp))?;
                     self.bools.push(verdict);
                 }
                 OpCode::NonEmpty => {
@@ -459,19 +666,23 @@ mod tests {
         r.map(|(out, s)| (out, s.steps, s.items, s.max_env_depth))
     }
 
-    /// Interpreter vs VM on `q` over `doc`: equal outcomes under the
-    /// default budget, under every step cap and every item cap up to the
-    /// first one that no longer bites (so the error point crosses every
+    /// Interpreter vs VM — over the tree environment and over the arena
+    /// document — on `q` over `doc`: equal outcomes under the default
+    /// budget, under every step cap and every item cap up to the first
+    /// one that no longer bites (so the error point crosses every
     /// opcode), and with a cancel flag tripping at every tick up to one
-    /// past the full run — where both engines must also have polled the
+    /// past the full run — where all three runs must also have polled the
     /// flag the same number of times.
     fn sweep(q: &Query, doc: &str) {
         let env = Env::with_root(parse_tree(doc).unwrap());
+        let arena = ArenaDoc::parse(doc).unwrap();
         let plan = compile_query(q);
         let run = |budget: Budget| {
             let want = outcome(eval_with(q, &env, budget.clone()));
-            let got = outcome(exec_with(&plan, &env, budget));
+            let got = outcome(exec_with(&plan, &env, budget.clone()));
             assert_eq!(got, want, "{q}");
+            let got = outcome(exec_doc(&plan, &arena, budget));
+            assert_eq!(got, want, "{q} over the arena");
             want
         };
         let _ = run(Budget::default());
@@ -495,19 +706,20 @@ mod tests {
         let counting = CancelFlag::counting();
         eval_with(q, &env, Budget::default().with_cancel(counting.clone())).ok();
         for k in 1..=counting.polls() + 1 {
-            let (fi, fv) = (CancelFlag::tripping_at(k), CancelFlag::tripping_at(k));
-            let want = outcome(eval_with(
-                q,
-                &env,
-                Budget::default().with_cancel(fi.clone()),
-            ));
-            let got = outcome(exec_with(
-                &plan,
-                &env,
-                Budget::default().with_cancel(fv.clone()),
-            ));
+            let trip = || Budget::default().with_cancel(CancelFlag::tripping_at(k));
+            let (bi, bv, ba) = (trip(), trip(), trip());
+            let want = outcome(eval_with(q, &env, bi.clone()));
+            let got = outcome(exec_with(&plan, &env, bv.clone()));
             assert_eq!(got, want, "{q}: trip at {k}");
-            assert_eq!(fv.polls(), fi.polls(), "{q}: polls when tripping at {k}");
+            let got = outcome(exec_doc(&plan, &arena, ba.clone()));
+            assert_eq!(got, want, "{q} over the arena: trip at {k}");
+            let polls = |b: &Budget| b.cancel.as_ref().map(CancelFlag::polls);
+            assert_eq!(polls(&bv), polls(&bi), "{q}: polls when tripping at {k}");
+            assert_eq!(
+                polls(&ba),
+                polls(&bi),
+                "{q}: arena polls when tripping at {k}"
+            );
         }
     }
 
@@ -621,6 +833,55 @@ mod tests {
         let env = Env::with_root(parse_tree(DOC).unwrap());
         let got = exec_with(&compile_query(&q), &env, Budget::default()).unwrap_err();
         assert_eq!(got, XqError::BadEqualityMode);
+    }
+
+    #[test]
+    fn document_node_comparisons_match_the_interpreter() {
+        for src in [
+            // `=atomic` is root-label equality, on inner nodes too; `=deep`
+            // compares whole subtrees (`<a><b/></a>` vs `<a/>`).
+            "for $x in $root/* return for $y in $root//* return \
+             if ($x =atomic $y) then <t>{ $y }</t>",
+            "for $x in $root/* return for $y in $root//* return if ($x = $y) then <t>{ $y }</t>",
+            "if ($root =atomic $root) then <r/>",
+            "for $x in $root//* return if ($x =atomic <a/>) then $x",
+            "for $x in $root//* return if ($x = <b/>) then $x",
+            "for $x in $root//* return if ($x = <zzz/>) then $x",
+            // Nodes against constructed trees holding document subtrees,
+            // in both operand orders, inside and outside fused loops.
+            "let $w := <w>{ $root/a }</w> return for $y in $w/* return \
+             for $x in $root//a return if ($y = $x) then <eq>{ $x }</eq>",
+            "let $w := <w>{ $root/a }</w> return for $y in $w/* return \
+             for $x in $root//* return if ($x =atomic $y) then <eq/>",
+            "let $w := <w>{ $root/b }</w> return for $x in $root//* return \
+             if (some $y in $w/* satisfies $y = $x) then <hit>{ $x }</hit>",
+            "let $w := <w>{ ($root/k, <a/>) }</w> return for $x in $root//* return \
+             if (every $y in $w//a satisfies $x =atomic $y) then <all>{ $x }</all>",
+            "let $w := <w>{ $root }</w> return if ($w/r = $root) then <same/>",
+        ] {
+            sweep_text(src, DOC);
+        }
+    }
+
+    #[test]
+    fn foreign_query_tags_match_nothing_and_stay_uninterned() {
+        // Tags that appear nowhere else: serving them must not intern them.
+        let (tag, konst) = ("never-interned-vm-tag", "never-interned-vm-const");
+        for src in [
+            format!("($root//{tag}, $root/dos::{tag}, $root/{tag}, $root/self::{tag})"),
+            format!("for $x in $root//* return if ($x =atomic <{konst}/>) then $x"),
+            format!("if (some $y in $root//* satisfies $y = <{konst}/>) then <hit/>"),
+        ] {
+            let arena = ArenaDoc::parse(DOC).unwrap();
+            let plan = compile_query_text(&src).unwrap();
+            let (out, stats) = exec_doc(&plan, &arena, Budget::default()).unwrap();
+            assert!(out.is_empty(), "{src}");
+            // Every scanned node is still charged.
+            assert!(stats.steps >= arena.len() as u64, "{src}");
+            sweep_text(&src, DOC);
+        }
+        assert_eq!(LabelId::lookup(tag), None);
+        assert_eq!(LabelId::lookup(konst), None);
     }
 
     #[test]

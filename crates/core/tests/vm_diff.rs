@@ -3,8 +3,10 @@
 //! from a fixed splitmix64 stream) must evaluate **identically** on
 //!
 //! * the Figure 1 interpreter (`eval_with`),
-//! * a freshly compiled plan on the bytecode VM (`exec_with`), and
-//! * a warm [`PlanCache`] hit (same plan `Arc`, re-executed),
+//! * a freshly compiled plan on the bytecode VM, over the tree
+//!   environment (`exec_with`) and over the arena document (`exec_doc`,
+//!   the served route), and
+//! * a warm [`PlanCache`] hit (same plan `Arc`, re-executed on both),
 //!
 //! down to the bytes of the result, the `EvalStats` counters (`steps`,
 //! `items`, `max_env_depth`), and — under tightened budgets — the exact
@@ -30,7 +32,7 @@ use std::sync::Arc;
 
 use cv_xtree::{random_tree, ArenaDoc, DoublingFamily, Tree, TreeGen};
 use xq_core::ast::Query;
-use xq_core::vm::{compile_query, exec_with, par_hint, PlanCache};
+use xq_core::vm::{compile_query, exec_doc, exec_with, par_hint, CompiledPlan, PlanCache};
 use xq_core::{
     eval_compiled_par, eval_query_par, eval_with, parse_query, Budget, Env, ParPlan, Threads,
     XqError,
@@ -76,13 +78,13 @@ fn bytes(trees: &[Tree]) -> Vec<u8> {
         .into_bytes()
 }
 
-/// Runs both engines under `budget` and demands *identical* outcomes:
-/// same bytes, same counters, or the same error.
-fn assert_engines_identical(q: &Query, env: &Env, budget: Budget, ctx: &str) {
-    let want = eval_with(q, env, budget.clone());
-    let plan = compile_query(q);
-    let got = exec_with(&plan, env, budget);
-    match (&want, &got) {
+/// A run's result, or its error.
+type Run = Result<(Vec<Tree>, xq_core::EvalStats), XqError>;
+
+/// Demands *identical* outcomes: same bytes, same counters, or the same
+/// error.
+fn assert_identical(want: &Run, got: &Run, q: &Query, ctx: &str) {
+    match (want, got) {
         (Ok((wt, ws)), Ok((gt, gs))) => {
             assert_eq!(bytes(gt), bytes(wt), "{ctx}: result bytes for {q}");
             assert_eq!(gs.steps, ws.steps, "{ctx}: steps for {q}");
@@ -97,16 +99,39 @@ fn assert_engines_identical(q: &Query, env: &Env, budget: Budget, ctx: &str) {
     }
 }
 
+/// Runs `plan` over the tree environment and over the arena, each
+/// identical to the interpreter's run `want`.
+fn assert_routes_identical(
+    want: &Run,
+    plan: &CompiledPlan,
+    env: &Env,
+    arena: &ArenaDoc,
+    budget: Budget,
+    q: &Query,
+    ctx: &str,
+) {
+    let got = exec_with(plan, env, budget.clone());
+    assert_identical(want, &got, q, ctx);
+    let got = exec_doc(plan, arena, budget);
+    assert_identical(want, &got, q, &format!("{ctx} (arena)"));
+}
+
+/// Runs both engines under `budget` and demands *identical* outcomes.
+fn assert_engines_identical(q: &Query, env: &Env, arena: &ArenaDoc, budget: Budget, ctx: &str) {
+    let want = eval_with(q, env, budget.clone());
+    assert_routes_identical(&want, &compile_query(q), env, arena, budget, q, ctx);
+}
+
 /// The differential body shared by the quick and full-size suites: for
 /// each (query, document) pair, interpreter vs fresh VM plan vs a warm
-/// cache hit, at the default budget and at budgets tightened to bite
-/// mid-evaluation.
-fn assert_vm_agrees(q: &Query, doc: &Tree, cache: &PlanCache) {
+/// cache hit, on both VM routes, at the default budget and at budgets
+/// tightened to bite mid-evaluation.
+fn assert_vm_agrees(q: &Query, doc: &Tree, arena: &ArenaDoc, cache: &PlanCache) {
     let env = Env::with_root(doc.clone());
     let budget = Budget::default();
 
     // Cold plan, full budget.
-    assert_engines_identical(q, &env, budget.clone(), "cold");
+    assert_engines_identical(q, &env, arena, budget.clone(), "cold");
 
     // Warm cache hit: keyed by the query's surface text (the round-trip
     // test below guarantees this is faithful); the second probe must be
@@ -117,19 +142,7 @@ fn assert_vm_agrees(q: &Query, doc: &Tree, cache: &PlanCache) {
     assert!(Arc::ptr_eq(&p1, &p2), "warm hit must reuse the plan: {src}");
     assert_eq!(p1.query(), q, "cached plan compiles the same query: {src}");
     let want = eval_with(q, &env, budget.clone());
-    let got = exec_with(&p1, &env, budget.clone());
-    match (&want, &got) {
-        (Ok((wt, ws)), Ok((gt, gs))) => {
-            assert_eq!(bytes(gt), bytes(wt), "warm: result bytes for {q}");
-            assert_eq!(
-                (gs.steps, gs.items, gs.max_env_depth),
-                (ws.steps, ws.items, ws.max_env_depth),
-                "warm: counters for {q}"
-            );
-        }
-        (Err(we), Err(ge)) => assert_eq!(ge, we, "warm: error for {q}"),
-        _ => panic!("warm: engines disagree on {q}: {want:?} vs {got:?}"),
-    }
+    assert_routes_identical(&want, &p1, &env, arena, budget.clone(), q, "warm");
 
     // Budget exhaustion at the same point: tighten each cap to fractions
     // of the full run's spend (plus the 0 and 1 edges) and demand the
@@ -141,7 +154,7 @@ fn assert_vm_agrees(q: &Query, doc: &Tree, cache: &PlanCache) {
                 max_steps: cap,
                 ..budget.clone()
             };
-            assert_engines_identical(q, &env, b, "step-cap");
+            assert_engines_identical(q, &env, arena, b, "step-cap");
         }
         let item_caps = [0, 1, full.items / 2, full.items.saturating_sub(1)];
         for cap in item_caps {
@@ -149,7 +162,7 @@ fn assert_vm_agrees(q: &Query, doc: &Tree, cache: &PlanCache) {
                 max_items: cap,
                 ..budget.clone()
             };
-            assert_engines_identical(q, &env, b, "item-cap");
+            assert_engines_identical(q, &env, arena, b, "item-cap");
         }
     }
 }
@@ -206,8 +219,9 @@ fn par_hint_is_sound_for_the_planner() {
 fn vm_matches_interpreter_on_the_coverage_corpus() {
     let cache = PlanCache::new();
     for doc in &docs() {
+        let arena = ArenaDoc::from_tree(doc);
         for q in corpus() {
-            assert_vm_agrees(&q, doc, &cache);
+            assert_vm_agrees(&q, doc, &arena, &cache);
         }
     }
 }
@@ -237,6 +251,7 @@ fn compiled_parallel_matches_interpreted_parallel() {
 fn zero_budgets_refuse_identically() {
     let doc = &docs()[0];
     let env = Env::with_root(doc.clone());
+    let arena = ArenaDoc::from_tree(doc);
     for q in corpus().into_iter().take(16) {
         for b in [
             Budget {
@@ -249,12 +264,8 @@ fn zero_budgets_refuse_identically() {
             },
         ] {
             let want = eval_with(&q, &env, b.clone());
-            let got = exec_with(&compile_query(&q), &env, b);
-            match (&want, &got) {
-                (Err(we), Err(ge)) => assert_eq!(ge, we, "{q}"),
-                (Ok((wt, _)), Ok((gt, _))) => assert_eq!(bytes(gt), bytes(wt), "{q}"),
-                _ => panic!("engines disagree on {q}: {want:?} vs {got:?}"),
-            }
+            let plan = compile_query(&q);
+            assert_routes_identical(&want, &plan, &env, &arena, b, &q, "zero budget");
             if let Err(e) = &want {
                 assert!(
                     matches!(e, XqError::Budget { .. }),
@@ -282,8 +293,9 @@ fn vm_matches_interpreter_full_size() {
     full.extend(DoublingFamily::ALL.iter().map(|f| f.tree(6)));
     let cache = PlanCache::new();
     for doc in &full {
+        let arena = ArenaDoc::from_tree(doc);
         for q in xq_bench::coverage_corpus(256) {
-            assert_vm_agrees(&q, doc, &cache);
+            assert_vm_agrees(&q, doc, &arena, &cache);
         }
     }
 }

@@ -423,7 +423,7 @@ impl Bucket {
     }
 }
 
-/// What [`Conn::take_line`] found in the read buffer.
+/// What [`LineBuf::take_line`] found in the read buffer.
 enum LineStep {
     /// No complete line buffered.
     None,
@@ -434,12 +434,108 @@ enum LineStep {
     Fatal,
 }
 
+/// A connection's read buffer: bytes read but not yet consumed as
+/// lines. Consuming a line advances a read offset instead of shifting
+/// the buffer, and the newline search resumes where it last stopped, so
+/// a pipelined burst costs time linear in its bytes: each byte is
+/// scanned once and moved at most once, by [`LineBuf::compact`].
+#[derive(Default)]
+struct LineBuf {
+    buf: Vec<u8>,
+    /// Start of the unconsumed bytes.
+    start: usize,
+    /// Where the newline search resumes: `buf[start..scan]` holds no
+    /// newline.
+    scan: usize,
+    /// Bytes examined by the newline search and bytes moved by
+    /// compaction — the work counters the linearity test pins.
+    scanned: u64,
+    moved: u64,
+}
+
+impl LineBuf {
+    fn extend(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Unconsumed bytes.
+    fn len(&self) -> usize {
+        self.buf.len() - self.start
+    }
+
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.start = 0;
+        self.scan = 0;
+    }
+
+    /// The index of the next newline, resuming the search at `scan`.
+    fn newline(&mut self) -> Option<usize> {
+        match self.buf[self.scan..].iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                self.scanned += i as u64 + 1;
+                self.scan += i;
+                Some(self.scan)
+            }
+            None => {
+                self.scanned += (self.buf.len() - self.scan) as u64;
+                self.scan = self.buf.len();
+                None
+            }
+        }
+    }
+
+    /// Whether a complete line is buffered.
+    fn has_line(&mut self) -> bool {
+        self.newline().is_some()
+    }
+
+    /// Consumes the next complete line, mirroring `BufRead::lines`
+    /// (strips `\n` and a trailing `\r`; invalid UTF-8 is fatal to the
+    /// connection, and so is more than [`MAX_LINE`] bytes without a
+    /// newline).
+    fn take_line(&mut self) -> LineStep {
+        let Some(nl) = self.newline() else {
+            return if self.len() > MAX_LINE {
+                LineStep::Fatal
+            } else {
+                LineStep::None
+            };
+        };
+        let mut line = &self.buf[self.start..nl];
+        if line.last() == Some(&b'\r') {
+            line = &line[..line.len() - 1];
+        }
+        let step = match std::str::from_utf8(line) {
+            Ok(s) => LineStep::Line(s.to_owned()),
+            Err(_) => LineStep::Fatal,
+        };
+        self.start = nl + 1;
+        self.scan = self.start;
+        step
+    }
+
+    /// Drops the consumed prefix once it is at least as long as what
+    /// remains (or is everything), so the bytes moved over any sequence
+    /// of rounds add up to at most the bytes consumed.
+    fn compact(&mut self) {
+        let live = self.len();
+        if self.start == 0 || live > self.start {
+            return;
+        }
+        self.moved += live as u64;
+        self.buf.drain(..self.start);
+        self.scan -= self.start;
+        self.start = 0;
+    }
+}
+
 /// Per-connection state, owned entirely by the reactor thread — no
 /// locks anywhere on the serving path.
 struct Conn {
     stream: TcpStream,
     /// Bytes read but not yet consumed as lines.
-    rbuf: Vec<u8>,
+    rbuf: LineBuf,
     /// Encoded response bytes not yet accepted by the socket.
     wbuf: Vec<u8>,
     /// The tenant named by `hello` (`"default"` until then) — the rate
@@ -478,7 +574,7 @@ impl Conn {
     fn new(stream: TcpStream, budget: Budget) -> Conn {
         Conn {
             stream,
-            rbuf: Vec::new(),
+            rbuf: LineBuf::default(),
             wbuf: Vec::new(),
             tenant: "default".to_string(),
             budget,
@@ -494,34 +590,13 @@ impl Conn {
         }
     }
 
-    /// Extracts the next complete line from `rbuf`, mirroring
-    /// `BufRead::lines` (strips `\n` and a trailing `\r`; invalid UTF-8
-    /// is fatal to the connection).
-    fn take_line(&mut self) -> LineStep {
-        match self.rbuf.iter().position(|&b| b == b'\n') {
-            Some(i) => {
-                let mut line: Vec<u8> = self.rbuf.drain(..=i).collect();
-                line.pop(); // the \n
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                match String::from_utf8(line) {
-                    Ok(s) => LineStep::Line(s),
-                    Err(_) => LineStep::Fatal,
-                }
-            }
-            None if self.rbuf.len() > MAX_LINE => LineStep::Fatal,
-            None => LineStep::None,
-        }
-    }
-
     /// Whether a complete buffered line is waiting (drives zero-timeout
     /// polling so fairness-deferred lines are handled promptly). A
     /// corked connection's lines don't count — they are deliberately
     /// deferred, and spinning on them would busy-loop the reactor for
     /// exactly as long as the backpressure lasts.
-    fn has_buffered_line(&self) -> bool {
-        !self.read_closed && !self.dead && !self.corked && self.rbuf.contains(&b'\n')
+    fn has_buffered_line(&mut self) -> bool {
+        !self.read_closed && !self.dead && !self.corked && self.rbuf.has_line()
     }
 
     /// Trips every in-flight flag (EOF, fatal line, write failure, or
@@ -621,8 +696,8 @@ impl Reactor {
     /// deadline while draining, otherwise block until an event — capped
     /// at the timer wheel's granularity while idle deadlines are live,
     /// so expiry is checked on schedule even with no I/O.
-    fn poll_timeout(&self) -> i32 {
-        if self.conns.values().any(Conn::has_buffered_line) {
+    fn poll_timeout(&mut self) -> i32 {
+        if self.conns.values_mut().any(Conn::has_buffered_line) {
             return 0;
         }
         let base = match self.drain_deadline {
@@ -764,7 +839,7 @@ impl Reactor {
                     Ok(0) => conn.eof_seen = true,
                     Ok(n) => {
                         conn.last_activity = Instant::now();
-                        conn.rbuf.extend_from_slice(&chunk[..n]);
+                        conn.rbuf.extend(&chunk[..n]);
                         // Stop pulling once a hostile line is over-long;
                         // process_buffered turns that into a teardown.
                         if conn.rbuf.len() > MAX_LINE {
@@ -802,7 +877,7 @@ impl Reactor {
                     // exactly the one we're trying to slow down.
                     return;
                 }
-                conn.take_line()
+                conn.rbuf.take_line()
             };
             match step {
                 LineStep::Line(line) => self.handle_line(token, &line),
@@ -821,13 +896,14 @@ impl Reactor {
             }
         }
         if let Some(conn) = self.conns.get_mut(&token) {
-            if conn.eof_seen && !conn.read_closed && !conn.rbuf.contains(&b'\n') {
+            if conn.eof_seen && !conn.read_closed && !conn.rbuf.has_line() {
                 // EOF, and every complete line has been handled: the old
                 // reader's post-loop cleanup — cancel what's in flight.
                 conn.read_closed = true;
                 conn.rbuf.clear();
                 conn.trip_flags();
             }
+            conn.rbuf.compact();
         }
     }
 
@@ -1185,5 +1261,72 @@ fn render(stats: &ServerStats, id: u64, result: Result<String, ServiceError>) ->
                 .str("code", code)
                 .str("error", e.to_string())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `lines` pipelined hello frames, the way a client writes a burst.
+    fn burst(lines: usize) -> Vec<u8> {
+        (0..lines)
+            .flat_map(|i| format!("{{\"op\":\"hello\",\"tenant\":\"t{i}\"}}\n").into_bytes())
+            .collect()
+    }
+
+    #[test]
+    fn a_pipelined_burst_is_scanned_and_moved_linearly() {
+        for lines in [5_000, 20_000, 80_000] {
+            let bytes = burst(lines);
+            let mut buf = LineBuf::default();
+            let (mut fed, mut taken) = (0, 0);
+            // Reactor rounds: read one 16 KiB chunk, handle up to 32
+            // lines (the default `batch_max`), probe for a waiting line
+            // as `poll_timeout` does, compact.
+            while taken < lines {
+                let chunk = &bytes[fed..bytes.len().min(fed + 16 * 1024)];
+                buf.extend(chunk);
+                fed += chunk.len();
+                for _ in 0..32 {
+                    match buf.take_line() {
+                        LineStep::Line(l) => {
+                            assert_eq!(l, format!("{{\"op\":\"hello\",\"tenant\":\"t{taken}\"}}"));
+                            taken += 1;
+                        }
+                        LineStep::None => break,
+                        LineStep::Fatal => panic!("well-formed line refused"),
+                    }
+                }
+                buf.has_line();
+                buf.compact();
+            }
+            assert_eq!((buf.len(), fed), (0, bytes.len()));
+            // Each byte is scanned once, plus one re-probe of a found
+            // newline per round; each byte moves at most once.
+            let (total, rounds) = (bytes.len() as u64, (lines / 32 + 1) as u64);
+            assert!(
+                buf.scanned <= total + rounds,
+                "{lines} lines: scanned {}",
+                buf.scanned
+            );
+            assert!(buf.moved <= total, "{lines} lines: moved {}", buf.moved);
+        }
+    }
+
+    #[test]
+    fn an_over_long_line_is_fatal_and_a_long_partial_one_is_not() {
+        let mut buf = LineBuf::default();
+        buf.extend(&vec![b'x'; MAX_LINE]);
+        assert!(matches!(buf.take_line(), LineStep::None));
+        buf.extend(b"x");
+        assert!(matches!(buf.take_line(), LineStep::Fatal));
+        // A complete line ahead of a partial one is still handed out.
+        let mut buf = LineBuf::default();
+        buf.extend(b"{}\r\n\xff\n{\"op\"");
+        assert!(matches!(buf.take_line(), LineStep::Line(l) if l == "{}"));
+        assert!(matches!(buf.take_line(), LineStep::Fatal));
+        assert!(matches!(buf.take_line(), LineStep::None));
+        assert_eq!(buf.len(), 5);
     }
 }

@@ -378,11 +378,15 @@ pub struct ArenaDoc {
     child_spans: Vec<Range<u32>>,
     child_ids: Vec<NodeId>,
     subtree_ends: Vec<u32>,
-    /// The whole document as a [`Tree`], built on first use by
-    /// [`ArenaDoc::shared_tree`] and shared by every thread after that.
-    shared: OnceLock<Tree>,
+    /// The node table: entry `i` is node `i`'s subtree as a [`Tree`],
+    /// a handle into one shared materialization of the document (entry 0
+    /// is the whole document). Built on first use by
+    /// [`ArenaDoc::shared_node`] and shared by every thread after that,
+    /// so turning a node into a `Tree` is an `Arc` clone. 8 bytes per
+    /// node on top of the tree itself.
+    nodes: OnceLock<Vec<Tree>>,
     // Every field is plain data (`LabelId`s resolve through the global
-    // interner) or an `Arc`-backed `Tree` behind a `OnceLock`, so
+    // interner) or `Arc`-backed `Tree`s behind a `OnceLock`, so
     // `ArenaDoc` is automatically `Send + Sync` — asserted at compile
     // time in the test suite.
 }
@@ -424,7 +428,7 @@ impl ArenaBuilder {
                 child_spans: Vec::with_capacity(nodes),
                 child_ids: Vec::with_capacity(nodes.saturating_sub(1)),
                 subtree_ends: Vec::with_capacity(nodes),
-                shared: OnceLock::new(),
+                nodes: OnceLock::new(),
             },
             stack: Vec::new(),
             scratch: Vec::new(),
@@ -681,9 +685,10 @@ impl ArenaDoc {
         })
     }
 
-    /// Atomic equality: both nodes must be leaves; compares labels.
-    /// `None` when either node is not a leaf (the comparison is undefined,
-    /// matching `=atomic` being a partial operation).
+    /// Equality of atoms: both nodes must be leaves; compares labels.
+    /// `None` when either node is not a leaf. This is the atoms-only
+    /// notion, not Core XQuery's `=atomic`, which Figure 1 defines on any
+    /// two trees as equality of their root labels.
     pub fn atomic_eq(&self, a: NodeId, b: NodeId) -> Option<bool> {
         if self.is_leaf(a) && self.is_leaf(b) {
             Some(self.label_id(a) == self.label_id(b))
@@ -762,12 +767,39 @@ impl ArenaDoc {
     }
 
     /// The whole document as a [`Tree`], materialized once per document:
-    /// the first call builds it (as [`ArenaDoc::to_tree`] would), and
-    /// every later call — from any thread — returns the same tree
-    /// (pointer-equal). Racing first calls build it once; the others
-    /// wait for that build. The tree lives as long as the document.
+    /// entry 0 of the node table (see [`ArenaDoc::shared_node`]).
     pub fn shared_tree(&self) -> &Tree {
-        self.shared.get_or_init(|| self.to_tree())
+        self.shared_node(self.root())
+    }
+
+    /// The subtree at `id` as a [`Tree`], from the node table built once
+    /// per document: the first call materializes every node's subtree
+    /// (one shared tree, plus a handle per node), and every later call —
+    /// from any thread — borrows from it, so equal ids give pointer-equal
+    /// trees and a clone is one `Arc` increment. Racing first calls build
+    /// the table once; the others wait for that build. Equal to
+    /// [`ArenaDoc::subtree`], which builds a fresh copy instead.
+    pub fn shared_node(&self, id: NodeId) -> &Tree {
+        &self.nodes.get_or_init(|| self.node_table())[id.0 as usize]
+    }
+
+    /// Builds the node table in reverse preorder: by the time `v` is
+    /// visited every child's entry exists, and `v`'s tree shares them.
+    fn node_table(&self) -> Vec<Tree> {
+        let mut built: Vec<Option<Tree>> = vec![None; self.len()];
+        for v in (0..self.len()).rev() {
+            let id = NodeId(v as u32);
+            let children: Vec<Tree> = self
+                .children(id)
+                .iter()
+                .map(|c| built[c.0 as usize].clone().expect("child built"))
+                .collect();
+            built[v] = Some(Tree::node(self.label(id), children));
+        }
+        built
+            .into_iter()
+            .map(|t| t.expect("every node built"))
+            .collect()
     }
 
     /// Iterative preorder tag-string walk — the one traversal behind
@@ -872,24 +904,47 @@ mod tests {
     }
 
     #[test]
-    fn shared_tree_is_built_once_across_racing_threads() {
+    fn node_table_is_built_once_across_racing_threads() {
         let doc = ArenaDoc::from_tree(&sample());
         let barrier = std::sync::Barrier::new(8);
-        let addrs: Vec<usize> = std::thread::scope(|s| {
+        // Each thread records the address of every node's handle.
+        let addrs: Vec<Vec<usize>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     s.spawn(|| {
                         barrier.wait();
-                        doc.shared_tree() as *const Tree as usize
+                        (0..doc.len() as u32)
+                            .map(|i| doc.shared_node(NodeId(i)) as *const Tree as usize)
+                            .collect()
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert!(addrs.iter().all(|&a| a == addrs[0]), "{addrs:?}");
-        assert_eq!(doc.shared_tree() as *const Tree as usize, addrs[0]);
+        assert!(addrs.iter().all(|a| *a == addrs[0]), "{addrs:?}");
+        assert!(std::ptr::eq(doc.shared_tree(), doc.shared_node(doc.root())));
+        assert_eq!(doc.shared_tree() as *const Tree as usize, addrs[0][0]);
         assert_eq!(*doc.shared_tree(), doc.to_tree());
         assert_eq!(*doc.shared_tree(), sample());
+    }
+
+    #[test]
+    fn node_table_entries_equal_fresh_subtrees() {
+        let mut g = crate::TreeGen::new(7);
+        for size in [1, 2, 5, 40, 200] {
+            let doc = ArenaDoc::from_tree(&crate::random_tree(&mut g, size, &["a", "b", "k"]));
+            for i in 0..doc.len() as u32 {
+                let id = NodeId(i);
+                assert_eq!(*doc.shared_node(id), doc.subtree(id), "node {i} of {doc}");
+                // A child's entry is the very handle its parent holds.
+                for (c, t) in doc.children(id).iter().zip(doc.shared_node(id).children()) {
+                    assert!(std::ptr::eq(
+                        doc.shared_node(*c).children().as_ptr(),
+                        t.children().as_ptr()
+                    ));
+                }
+            }
+        }
     }
 
     #[test]

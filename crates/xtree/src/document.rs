@@ -158,9 +158,10 @@ impl Document {
         ca.len() == cb.len() && ca.iter().zip(cb).all(|(&x, &y)| self.deep_eq(x, y))
     }
 
-    /// Atomic equality: both nodes must be leaves; compares labels.
-    /// Returns `None` when either node is not a leaf (the comparison is
-    /// undefined, matching `=atomic` being a partial operation).
+    /// Equality of atoms: both nodes must be leaves; compares labels.
+    /// Returns `None` when either node is not a leaf. This is the
+    /// atoms-only notion, not Core XQuery's `=atomic`, which Figure 1
+    /// defines on any two trees as equality of their root labels.
     pub fn atomic_eq(&self, a: NodeId, b: NodeId) -> Option<bool> {
         if self.is_leaf(a) && self.is_leaf(b) {
             Some(self.label(a) == self.label(b))
