@@ -6,6 +6,12 @@ set -euo pipefail
 
 step() { printf '\n=== %s\n' "$*"; }
 
+# Most differential suites run twice: as is, then with XQ_ARENA=1 +
+# XQ_THREADS=4 so the arena document store and a >1 thread knob are
+# exercised together. Each `for e in "${TWICE[@]}"` loop below is one
+# such pair; `env $e` expands to no assignment on the first pass.
+TWICE=("" "XQ_ARENA=1 XQ_THREADS=4")
+
 step "cargo build --release"
 cargo build --release
 
@@ -35,9 +41,9 @@ XQ_ARENA=1 cargo test -q -p xq_complexity --test engine_agreement
 # (par_diff's corpus documents route through DocRepr, so XQ_ARENA=1
 # re-runs every planner shape on arena-loaded documents).
 step "parallel + planner suites (par_diff, plan, interner_threads; XQ_ARENA=1 XQ_THREADS=4)"
-XQ_RANDOM_CASES="${XQ_RANDOM_CASES:-16}" cargo test -q -p xq_core --test par_diff
-XQ_ARENA=1 XQ_THREADS=4 XQ_RANDOM_CASES="${XQ_RANDOM_CASES:-16}" \
-    cargo test -q -p xq_core --test par_diff
+for e in "${TWICE[@]}"; do
+    env $e XQ_RANDOM_CASES="${XQ_RANDOM_CASES:-16}" cargo test -q -p xq_core --test par_diff
+done
 cargo test -q -p xq_core --lib plan
 cargo test -q -p cv_xtree --test interner_threads
 
@@ -48,11 +54,10 @@ cargo test -q -p cv_xtree --test interner_threads
 # XQ_ARENA=1 + XQ_THREADS=4 so arena documents and the parallel entry
 # points are exercised through compiled plans too.
 step "bytecode VM suites (vm_diff, vm_golden, plan_cache_threads; XQ_ARENA=1 XQ_THREADS=4)"
-XQ_RANDOM_CASES="${XQ_RANDOM_CASES:-16}" cargo test -q -p xq_core --test vm_diff
-XQ_ARENA=1 XQ_THREADS=4 XQ_RANDOM_CASES="${XQ_RANDOM_CASES:-16}" \
-    cargo test -q -p xq_core --test vm_diff
-cargo test -q -p xq_core --test vm_golden
-XQ_ARENA=1 XQ_THREADS=4 cargo test -q -p xq_core --test vm_golden
+for e in "${TWICE[@]}"; do
+    env $e XQ_RANDOM_CASES="${XQ_RANDOM_CASES:-16}" cargo test -q -p xq_core --test vm_diff
+    env $e cargo test -q -p xq_core --test vm_golden
+done
 cargo test -q -p xq_core --test plan_cache_threads
 
 # The streaming cursor-core surface: cursor_diff locks the refactored
@@ -64,9 +69,9 @@ cargo test -q -p xq_core --test plan_cache_threads
 # XQ_THREADS=4 so the corpus documents route through the arena store and
 # the parallel sweep picks up the CI thread knob.
 step "streaming cursor suites (cursor_diff; XQ_ARENA=1 XQ_THREADS=4)"
-XQ_RANDOM_CASES="${XQ_RANDOM_CASES:-16}" cargo test -q -p xq_stream --test cursor_diff
-XQ_ARENA=1 XQ_THREADS=4 XQ_RANDOM_CASES="${XQ_RANDOM_CASES:-16}" \
-    cargo test -q -p xq_stream --test cursor_diff
+for e in "${TWICE[@]}"; do
+    env $e XQ_RANDOM_CASES="${XQ_RANDOM_CASES:-16}" cargo test -q -p xq_stream --test cursor_diff
+done
 
 # The serving surface: cancel_diff proves cancel-at-tick-k ≡ budget-cap-k
 # across both engines (and that an untripped flag is byte-invisible);
@@ -85,13 +90,11 @@ XQ_ARENA=1 XQ_THREADS=4 XQ_RANDOM_CASES="${XQ_RANDOM_CASES:-16}" \
 # chaos soak are exercised over arena documents and the parallel entry
 # points.
 step "serving suites (cancel_diff, supervision, xq_server; XQ_ARENA=1 XQ_THREADS=4)"
-XQ_RANDOM_CASES="${XQ_RANDOM_CASES:-16}" cargo test -q -p xq_core --test cancel_diff
-XQ_ARENA=1 XQ_THREADS=4 XQ_RANDOM_CASES="${XQ_RANDOM_CASES:-16}" \
-    cargo test -q -p xq_core --test cancel_diff
-cargo test -q -p xq_core --test supervision
-XQ_ARENA=1 XQ_THREADS=4 cargo test -q -p xq_core --test supervision
-cargo test -q -p xq_server
-XQ_ARENA=1 XQ_THREADS=4 cargo test -q -p xq_server
+for e in "${TWICE[@]}"; do
+    env $e XQ_RANDOM_CASES="${XQ_RANDOM_CASES:-16}" cargo test -q -p xq_core --test cancel_diff
+    env $e cargo test -q -p xq_core --test supervision
+    env $e cargo test -q -p xq_server
+done
 
 # The serving benchmark (servebench/, a package outside the workspace that
 # BENCHMARK.json runs) has its own tests: workload generation, the
@@ -99,26 +102,13 @@ XQ_ARENA=1 XQ_THREADS=4 cargo test -q -p xq_server
 step "servebench tests (cargo test --release --manifest-path servebench/Cargo.toml)"
 cargo test --release --offline --manifest-path servebench/Cargo.toml
 
-step "T16 parallel-scaling table (machine-readable: BENCH_T16.json)"
-cargo run --release -p xq_bench --bin harness -- --only t16 --json BENCH_T16.json > /dev/null
-
-step "T17 planner-coverage table (machine-readable: BENCH_T17.json)"
-cargo run --release -p xq_bench --bin harness -- --only t17 --json BENCH_T17.json > /dev/null
-
-step "T18 VM-vs-interpreter table (machine-readable: BENCH_T18.json)"
-cargo run --release -p xq_bench --bin harness -- --only t18 --json BENCH_T18.json > /dev/null
-
-step "T19 network-serving table (machine-readable: BENCH_T19.json)"
-cargo run --release -p xq_bench --bin harness -- --only t19 --json BENCH_T19.json > /dev/null
-
-step "T20 connection-scaling table (machine-readable: BENCH_T20.json)"
-cargo run --release -p xq_bench --bin harness -- --only t20 --json BENCH_T20.json > /dev/null
-
-step "T21 chaos-soak table (machine-readable: BENCH_T21.json)"
-cargo run --release -p xq_bench --bin harness -- --only t21 --json BENCH_T21.json > /dev/null
-
-step "T22 cursor-core table (machine-readable: BENCH_T22.json)"
-cargo run --release -p xq_bench --bin harness -- --only t22 --json BENCH_T22.json > /dev/null
+# The machine-readable experiment tables: T16 parallel scaling, T17
+# planner coverage, T18 VM vs interpreter, T19 network serving, T20
+# connection scaling, T21 chaos soak, T22 cursor core.
+for t in 16 17 18 19 20 21 22; do
+    step "T$t harness table (machine-readable: BENCH_T$t.json)"
+    cargo run --release -p xq_bench --bin harness -- --only "t$t" --json "BENCH_T$t.json" > /dev/null
+done
 
 step "cargo bench --no-run --workspace (bench targets must compile)"
 # --workspace matters: from the root, plain `cargo bench` only builds the

@@ -34,6 +34,10 @@ use xq_reductions as red;
 use xq_reductions::{EqFlavor, NtmReduction};
 use xq_rewrite::eliminate_composition;
 
+/// A table that writes a `--json` payload: its `--only` name, and a
+/// runner that prints the table and returns the payload.
+type JsonTable = (&'static str, fn() -> String);
+
 fn header(title: &str) {
     println!("\n## {title}\n");
 }
@@ -85,81 +89,32 @@ fn main() {
             run();
         }
     }
-    // T16/T17/T18 run last and carry the JSON payloads (`--only t17`
-    // writes the T17 coverage JSON, `--only t18` the T18 VM comparison;
-    // any other selection that includes T16 writes the T16 scaling JSON).
-    if only.as_deref().is_none_or(|o| o == "t16") {
-        let rows = t16_parallel();
-        if let Some(path) = &json_path {
-            std::fs::write(path, t16_json(&rows)).expect("write --json file");
-            println!("\nT16 rows written to {path}");
-        }
-    }
-    if only.as_deref().is_none_or(|o| o == "t17") {
-        let cov = t17_coverage();
-        if only.as_deref() == Some("t17") {
-            if let Some(path) = &json_path {
-                std::fs::write(path, t17_json(&cov)).expect("write --json file");
-                println!("\nT17 rows written to {path}");
-            }
-        }
-    }
-    if only.as_deref().is_none_or(|o| o == "t18") {
-        let rows = t18_vm();
-        if only.as_deref() == Some("t18") {
-            if let Some(path) = &json_path {
-                std::fs::write(path, t18_json(&rows)).expect("write --json file");
-                println!("\nT18 rows written to {path}");
-            }
-        }
-    }
-    if only.as_deref().is_none_or(|o| o == "t19") {
-        let rows = t19_serving();
-        if only.as_deref() == Some("t19") {
-            if let Some(path) = &json_path {
-                std::fs::write(path, t19_json(&rows)).expect("write --json file");
-                println!("\nT19 rows written to {path}");
-            }
-        }
-    }
-    if only.as_deref().is_none_or(|o| o == "t20") {
-        let rows = t20_connection_scaling();
-        if only.as_deref() == Some("t20") {
-            if let Some(path) = &json_path {
-                std::fs::write(path, t20_json(&rows)).expect("write --json file");
-                println!("\nT20 rows written to {path}");
-            }
-        }
-    }
-    if only.as_deref().is_none_or(|o| o == "t21") {
-        let rows = t21_chaos();
-        if only.as_deref() == Some("t21") {
-            if let Some(path) = &json_path {
-                std::fs::write(path, t21_json(&rows)).expect("write --json file");
-                println!("\nT21 rows written to {path}");
-            }
-        }
-    }
-    if only.as_deref().is_none_or(|o| o == "t22") {
-        let rows = t22_cursor();
-        if only.as_deref() == Some("t22") {
-            if let Some(path) = &json_path {
-                std::fs::write(path, t22_json(&rows)).expect("write --json file");
-                println!("\nT22 rows written to {path}");
+    // T16–T22 run last and carry the JSON payloads: `--only tN` writes
+    // table N's; any other selection that includes T16 writes T16's.
+    let json_tables: [JsonTable; 7] = [
+        ("t16", || t16_json(&t16_parallel())),
+        ("t17", || t17_json(&t17_coverage())),
+        ("t18", || t18_json(&t18_vm())),
+        ("t19", || t19_json(&t19_serving())),
+        ("t20", || t20_json(&t20_connection_scaling())),
+        ("t21", || t21_json(&t21_chaos())),
+        ("t22", || t22_json(&t22_cursor())),
+    ];
+    for (name, run) in json_tables {
+        if only.as_deref().is_none_or(|o| o == name) {
+            let json = run();
+            if name == "t16" || only.as_deref() == Some(name) {
+                if let Some(path) = &json_path {
+                    std::fs::write(path, json).expect("write --json file");
+                    println!("\n{} rows written to {path}", name.to_uppercase());
+                }
             }
         }
     }
     if json_path.is_some()
-        && !matches!(
-            only.as_deref(),
-            None | Some("t16")
-                | Some("t17")
-                | Some("t18")
-                | Some("t19")
-                | Some("t20")
-                | Some("t21")
-                | Some("t22")
-        )
+        && only
+            .as_deref()
+            .is_some_and(|o| json_tables.iter().all(|(name, _)| *name != o))
     {
         panic!("--json requires T16..T22 to run (drop --only or use --only t16/.../t22)");
     }
@@ -329,33 +284,48 @@ fn t17_coverage() -> T17Coverage {
     }
 }
 
-/// Renders the T17 coverage as the `--json` payload (hand-rolled: the
-/// workspace is offline, no serde).
-fn t17_json(cov: &T17Coverage) -> String {
+/// Renders a measurement table as its `--json` payload (hand-rolled: the
+/// workspace is offline, no serde): `table`, `host_threads`, the table's
+/// extra `header` fields, then `rows` — one preformatted object body per
+/// row — and an optional `trailer` field after them (T17's `merge`).
+fn table_json(table: &str, header: &[String], rows: &[String], trailer: Option<String>) -> String {
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut out = String::from("{\n");
-    out.push_str("  \"table\": \"T17\",\n");
+    out.push_str(&format!("  \"table\": \"{table}\",\n"));
     out.push_str(&format!("  \"host_threads\": {host},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in cov.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"doc_seed\": {}, \"nodes\": {}, \"queries\": {}, \
-             \"baseline_engaged\": {}, \"planner_engaged\": {}}}{}\n",
-            r.doc_seed,
-            r.nodes,
-            r.queries,
-            r.baseline,
-            r.planner,
-            if i + 1 == cov.rows.len() { "" } else { "," }
-        ));
+    for field in header {
+        out.push_str(&format!("  {field},\n"));
     }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"merge\": {{\"tokens\": {}, \"reparse_us\": {:.1}, \"splice_us\": {:.1}}}\n",
-        cov.merge.tokens, cov.merge.reparse_us, cov.merge.splice_us
-    ));
-    out.push_str("}\n");
+    out.push_str("  \"rows\": [\n");
+    for (i, r) in rows.iter().enumerate() {
+        let sep = if i + 1 == rows.len() { "" } else { "," };
+        out.push_str(&format!("    {{{r}}}{sep}\n"));
+    }
+    match trailer {
+        Some(t) => out.push_str(&format!("  ],\n  {t}\n}}\n")),
+        None => out.push_str("  ]\n}\n"),
+    }
     out
+}
+
+/// T17's `--json` payload.
+fn t17_json(cov: &T17Coverage) -> String {
+    let rows: Vec<String> = cov
+        .rows
+        .iter()
+        .map(|r| {
+            format!(
+                "\"doc_seed\": {}, \"nodes\": {}, \"queries\": {}, \
+                 \"baseline_engaged\": {}, \"planner_engaged\": {}",
+                r.doc_seed, r.nodes, r.queries, r.baseline, r.planner
+            )
+        })
+        .collect();
+    let merge = format!(
+        "\"merge\": {{\"tokens\": {}, \"reparse_us\": {:.1}, \"splice_us\": {:.1}}}",
+        cov.merge.tokens, cov.merge.reparse_us, cov.merge.splice_us
+    );
+    table_json("T17", &[], &rows, Some(merge))
 }
 
 /// One T16 measurement: a doubling-family workload at a thread count.
@@ -502,30 +472,19 @@ fn t16_parallel() -> Vec<T16Row> {
     rows
 }
 
-/// Renders the T16 rows as the `--json` payload (hand-rolled: the
-/// workspace is offline, no serde).
+/// T16's `--json` payload.
 fn t16_json(rows: &[T16Row]) -> String {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::from("{\n");
-    out.push_str("  \"table\": \"T16\",\n");
-    out.push_str(&format!("  \"host_threads\": {host},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"family\": \"{}\", \"n\": {}, \"nodes\": {}, \"outer_items\": {}, \
-             \"threads\": {}, \"eval_us\": {:.1}, \"stream_us\": {:.1}}}{}\n",
-            r.family,
-            r.n,
-            r.nodes,
-            r.outer_items,
-            r.threads,
-            r.eval_us,
-            r.stream_us,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "\"family\": \"{}\", \"n\": {}, \"nodes\": {}, \"outer_items\": {}, \
+                 \"threads\": {}, \"eval_us\": {:.1}, \"stream_us\": {:.1}",
+                r.family, r.n, r.nodes, r.outer_items, r.threads, r.eval_us, r.stream_us
+            )
+        })
+        .collect();
+    table_json("T16", &[], &rows, None)
 }
 
 /// One T18 measurement: a configuration's total and per-unit latency.
@@ -536,7 +495,7 @@ struct T18Row {
 }
 
 fn t18_vm() -> Vec<T18Row> {
-    use xq_core::{compile_query, parse_query, ServeMode, Threads};
+    use xq_core::{compile_query, parse_query, Threads};
 
     header("T18  Bytecode VM and plan cache  (xq_core::vm, QueryService)");
     println!(
@@ -680,10 +639,9 @@ fn t18_vm() -> Vec<T18Row> {
         per_unit_us: heavy_arena_us,
     });
 
-    // The service comparison: the exact T16 batch shape (64 requests over
-    // 4 docs, 4 workers, one hot query) under both serve modes. CachedVm
-    // is the default route: workers hit the global plan cache, so the
-    // parse + compile happens once per distinct text per process.
+    // The service row: the exact T16 batch shape (64 requests over 4
+    // docs, 4 workers, one hot query). Workers hit the global plan cache,
+    // so the parse + compile happens once per distinct text per process.
     let docs: Vec<std::sync::Arc<ArenaDoc>> = (0..4u64)
         .map(|seed| {
             let mut g = TreeGen::new(seed);
@@ -700,41 +658,21 @@ fn t18_vm() -> Vec<T18Row> {
         .take(64)
         .map(|d| xq_core::Request::new(src, d.clone()))
         .collect();
-    println!("\n| serve mode | 64-request batch (µs) | µs/request | speedup |");
-    println!("|---|---|---|---|");
-    let mut interp_batch = 0.0;
-    for (label, mode) in [
-        ("interp", ServeMode::Interp),
-        ("cached_vm", ServeMode::CachedVm),
-    ] {
-        let service = xq_core::QueryService::with_mode(4, mode);
-        let batch_us = time_us(5, || {
-            let got = service.run_batch(batch.clone());
-            assert!(got.iter().all(Result::is_ok));
-        });
-        if matches!(mode, ServeMode::Interp) {
-            interp_batch = batch_us;
-        }
-        println!(
-            "| {label} | {batch_us:.1} | {:.1} | {:.2}x |",
-            batch_us / 64.0,
-            interp_batch / batch_us
-        );
-        rows.push(T18Row {
-            label: match mode {
-                ServeMode::Interp => "service_interp",
-                ServeMode::CachedVm => "service_cached_vm",
-            },
-            total_us: batch_us,
-            per_unit_us: batch_us / 64.0,
-        });
-    }
-
-    // Sanity: the modes agree on the batch itself (vm_diff and the
-    // service tests prove this at scale; this is the harness's own check).
-    let a = xq_core::QueryService::with_mode(2, ServeMode::Interp).run_batch(batch.clone());
-    let b = xq_core::QueryService::with_mode(2, ServeMode::CachedVm).run_batch(batch.clone());
-    assert_eq!(a, b, "serve modes diverged on the T18 batch");
+    let service = xq_core::QueryService::new(4);
+    let batch_us = time_us(5, || {
+        let got = service.run_batch(batch.clone());
+        assert!(got.iter().all(Result::is_ok));
+    });
+    println!(
+        "\nQueryService: 64-request batch over 4 docs, 4 workers: {batch_us:.1} µs \
+         ({:.1} µs/request)",
+        batch_us / 64.0
+    );
+    rows.push(T18Row {
+        label: "service_cached_vm",
+        total_us: batch_us,
+        per_unit_us: batch_us / 64.0,
+    });
 
     // The parallel entry point still engages through a compiled plan.
     let arena = &docs[0];
@@ -745,7 +683,7 @@ fn t18_vm() -> Vec<T18Row> {
         stats.parallelized, stats.workers
     );
 
-    println!("\nShape: the VM wins by skipping per-request parse + scope re-resolution; the plan cache amortizes compilation to zero on hot queries, which is where the service µs/request delta comes from.");
+    println!("\nShape: the VM wins by skipping per-request parse + scope re-resolution; the plan cache amortizes compilation to zero on hot queries, so a served request pays one cache probe plus the VM's evaluation.");
     rows
 }
 
@@ -917,35 +855,32 @@ fn t19_serving() -> Vec<T19Row> {
     rows
 }
 
-/// Renders the T19 rows as the `--json` payload (hand-rolled: the
-/// workspace is offline, no serde).
+/// T19's `--json` payload.
 fn t19_json(rows: &[T19Row]) -> String {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::from("{\n");
-    out.push_str("  \"table\": \"T19\",\n");
-    out.push_str(&format!("  \"host_threads\": {host},\n"));
-    out.push_str("  \"workers\": 2,\n");
-    out.push_str("  \"queue_capacity\": 4,\n");
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"clients\": {}, \"requests\": {}, \"ok\": {}, \"shed\": {}, \
-             \"shed_rate\": {:.4}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \
-             \"throughput_rps\": {:.1}, \"wall_ms\": {:.1}}}{}\n",
-            r.clients,
-            r.requests,
-            r.ok,
-            r.shed,
-            r.shed as f64 / r.requests as f64,
-            r.p50_us,
-            r.p99_us,
-            r.throughput_rps,
-            r.wall_ms,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "\"clients\": {}, \"requests\": {}, \"ok\": {}, \"shed\": {}, \
+                 \"shed_rate\": {:.4}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \
+                 \"throughput_rps\": {:.1}, \"wall_ms\": {:.1}",
+                r.clients,
+                r.requests,
+                r.ok,
+                r.shed,
+                r.shed as f64 / r.requests as f64,
+                r.p50_us,
+                r.p99_us,
+                r.throughput_rps,
+                r.wall_ms,
+            )
+        })
+        .collect();
+    let header = [
+        "\"workers\": 2".to_string(),
+        "\"queue_capacity\": 4".to_string(),
+    ];
+    table_json("T19", &header, &rows, None)
 }
 
 /// One T20 measurement: a concurrent-connection count served by the
@@ -1095,33 +1030,24 @@ fn t20_connection_scaling() -> Vec<T20Row> {
     rows
 }
 
-/// Renders the T20 rows as the `--json` payload (hand-rolled: the
-/// workspace is offline, no serde).
+/// T20's `--json` payload.
 fn t20_json(rows: &[T20Row]) -> String {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::from("{\n");
-    out.push_str("  \"table\": \"T20\",\n");
-    out.push_str(&format!("  \"host_threads\": {host},\n"));
-    out.push_str("  \"workers\": 2,\n");
-    out.push_str("  \"server_threads\": 3,\n");
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"conns\": {}, \"requests\": {}, \"ok\": {}, \
-             \"p50_us\": {:.1}, \"p99_us\": {:.1}, \
-             \"throughput_rps\": {:.1}, \"wall_ms\": {:.1}}}{}\n",
-            r.conns,
-            r.requests,
-            r.ok,
-            r.p50_us,
-            r.p99_us,
-            r.throughput_rps,
-            r.wall_ms,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "\"conns\": {}, \"requests\": {}, \"ok\": {}, \
+                 \"p50_us\": {:.1}, \"p99_us\": {:.1}, \
+                 \"throughput_rps\": {:.1}, \"wall_ms\": {:.1}",
+                r.conns, r.requests, r.ok, r.p50_us, r.p99_us, r.throughput_rps, r.wall_ms,
+            )
+        })
+        .collect();
+    let header = [
+        "\"workers\": 2".to_string(),
+        "\"server_threads\": 3".to_string(),
+    ];
+    table_json("T20", &header, &rows, None)
 }
 
 /// One T21 measurement: a soak under one fault spec (or none, for the
@@ -1264,7 +1190,6 @@ fn t21_chaos() -> Vec<T21Row> {
         let deadline = Instant::now() + std::time::Duration::from_secs(60);
         loop {
             let settled = server.queue_depth() == 0
-                && server.admitted_depth() == 0
                 && server.in_flight() == 0
                 && server.alive_workers() == WORKERS;
             if settled {
@@ -1336,40 +1261,34 @@ fn t21_chaos() -> Vec<T21Row> {
     rows
 }
 
-/// Renders the T21 rows as the `--json` payload (hand-rolled: the
-/// workspace is offline, no serde).
+/// T21's `--json` payload.
 fn t21_json(rows: &[T21Row]) -> String {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     let seed: u64 = std::env::var("XQ_FAULT_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(2005);
-    let mut out = String::from("{\n");
-    out.push_str("  \"table\": \"T21\",\n");
-    out.push_str(&format!("  \"host_threads\": {host},\n"));
-    out.push_str("  \"workers\": 2,\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"spec\": \"{}\", \"requests\": {}, \
-             \"ok\": {}, \"internal\": {}, \"shed\": {}, \"deaths\": {}, \
-             \"restarts\": {}, \"throughput_rps\": {:.1}, \"wall_ms\": {:.1}}}{}\n",
-            r.label,
-            r.spec,
-            r.requests,
-            r.ok,
-            r.internal,
-            r.shed,
-            r.deaths,
-            r.restarts,
-            r.throughput_rps,
-            r.wall_ms,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "\"label\": \"{}\", \"spec\": \"{}\", \"requests\": {}, \
+                 \"ok\": {}, \"internal\": {}, \"shed\": {}, \"deaths\": {}, \
+                 \"restarts\": {}, \"throughput_rps\": {:.1}, \"wall_ms\": {:.1}",
+                r.label,
+                r.spec,
+                r.requests,
+                r.ok,
+                r.internal,
+                r.shed,
+                r.deaths,
+                r.restarts,
+                r.throughput_rps,
+                r.wall_ms,
+            )
+        })
+        .collect();
+    let header = ["\"workers\": 2".to_string(), format!("\"seed\": {seed}")];
+    table_json("T21", &header, &rows, None)
 }
 
 /// One T22 measurement: one streaming discipline of one doubling family,
@@ -1545,54 +1464,42 @@ fn t22_cursor() -> Vec<T22Row> {
     rows
 }
 
-/// Renders the T22 rows as the `--json` payload (hand-rolled: the
-/// workspace is offline, no serde).
+/// T22's `--json` payload.
 fn t22_json(rows: &[T22Row]) -> String {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::from("{\n");
-    out.push_str("  \"table\": \"T22\",\n");
-    out.push_str(&format!("  \"host_threads\": {host},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"family\": \"{}\", \"n\": {}, \"discipline\": \"{}\", \
-             \"tokens_out\": {}, \"legacy_us\": {:.1}, \"cursor_us\": {:.1}, \
-             \"ratio\": {:.3}, \"peak_buffered_tokens\": {}, \"workers\": {}}}{}\n",
-            r.family,
-            r.n,
-            r.discipline,
-            r.tokens_out,
-            r.legacy_us,
-            r.cursor_us,
-            r.cursor_us / r.legacy_us,
-            r.peak_buffered_tokens,
-            r.workers,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "\"family\": \"{}\", \"n\": {}, \"discipline\": \"{}\", \
+                 \"tokens_out\": {}, \"legacy_us\": {:.1}, \"cursor_us\": {:.1}, \
+                 \"ratio\": {:.3}, \"peak_buffered_tokens\": {}, \"workers\": {}",
+                r.family,
+                r.n,
+                r.discipline,
+                r.tokens_out,
+                r.legacy_us,
+                r.cursor_us,
+                r.cursor_us / r.legacy_us,
+                r.peak_buffered_tokens,
+                r.workers,
+            )
+        })
+        .collect();
+    table_json("T22", &[], &rows, None)
 }
 
-/// Renders the T18 rows as the `--json` payload (hand-rolled: the
-/// workspace is offline, no serde).
+/// T18's `--json` payload.
 fn t18_json(rows: &[T18Row]) -> String {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::from("{\n");
-    out.push_str("  \"table\": \"T18\",\n");
-    out.push_str(&format!("  \"host_threads\": {host},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"total_us\": {:.1}, \"per_unit_us\": {:.2}}}{}\n",
-            r.label,
-            r.total_us,
-            r.per_unit_us,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "\"label\": \"{}\", \"total_us\": {:.1}, \"per_unit_us\": {:.2}",
+                r.label, r.total_us, r.per_unit_us
+            )
+        })
+        .collect();
+    table_json("T18", &[], &rows, None)
 }
 
 /// Times `f` over `iters` runs (after one warmup) and returns mean µs.

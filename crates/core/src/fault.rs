@@ -42,8 +42,9 @@
 //!
 //! e.g. `XQ_FAULT_SPEC="worker-panic=0.05,slow-eval=0.2@3,completion-drop=1.0x1"`
 //! panics 5% of evaluations, delays 20% of them by 3 ms, and kills
-//! exactly one delivery. Malformed specs are rejected with a typed
-//! [`FaultSpecError`] — never silently ignored.
+//! exactly one delivery. Each point may appear at most once. Malformed
+//! specs are rejected with a typed [`FaultSpecError`] — never silently
+//! ignored.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -165,10 +166,12 @@ fn splitmix64(mut x: u64) -> u64 {
 
 impl Faults {
     /// Parses `spec` (see the module-level grammar) under `seed`.
-    /// Rejects unknown point names, out-of-range probabilities, and
-    /// malformed numbers with a typed [`FaultSpecError`].
+    /// Rejects unknown point names, repeated points, out-of-range
+    /// probabilities, and malformed numbers with a typed
+    /// [`FaultSpecError`].
     pub fn from_spec(spec: &str, seed: u64) -> Result<Faults, FaultSpecError> {
         let mut points = [Point::off(), Point::off(), Point::off(), Point::off()];
+        let mut seen = [false; 4];
         for part in spec.split(',') {
             let part = part.trim();
             if part.is_empty() {
@@ -190,6 +193,14 @@ impl Faults {
                         name.trim()
                     ))
                 })?;
+            // A second clause for the same point would silently override
+            // the first (last clause wins) — reject it instead.
+            if std::mem::replace(&mut seen[point.index()], true) {
+                return Err(FaultSpecError(format!(
+                    "fault point {:?} appears more than once in {spec:?}",
+                    point.name()
+                )));
+            }
             // Suffixes bind right to left: prob[@delay_ms][xlimit].
             let mut limit = u64::MAX;
             if let Some((head, lim)) = rest.split_once('x') {
@@ -428,6 +439,7 @@ mod tests {
             "slow-eval=0.5@fast",             // bad delay
             "completion-drop=1.0xmany",       // bad limit
             "worker-panic=0.5 slow-eval=0.5", // missing comma
+            "worker-panic=1,worker-panic=0",  // repeated point
         ] {
             assert!(
                 Faults::from_spec(bad, 0).is_err(),
@@ -436,6 +448,12 @@ mod tests {
         }
         let err = Faults::from_spec("worker-panics=0.5", 0).unwrap_err();
         assert!(err.to_string().contains("unknown fault point"));
+        let err = Faults::from_spec("worker-panic=1,slow-eval=0,worker-panic=0", 0).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("\"worker-panic\" appears more than once"),
+            "the error names the repeated point: {err}"
+        );
     }
 
     #[test]

@@ -374,14 +374,11 @@ fn exec_seq(
     ))
 }
 
-/// Executes an already-built, engaging plan. Callers that need the
-/// engagement decision before committing to this path (`QueryService`
-/// keeps non-engaging threaded requests on its sequential route) plan
-/// once and pass the plan here instead of re-planning via
-/// [`eval_query_par`]. A plan that reads `$root` binds the document's
-/// [`shared_tree`](ArenaDoc::shared_tree), so planner, executor and
-/// every worker share one materialization (the node table).
-pub(crate) fn eval_plan(
+/// Executes an already-built, engaging plan. A plan that reads `$root`
+/// binds the document's [`shared_tree`](ArenaDoc::shared_tree), so
+/// planner, executor and every worker share one materialization (the
+/// node table).
+fn eval_plan(
     plan: &ParPlan<'_>,
     doc: &ArenaDoc,
     budget: Budget,

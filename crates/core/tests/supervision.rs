@@ -7,8 +7,10 @@
 //!   corpse and respawns under its restart budget;
 //! * a pool that exhausts the budget *degrades* — every job still gets
 //!   an answer, nothing hangs;
-//! * every gauge (`queued`/`admitted`/`in_flight`) returns to zero on
-//!   every one of those paths — the RAII-guard regression suite.
+//! * every gauge (`queued`/`in_flight`) returns to zero on every one of
+//!   those paths — the RAII-guard regression suite;
+//! * an injected admission refusal sheds `run_batch` requests in
+//!   position, before any worker sees them, replayably under a seed.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,7 +42,7 @@ fn wait_for(what: &str, probe: impl Fn() -> bool) {
 }
 
 fn gauges_zero(service: &QueryService) -> bool {
-    service.queue_depth() == 0 && service.admitted_depth() == 0 && service.in_flight() == 0
+    service.queue_depth() == 0 && service.in_flight() == 0
 }
 
 #[test]
@@ -112,7 +114,6 @@ fn exhausted_restart_budget_degrades_instead_of_hanging() {
         faults: Some(Arc::new(Faults::from_spec("completion-drop=1", 7).unwrap())),
         restart_budget: 2,
         restart_backoff: Duration::from_millis(1),
-        ..PoolConfig::default()
     });
     let got = service.run_batch((0..6).map(|_| Request::new("$root/*", d.clone())).collect());
     assert_eq!(got.len(), 6, "every job answered, none hang");
@@ -137,7 +138,7 @@ fn admission_slot_survives_neither_panic_nor_worker_death() {
     // The RAII regression: a worker dying between admit() and
     // completion used to leak the admission slot forever, shrinking the
     // pool's effective capacity with every crash. With capacity 1, one
-    // leak would make every later try_run_batch shed.
+    // leak would make every later run_batch shed.
     let service = QueryService::with_config(PoolConfig {
         workers: 1,
         faults: Some(Arc::new(
@@ -151,7 +152,7 @@ fn admission_slot_survives_neither_panic_nor_worker_death() {
     .with_queue_capacity(1);
     for (round, expect) in ["panic+death", "healthy", "healthy"].iter().enumerate() {
         wait_for("pool ready", || service.alive_workers() == 1);
-        let got = service.try_run_batch(vec![Request::new("$root/*", d.clone())]);
+        let got = service.run_batch(vec![Request::new("$root/*", d.clone())]);
         assert!(
             !matches!(got[0], Err(ServiceError::Overloaded)),
             "round {round} ({expect}): a leaked slot would shed here: {:?}",
@@ -161,9 +162,7 @@ fn admission_slot_survives_neither_panic_nor_worker_death() {
             "healthy" => assert!(got[0].is_ok(), "round {round}: {:?}", got[0]),
             _ => assert!(matches!(got[0], Err(ServiceError::Internal(_)))),
         }
-        wait_for("admission slot released", || {
-            service.admitted_depth() == 0 && gauges_zero(&service)
-        });
+        wait_for("admission slot released", || gauges_zero(&service));
     }
     assert_eq!(service.contained_panics(), 1);
     assert_eq!(service.worker_deaths(), 1);
@@ -211,4 +210,46 @@ fn same_seed_replays_the_same_outcome_sequence() {
     assert!(a.iter().any(|ok| *ok) && a.iter().any(|ok| !*ok));
     let c = outcomes(9999);
     assert_ne!(a, c, "a different seed should explore a different path");
+}
+
+#[test]
+fn certain_submit_refusal_sheds_every_batch_slot_in_position() {
+    let d = doc();
+    // Every admission refused: each slot answers `Overloaded` where it
+    // was submitted and nothing reaches a worker — a certain
+    // `worker-panic` would be contained (and counted) if anything did.
+    let service = service_with("submit-refusal=1,worker-panic=1", 7, 2);
+    let got = service.run_batch((0..5).map(|_| Request::new("$root/*", d.clone())).collect());
+    assert_eq!(got, vec![Err(ServiceError::Overloaded); 5]);
+    assert!(gauges_zero(&service), "refused requests hold no gauge");
+    assert_eq!(
+        service.contained_panics(),
+        0,
+        "no worker evaluated anything"
+    );
+}
+
+#[test]
+fn seeded_submit_refusal_sheds_the_same_positions_on_fresh_services() {
+    let d = doc();
+    let shed_positions = || -> Vec<usize> {
+        let service = service_with("submit-refusal=0.5", 2005, 2);
+        let got = service.run_batch(
+            (0..40)
+                .map(|_| Request::new("$root/*", d.clone()))
+                .collect(),
+        );
+        assert!(got
+            .iter()
+            .all(|r| r.is_ok() || *r == Err(ServiceError::Overloaded)));
+        (0..got.len())
+            .filter(|&i| got[i] == Err(ServiceError::Overloaded))
+            .collect()
+    };
+    let a = shed_positions();
+    assert_eq!(a, shed_positions(), "identical seed must shed identically");
+    assert!(
+        !a.is_empty() && a.len() < 40,
+        "a coin flip sheds some, not all: {a:?}"
+    );
 }

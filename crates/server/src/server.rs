@@ -62,11 +62,9 @@
 //!
 //! ## Shedding
 //!
-//! Admission stays the pool's compare-and-swap against
-//! [`ServerConfig::queue_capacity`] — now on a dedicated
-//! admission-slot gauge, so internal `run_batch` traffic can't cause
-//! spurious sheds: a frame that arrives past the high-water mark is
-//! answered `overloaded` without ever queueing.
+//! Admission is the pool's compare-and-swap of its queue gauge against
+//! [`ServerConfig::queue_capacity`]: a frame that arrives past the
+//! high-water mark is answered `overloaded` without ever queueing.
 //!
 //! ## Graceful drain
 //!
@@ -90,8 +88,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xq_core::{
-    Budget, CancelFlag, CompletionSink, Faults, PoolConfig, QueryService, Request, ServeMode,
-    ServiceError,
+    Budget, CancelFlag, CompletionSink, Faults, PoolConfig, QueryService, Request, ServiceError,
 };
 
 use cv_xtree::ArenaDoc;
@@ -113,19 +110,17 @@ pub struct RateLimit {
 }
 
 /// Server configuration; see the field docs. `Default` gives two
-/// workers, the VM route, an effectively unbounded queue, no rate
-/// limits, a one-second drain deadline, and no documents — tests and
-/// embedders override what they need.
+/// workers, an effectively unbounded queue, no rate limits, a one-second
+/// drain deadline, and no documents — tests and embedders override what
+/// they need.
 #[derive(Clone)]
 pub struct ServerConfig {
     /// Pool worker threads. Total server threads are `workers + 1` (the
     /// reactor), independent of connection count.
     pub workers: usize,
-    /// Pool evaluation route (VM by default).
-    pub mode: ServeMode,
     /// Admission high-water mark: frames arriving while this many
-    /// admission-controlled requests are queued (accepted, unserved)
-    /// are shed with an `overloaded` response.
+    /// requests are queued (accepted, unserved) are shed with an
+    /// `overloaded` response.
     pub queue_capacity: usize,
     /// Most buffered frames the reactor handles per connection per
     /// round — the pipelining-fairness bound.
@@ -180,7 +175,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             workers: 2,
-            mode: ServeMode::default(),
             queue_capacity: usize::MAX,
             batch_max: 32,
             default_budget: Budget::default(),
@@ -257,7 +251,6 @@ impl Server {
         let service = Arc::new(
             QueryService::with_config(PoolConfig {
                 workers: config.workers,
-                mode: config.mode,
                 faults,
                 restart_budget: config.restart_budget,
                 ..PoolConfig::default()
@@ -324,7 +317,7 @@ impl Server {
     }
 
     /// Requests accepted into the pool queue but not yet being
-    /// evaluated.
+    /// evaluated: the admission slots `queue_capacity` bounds.
     pub fn queue_depth(&self) -> usize {
         self.service.as_ref().map_or(0, |s| s.queue_depth())
     }
@@ -332,12 +325,6 @@ impl Server {
     /// Requests a pool worker is evaluating right now.
     pub fn in_flight(&self) -> usize {
         self.service.as_ref().map_or(0, |s| s.in_flight())
-    }
-
-    /// Admission slots held right now (the gauge `queue_capacity`
-    /// bounds).
-    pub fn admitted_depth(&self) -> usize {
-        self.service.as_ref().map_or(0, |s| s.admitted_depth())
     }
 
     /// Pool workers running right now (dips while the supervisor
