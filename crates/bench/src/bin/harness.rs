@@ -65,6 +65,26 @@ fn main() {
         );
     }
 
+    // T16–T22 run last and carry the JSON payloads: `--only tN` writes
+    // table N's; any other selection that includes T16 writes T16's.
+    let json_tables: [JsonTable; 7] = [
+        ("t16", || t16_json(&t16_parallel())),
+        ("t17", || t17_json(&t17_coverage())),
+        ("t18", || t18_json(&t18_vm())),
+        ("t19", || t19_json(&t19_serving())),
+        ("t20", || t20_json(&t20_connection_scaling())),
+        ("t21", || t21_json(&t21_chaos())),
+        ("t22", || t22_json(&t22_cursor())),
+    ];
+    // Checked before any table runs, so a bad selection costs nothing.
+    if json_path.is_some()
+        && only
+            .as_deref()
+            .is_some_and(|o| json_tables.iter().all(|(name, _)| *name != o))
+    {
+        panic!("--json requires T16..T22 to run (drop --only or use --only t16/.../t22)");
+    }
+
     println!("# Koch (PODS 2005) reproduction — experiment harness");
 
     let tables: [(&str, fn()); 15] = [
@@ -89,17 +109,6 @@ fn main() {
             run();
         }
     }
-    // T16–T22 run last and carry the JSON payloads: `--only tN` writes
-    // table N's; any other selection that includes T16 writes T16's.
-    let json_tables: [JsonTable; 7] = [
-        ("t16", || t16_json(&t16_parallel())),
-        ("t17", || t17_json(&t17_coverage())),
-        ("t18", || t18_json(&t18_vm())),
-        ("t19", || t19_json(&t19_serving())),
-        ("t20", || t20_json(&t20_connection_scaling())),
-        ("t21", || t21_json(&t21_chaos())),
-        ("t22", || t22_json(&t22_cursor())),
-    ];
     for (name, run) in json_tables {
         if only.as_deref().is_none_or(|o| o == name) {
             let json = run();
@@ -110,13 +119,6 @@ fn main() {
                 }
             }
         }
-    }
-    if json_path.is_some()
-        && only
-            .as_deref()
-            .is_some_and(|o| json_tables.iter().all(|(name, _)| *name != o))
-    {
-        panic!("--json requires T16..T22 to run (drop --only or use --only t16/.../t22)");
     }
 
     println!("\nAll requested experiment tables regenerated.");
@@ -659,13 +661,15 @@ fn t18_vm() -> Vec<T18Row> {
         .map(|d| xq_core::Request::new(src, d.clone()))
         .collect();
     let service = xq_core::QueryService::new(4);
-    let batch_us = time_us(5, || {
+    // A median of many runs: on a 2-vCPU host one batch's time swings
+    // by half from run to run.
+    let batch_us = median_us(T18_BATCH_RUNS, || {
         let got = service.run_batch(batch.clone());
         assert!(got.iter().all(Result::is_ok));
     });
     println!(
         "\nQueryService: 64-request batch over 4 docs, 4 workers: {batch_us:.1} µs \
-         ({:.1} µs/request)",
+         ({:.1} µs/request, median of {T18_BATCH_RUNS} runs)",
         batch_us / 64.0
     );
     rows.push(T18Row {
@@ -1500,6 +1504,23 @@ fn t18_json(rows: &[T18Row]) -> String {
         })
         .collect();
     table_json("T18", &[], &rows, None)
+}
+
+/// Runs of the T18 service batch its median is taken over.
+const T18_BATCH_RUNS: usize = 31;
+
+/// Median wall time of `runs` calls of `f` (after one warm-up), in µs.
+fn median_us(runs: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    let mut times: Vec<f64> = (0..runs)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[runs / 2]
 }
 
 /// Times `f` over `iters` runs (after one warmup) and returns mean µs.

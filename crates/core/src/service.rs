@@ -2,15 +2,16 @@
 //! serve-heavy-traffic shape of the ROADMAP north star.
 //!
 //! [`QueryService`] owns `N` long-lived worker threads fed by one shared
-//! job channel. [`QueryService::try_submit`] is the one way in: it admits
-//! (or sheds) one tagged [`Request`] (query text + shared [`ArenaDoc`] +
-//! [`Budget`]) and returns immediately; the worker later pushes
-//! `(tag, result)` onto the caller's [`CompletionSink`] and runs its
-//! waker — how the reactor front door in `xq_server` gets completions
-//! back into an `epoll_wait` loop without parking a thread per
-//! connection. [`QueryService::run_batch`] is the blocking collector over
-//! it: it submits a batch tagged by position and reassembles the results
-//! in submission order. Documents cross threads as `Arc<ArenaDoc>` — the
+//! job queue (a mutex-guarded deque and a condition variable, so each
+//! job wakes exactly one idle worker). [`QueryService::try_submit`] is
+//! the one way in: it admits (or sheds) one tagged [`Request`] (query
+//! text + shared [`ArenaDoc`] + [`Budget`]) and returns immediately; the
+//! worker later pushes `(tag, result)` onto the caller's
+//! [`CompletionSink`] and runs its waker — how the reactor front door in
+//! `xq_server` gets completions back into an `epoll_wait` loop without
+//! parking a thread per connection. [`QueryService::run_batch`] is the
+//! blocking collector over it: it submits a batch tagged by position and
+//! reassembles the results in submission order. Documents cross threads as `Arc<ArenaDoc>` — the
 //! sharded global interner is what makes that legal — so a corpus is
 //! loaded once and served by every worker without copying.
 //!
@@ -20,6 +21,21 @@
 //! process, however many workers race on it — and runs on the bytecode
 //! VM via [`eval_compiled_par`](crate::eval_compiled_par), which also
 //! decides whether a threaded request shards.
+//!
+//! ## The cost record and the inline route
+//!
+//! Figure 1 is deterministic: a fixed query on a fixed document charges
+//! the same steps and yields the same answer on every run. So when a
+//! request succeeds sequentially, the worker records its exact cost —
+//! steps and answer bytes — on the compiled plan, keyed by the
+//! document's process-unique [`ArenaDoc::id`]
+//! ([`CompiledPlan::record_cost`](crate::CompiledPlan::record_cost)).
+//! [`QueryService::try_serve_inline`] reads that record: a single-threaded
+//! request whose plan is cached and whose pair last cost at most
+//! [`INLINE_MAX_STEPS`] steps and [`INLINE_MAX_BYTES`] bytes is served on
+//! the *calling* thread, under the same unwind fence, fault points and
+//! budget a worker applies, with no queue handoff and no wake. Every
+//! other request is left to [`QueryService::try_submit`].
 //!
 //! ## Fault containment
 //!
@@ -44,7 +60,7 @@
 //!   drop sentinel and respawns the worker under a bounded restart
 //!   budget with exponential backoff. A pool whose budget is exhausted
 //!   degrades instead of hanging: the supervisor itself drains the job
-//!   channel, answering `Internal` — callers always get replies.
+//!   queue, answering `Internal` — callers always get replies.
 //!
 //! Failure paths are exercised deterministically through the seeded
 //! [`Faults`] registry in [`crate::fault`];
@@ -60,13 +76,13 @@
 
 use crate::fault::{FaultPoint, Faults, INJECTED_PANIC_PREFIX};
 use crate::semantics::{Budget, XqError};
-use crate::vm::PlanCache;
-use cv_xtree::{ArenaDoc, Tree};
-use std::collections::HashMap;
+use crate::vm::{PlanCache, RunCost};
+use cv_xtree::ArenaDoc;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -258,13 +274,13 @@ impl Delivery {
     }
 }
 
+/// The `Internal` message of a request whose reply was never delivered.
+const ABANDONED: &str = "request abandoned before completion (worker crash or service shutdown)";
+
 impl Drop for Delivery {
     fn drop(&mut self) {
         if self.sink.is_some() {
-            self.send(Err(ServiceError::Internal(
-                "request abandoned before completion (worker crash or service shutdown)"
-                    .to_string(),
-            )));
+            self.send(Err(ServiceError::Internal(ABANDONED.to_string())));
         }
     }
 }
@@ -282,6 +298,63 @@ struct Job {
 }
 
 type Reply = (u64, Result<String, ServiceError>);
+
+/// The shared job queue: a deque under a mutex plus a condition variable.
+/// A push wakes one parked worker (`notify_one`); a worker holds the lock
+/// only to pop, and parks on the condition variable, not on the mutex, so
+/// handing over a job wakes one thread once.
+#[derive(Default)]
+struct JobQueue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct QueueState {
+    jobs: VecDeque<Job>,
+    /// Set when the service drops: poppers drain what is left, then stop.
+    closed: bool,
+}
+
+impl JobQueue {
+    /// A poisoned lock is recovered, not propagated: every critical
+    /// section is one deque operation or one flag store, so the state is
+    /// sound after a panic — and propagating would crash-loop every
+    /// worker in turn.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push(&self, job: Job) {
+        self.lock().jobs.push_back(job);
+        self.ready.notify_one();
+    }
+
+    /// The next job, parking while the queue is empty; `None` once the
+    /// queue is closed and drained.
+    fn pop(&self) -> Option<Job> {
+        let mut state = self.lock();
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Closes the queue: jobs already in it are still handed out, then
+    /// every parked popper wakes to `None`.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+    }
+}
 
 /// The delivery end of [`QueryService::try_submit`]: a completion channel
 /// plus a wake callback, bundled so pool workers can hand results back to
@@ -314,7 +387,7 @@ enum Notice {
     /// The worker thread is unwinding from an escaped panic: join the
     /// corpse, consider a respawn.
     Died(usize),
-    /// The worker exited cleanly (jobs channel closed — shutdown).
+    /// The worker exited cleanly (job queue closed — shutdown).
     Exited(usize),
     /// The service is dropping: join everything and return.
     Shutdown,
@@ -345,10 +418,8 @@ impl Drop for Sentinel {
 
 /// State shared by the workers, the supervisor, and the service handle.
 struct Pool {
-    /// The shared job queue. Living inside the pool (which the service
-    /// handle keeps alive), the receiver cannot drop while the service
-    /// exists — the invariant that makes `try_submit`'s send infallible.
-    jobs_rx: Mutex<Receiver<Job>>,
+    /// The shared job queue, closed when the service drops.
+    jobs: JobQueue,
     faults: Option<Arc<Faults>>,
     /// Jobs admitted but not yet picked up by a worker: each holds one of
     /// the `queue_capacity` admission slots, claimed by
@@ -378,23 +449,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The worker body: receive, evaluate under the unwind fence, deliver.
+/// The worker body: pop, evaluate under the unwind fence, deliver —
+/// until the service drops and the queue drains.
 fn worker_loop(pool: &Pool) {
-    loop {
-        // Lock only around the receive so idle workers never block a
-        // busy one. A poisoned mutex is recovered, not propagated: the
-        // critical section is a single `recv()` (no data structure to
-        // half-update), so the receiver is still sound after a panic —
-        // and propagating would crash-loop every worker in turn.
-        let job = match pool
-            .jobs_rx
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .recv()
-        {
-            Ok(job) => job,
-            Err(_) => break, // service dropped: shut down
-        };
+    while let Some(job) = pool.jobs.pop() {
         run_job(pool, job);
     }
 }
@@ -411,30 +469,32 @@ fn run_job(pool: &Pool, job: Job) {
     drop(queued);
     let in_flight = GaugeGuard::claim(&pool.in_flight);
     let faults = pool.faults.as_deref();
-    // The unwind fence. `AssertUnwindSafe` is justified by audit:
-    // * `request` is shared immutable state (Arc'd query text, document,
-    //   budget clone) — nothing to corrupt.
-    // * The document's shared tree is a `OnceLock`: a panic inside its
-    //   build leaves it uninitialized, and the next caller builds again.
-    // * The process-wide plan cache and label interner are lock-striped;
-    //   their locks recover from poisoning (`PoisonError::into_inner`)
-    //   and every write is insert-after-construct, so a panic under a
-    //   write lock at worst loses the entry being inserted.
-    let result = catch_unwind(AssertUnwindSafe(|| serve(&request, faults)));
+    let result = fenced_serve(pool, &request);
     // Gauge before reply: a collected batch implies `in_flight` has
     // already been released for each of its requests (tests assert the
     // gauges are zero immediately after `run_batch` returns).
     drop(in_flight);
-    match result {
-        Ok(result) => delivery.deliver(result, faults),
-        Err(payload) => {
+    delivery.deliver(result, faults);
+}
+
+/// [`serve`] under the unwind fence: a panic is counted and answered
+/// `Internal`. `AssertUnwindSafe` is justified by audit:
+/// * `request` is shared immutable state (Arc'd query text, document,
+///   budget clone) — nothing to corrupt.
+/// * The document's shared tree is a `OnceLock`: a panic inside its
+///   build leaves it uninitialized, and the next caller builds again.
+/// * The process-wide plan cache and label interner are lock-striped;
+///   their locks recover from poisoning (`PoisonError::into_inner`)
+///   and every write is insert-after-construct, so a panic under a
+///   write lock at worst loses the entry being inserted. A plan's cost
+///   log recovers the same way, and its one write is a single store.
+fn fenced_serve(pool: &Pool, request: &Request) -> Result<String, ServiceError> {
+    catch_unwind(AssertUnwindSafe(|| serve(request, pool.faults.as_deref()))).unwrap_or_else(
+        |payload| {
             pool.contained.fetch_add(1, Ordering::SeqCst);
-            delivery.deliver(
-                Err(ServiceError::Internal(panic_message(payload.as_ref()))),
-                faults,
-            );
-        }
-    }
+            Err(ServiceError::Internal(panic_message(payload.as_ref())))
+        },
+    )
 }
 
 /// Spawns one worker thread. The `alive` gauge counts the worker before
@@ -487,7 +547,7 @@ fn supervise(
             // means it dropped without a Shutdown notice — treat as one.
             Err(_) | Ok(Notice::Shutdown) => break,
             Ok(Notice::Exited(id)) => {
-                // Clean exits only happen once the jobs channel closed:
+                // Clean exits only happen once the job queue closed:
                 // shutdown is underway, stop supervising as the pool
                 // winds down.
                 if let Some(h) = handles.remove(&id) {
@@ -533,27 +593,18 @@ fn supervise(
         }
     }
     // Shutdown (or total collapse): join whatever is still running —
-    // workers exit when the jobs channel closes.
+    // workers exit when the job queue closes.
     for (_, h) in handles.drain() {
         let _ = h.join();
     }
 }
 
-/// The dead pool's answering service: drain the job channel, answering
+/// The dead pool's answering service: drain the job queue, answering
 /// every job `Internal`, until the service drops. Runs on the
 /// supervisor thread; injection is off here (`faults: None`) so a
 /// certain `completion-drop` can't crash-loop the last line of defense.
 fn degraded_drain(pool: &Pool) {
-    loop {
-        let job = match pool
-            .jobs_rx
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .recv()
-        {
-            Ok(job) => job,
-            Err(_) => break,
-        };
+    while let Some(job) = pool.jobs.pop() {
         let Job {
             request: _,
             delivery,
@@ -572,7 +623,6 @@ fn degraded_drain(pool: &Pool) {
 /// A supervised pool of evaluation workers serving batches of requests;
 /// see the module docs for the data flow and the containment story.
 pub struct QueryService {
-    jobs: Option<Sender<Job>>,
     notices: Sender<Notice>,
     supervisor: Option<JoinHandle<()>>,
     pool: Arc<Pool>,
@@ -604,10 +654,32 @@ fn serve(request: &Request, faults: Option<&Faults>) -> Result<String, ServiceEr
     let plan = PlanCache::global()
         .get_or_compile(&request.query)
         .map_err(|e| ServiceError::Parse(e.to_string()))?;
-    let (out, _) = crate::eval_compiled_par(&plan, &request.doc, request.budget.clone())
+    let (out, stats) = crate::eval_compiled_par(&plan, &request.doc, request.budget.clone())
         .map_err(|e| ServiceError::from_eval(&e))?;
-    Ok(out.iter().map(Tree::to_xml).collect())
+    let mut xml = String::new();
+    for tree in &out {
+        tree.write_xml(&mut xml);
+    }
+    // A sharded run charges its own step count; only the sequential VM's
+    // is the pair's exact cost.
+    if !stats.parallelized {
+        plan.record_cost(
+            request.doc.id(),
+            RunCost {
+                steps: stats.steps,
+                bytes: xml.len() as u64,
+            },
+        );
+    }
+    Ok(xml)
 }
+
+/// The inline route's step ceiling: a pair that last cost more steps
+/// than this goes to the pool.
+pub const INLINE_MAX_STEPS: u64 = 256;
+
+/// The inline route's answer-size ceiling, in bytes of XML.
+pub const INLINE_MAX_BYTES: u64 = 16 * 1024;
 
 impl QueryService {
     /// Spawns a pool of `workers` evaluation threads (at least 1).
@@ -622,9 +694,8 @@ impl QueryService {
     /// supervision parameters.
     pub fn with_config(config: PoolConfig) -> QueryService {
         let workers = config.workers.max(1);
-        let (jobs_tx, jobs_rx) = channel::<Job>();
         let pool = Arc::new(Pool {
-            jobs_rx: Mutex::new(jobs_rx),
+            jobs: JobQueue::default(),
             faults: config.faults,
             queued: Arc::new(AtomicUsize::new(0)),
             in_flight: Arc::new(AtomicUsize::new(0)),
@@ -662,7 +733,6 @@ impl QueryService {
                 .expect("spawning the pool supervisor")
         };
         QueryService {
-            jobs: Some(jobs_tx),
             notices: notices_tx,
             supervisor: Some(supervisor),
             pool,
@@ -761,21 +831,59 @@ impl QueryService {
         let Some(queued) = self.admit() else {
             return false;
         };
-        // Invariant (documented survivor): `jobs` is only taken in
-        // `Drop`, which consumes the service — no call can race it.
-        let jobs = self.jobs.as_ref().expect("service not shut down");
-        jobs.send(Job {
+        // The queue closes only in `Drop`, which consumes the service, so
+        // every pushed job is popped — by a worker, or by the supervisor
+        // draining a collapsed pool — or dropped with the pool, which
+        // answers it `Internal`.
+        self.pool.jobs.push(Job {
             request,
             delivery: Delivery::new(tag, sink.clone()),
             queued,
-        })
-        // Invariant (documented survivor): the send fails only if the
-        // receiver dropped, and the receiver lives in `self.pool` — it
-        // cannot drop while `&self` exists. Worker deaths don't matter:
-        // the channel outlives them, and even a fully-collapsed pool
-        // leaves the supervisor draining it.
-        .expect("job receiver owned by the service's own pool");
+        });
         true
+    }
+
+    /// Serves `request` on the calling thread when the pool has measured
+    /// it as cheap, and returns `None` — having done nothing — otherwise;
+    /// the caller then submits it through [`QueryService::try_submit`].
+    ///
+    /// A request is served here only if its budget is single-threaded,
+    /// its plan is already cached (a probe: this never compiles), and the
+    /// plan's cost record for this very document says a run took at most
+    /// [`INLINE_MAX_STEPS`] steps and [`INLINE_MAX_BYTES`] bytes. Figure 1
+    /// is deterministic, so that record is what this run will cost too.
+    ///
+    /// It is served exactly as a worker would serve it: the admission
+    /// decision (with its `submit-refusal` point) answers
+    /// [`ServiceError::Overloaded`] when it sheds; evaluation runs under
+    /// the unwind fence (`worker-panic`, `slow-eval`); and a fired
+    /// `completion-drop` answers the same `Internal` a worker dying
+    /// mid-delivery leaves behind — without unwinding the caller. The
+    /// admission slot is released at once and `in_flight` counts the
+    /// evaluation, so the gauges read as they would for a pool request.
+    pub fn try_serve_inline(&self, request: &Request) -> Option<Result<String, ServiceError>> {
+        if request.budget.threads.count() > 1 {
+            return None;
+        }
+        let cost = PlanCache::global()
+            .get(&request.query)?
+            .recorded_cost(request.doc.id())?;
+        if cost.steps > INLINE_MAX_STEPS || cost.bytes > INLINE_MAX_BYTES {
+            return None;
+        }
+        let Some(queued) = self.admit() else {
+            return Some(Err(ServiceError::Overloaded));
+        };
+        drop(queued);
+        let in_flight = GaugeGuard::claim(&self.pool.in_flight);
+        let result = fenced_serve(&self.pool, request);
+        drop(in_flight);
+        if let Some(f) = &self.pool.faults {
+            if f.fires(FaultPoint::CompletionDrop) {
+                return Some(Err(ServiceError::Internal(ABANDONED.to_string())));
+            }
+        }
+        Some(result)
     }
 
     /// Runs a batch: submits each request through
@@ -815,10 +923,10 @@ impl QueryService {
 
 impl Drop for QueryService {
     fn drop(&mut self) {
-        // Closing the job channel is the workers' shutdown signal; the
-        // explicit notice is the supervisor's (it can't watch the
-        // channel — it waits on death notices).
-        self.jobs.take();
+        // Closing the job queue is the workers' shutdown signal (they
+        // drain it first); the explicit notice is the supervisor's (it
+        // can't watch the queue — it waits on death notices).
+        self.pool.jobs.close();
         let _ = self.notices.send(Notice::Shutdown);
         if let Some(s) = self.supervisor.take() {
             // The supervisor joins every worker before returning.
@@ -831,7 +939,7 @@ impl Drop for QueryService {
 mod tests {
     use super::*;
     use crate::eval_query;
-    use cv_xtree::{random_tree, TreeGen};
+    use cv_xtree::{random_tree, Tree, TreeGen};
 
     fn corpus() -> Vec<Arc<ArenaDoc>> {
         (0..3u64)
@@ -1048,11 +1156,120 @@ mod tests {
                 .iter()
                 .any(|r| matches!(r, Err(ServiceError::Parse(_)))));
             assert!(want.iter().any(|r| matches!(r, Err(ServiceError::Eval(_)))));
-            let got = service.run_batch(requests);
+            let got = service.run_batch(requests.clone());
             assert_eq!(
                 got, want,
                 "pool diverged from the interpreter at {threads:?}"
             );
+            // The pool has now recorded the successful pairs, so a cheap
+            // single-threaded repeat is served inline — with the same
+            // bytes. (Concurrent tests share these texts' plans and may
+            // push a pair out of its plan's bounded log; that pair just
+            // goes to the pool.)
+            let mut inline = 0;
+            for (request, want) in requests.iter().zip(&want) {
+                if let Some(got) = service.try_serve_inline(request) {
+                    assert_eq!(&got, want, "inline diverged on {}", request.query);
+                    inline += 1;
+                }
+            }
+            assert_eq!(
+                inline > 0,
+                threads == Threads::One,
+                "{inline} inline answers at {threads:?}"
+            );
+        }
+    }
+
+    /// A service whose every request draws `spec` at certainty.
+    fn faulted(spec: &str) -> QueryService {
+        QueryService::with_config(PoolConfig {
+            workers: 1,
+            faults: Some(Arc::new(Faults::from_spec(spec, 0).unwrap())),
+            ..PoolConfig::default()
+        })
+    }
+
+    #[test]
+    fn only_recorded_cheap_single_threaded_pairs_are_served_inline() {
+        use crate::semantics::Threads;
+        let docs = corpus();
+        let service = QueryService::new(2);
+        let cheap = "for $inl in $root/* return <cheap>{ $inl }</cheap>";
+        let request = Request::new(cheap, docs[0].clone());
+        // A plan-cache miss is never served inline (and never compiles).
+        assert_eq!(service.try_serve_inline(&request), None);
+        assert_eq!(PlanCache::global().compile_count(cheap), 0);
+        let first = service.run_batch(vec![request.clone()]);
+        // The second identical request is served inline, same bytes.
+        assert_eq!(service.try_serve_inline(&request), Some(first[0].clone()));
+        // The same text on another document: not measured yet.
+        let other = Request::new(cheap, docs[1].clone());
+        assert_eq!(service.try_serve_inline(&other), None);
+        // A document built afresh from the same tree: a new identity.
+        let rebuilt = Arc::new(ArenaDoc::from_tree(&docs[0].to_tree()));
+        assert_eq!(
+            service.try_serve_inline(&Request::new(cheap, rebuilt)),
+            None
+        );
+        // A threaded budget always goes to the pool.
+        let mut threaded = request.clone();
+        threaded.budget = threaded.budget.with_threads(Threads::N(2));
+        assert_eq!(service.try_serve_inline(&threaded), None);
+        // An expensive pair stays with the pool however often it runs.
+        let costly = Request::new(
+            "for $p in $root//* return for $q in $root//* return <c/>",
+            docs[0].clone(),
+        );
+        service.run_batch(vec![costly.clone(), costly.clone()]);
+        let plan = PlanCache::global().get(&costly.query).unwrap();
+        assert!(plan.recorded_cost(docs[0].id()).unwrap().steps > INLINE_MAX_STEPS);
+        assert_eq!(service.try_serve_inline(&costly), None);
+        assert_eq!((service.queue_depth(), service.in_flight()), (0, 0));
+    }
+
+    #[test]
+    fn inline_requests_draw_the_pool_fault_points() {
+        let docs = corpus();
+        let text = "for $flt in $root/* return <fault_points>{ $flt }</fault_points>";
+        let request = Request::new(text, docs[2].clone());
+        let want = QueryService::new(1).run_batch(vec![request.clone()]);
+        assert!(want[0].is_ok());
+        // A refused admission sheds.
+        let refusing = faulted("submit-refusal=1");
+        assert_eq!(
+            refusing.try_serve_inline(&request),
+            Some(Err(ServiceError::Overloaded))
+        );
+        // A panicking evaluation is contained, as on a worker.
+        let panicking = faulted("worker-panic=1");
+        match panicking.try_serve_inline(&request) {
+            Some(Err(ServiceError::Internal(m))) => {
+                assert!(m.starts_with(INJECTED_PANIC_PREFIX), "{m}")
+            }
+            other => panic!("expected a contained panic, got {other:?}"),
+        }
+        assert_eq!(panicking.contained_panics(), 1);
+        // A stalled evaluation still answers.
+        let slow = faulted("slow-eval=1@1");
+        assert_eq!(slow.try_serve_inline(&request), Some(want[0].clone()));
+        // A dropped completion answers what a dead worker leaves behind,
+        // and kills nothing.
+        let dropping = faulted("completion-drop=1");
+        assert_eq!(
+            dropping.try_serve_inline(&request),
+            Some(Err(ServiceError::Internal(ABANDONED.to_string())))
+        );
+        assert_eq!(dropping.worker_deaths(), 0);
+        for (service, point) in [
+            (&refusing, FaultPoint::SubmitRefusal),
+            (&panicking, FaultPoint::WorkerPanic),
+            (&slow, FaultPoint::SlowEval),
+            (&dropping, FaultPoint::CompletionDrop),
+        ] {
+            let f = service.pool.faults.as_ref().unwrap();
+            assert_eq!((f.drawn(point), f.fired(point)), (1, 1), "{point:?}");
+            assert_eq!((service.queue_depth(), service.in_flight()), (0, 0));
         }
     }
 

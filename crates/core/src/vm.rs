@@ -10,7 +10,9 @@
 //! * [`compile`] — AST → instructions, static slot resolution for
 //!   binders, and the document-independent [`compile::par_hint`]; the
 //!   monad-algebra optimizer verdict ([`MaInfo`]) is computed on demand
-//!   for the disassembly, never on the compile path;
+//!   for the disassembly, never on the compile path; each plan also keeps
+//!   a small log of what it cost ([`RunCost`]) on the documents the
+//!   serving pool ran it on;
 //! * [`exec`] — the stack executor, byte- and budget-counter-identical
 //!   to [`eval_with`](crate::eval_with) (the `vm_diff` differential suite
 //!   is the proof obligation);
@@ -27,6 +29,6 @@ pub mod exec;
 pub mod ir;
 
 pub use cache::PlanCache;
-pub use compile::{compile_query, compile_query_text, par_hint, CompiledPlan, MaInfo};
+pub use compile::{compile_query, compile_query_text, par_hint, CompiledPlan, MaInfo, RunCost};
 pub use exec::{exec_doc, exec_query, exec_with};
 pub use ir::{InstrSeq, OpCode, VarRef};

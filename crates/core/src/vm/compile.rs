@@ -24,6 +24,7 @@
 use super::ir::{InstrSeq, OpCode, VarRef};
 use crate::ast::{Cond, Query, Var};
 use std::fmt::Write as _;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The `cv_monad::opt` verdict for a query's Figure 2 monad-algebra
 /// translation (absent when the query leaves the translatable fragment).
@@ -49,6 +50,48 @@ pub struct CompiledPlan {
     instrs: InstrSeq,
     slots: usize,
     par_hint: bool,
+    costs: CostLog,
+}
+
+/// What one successful sequential run of a plan cost on one document:
+/// the Figure 1 steps it charged and the bytes of its serialized answer.
+/// Figure 1 is deterministic, so every run of the same plan on the same
+/// document costs exactly this.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RunCost {
+    /// Evaluation steps (`EvalStats::steps`).
+    pub steps: u64,
+    /// Length of the answer's XML text.
+    pub bytes: u64,
+}
+
+/// Documents whose cost one plan remembers.
+const COST_SLOTS: usize = 16;
+
+/// A plan's recorded costs, keyed by [`ArenaDoc::id`](cv_xtree::ArenaDoc::id):
+/// at most [`COST_SLOTS`] documents, a new one replacing the entry at
+/// `id % COST_SLOTS` once the log is full. Cloning a plan copies its log.
+#[derive(Default)]
+struct CostLog(Mutex<Vec<(u64, RunCost)>>);
+
+impl CostLog {
+    fn entries(&self) -> MutexGuard<'_, Vec<(u64, RunCost)>> {
+        // Every critical section is a scan plus one store, so a poisoned
+        // log is still consistent.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for CostLog {
+    fn clone(&self) -> CostLog {
+        CostLog(Mutex::new(self.entries().clone()))
+    }
+}
+
+impl std::fmt::Debug for CostLog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "CostLog({} documents)", self.entries().len())
+    }
 }
 
 impl CompiledPlan {
@@ -78,6 +121,28 @@ impl CompiledPlan {
     /// hint: planning may still come back non-engaging.
     pub fn par_hint(&self) -> bool {
         self.par_hint
+    }
+
+    /// Records what a successful sequential run of this plan cost on the
+    /// document with id `doc` ([`ArenaDoc::id`](cv_xtree::ArenaDoc::id)).
+    pub fn record_cost(&self, doc: u64, cost: RunCost) {
+        let mut entries = self.costs.entries();
+        if let Some(e) = entries.iter_mut().find(|(d, _)| *d == doc) {
+            e.1 = cost;
+        } else if entries.len() < COST_SLOTS {
+            entries.push((doc, cost));
+        } else {
+            entries[doc as usize % COST_SLOTS] = (doc, cost);
+        }
+    }
+
+    /// The cost recorded for the document with id `doc`, if any.
+    pub fn recorded_cost(&self, doc: u64) -> Option<RunCost> {
+        self.costs
+            .entries()
+            .iter()
+            .find(|(d, _)| *d == doc)
+            .map(|(_, c)| *c)
     }
 
     /// The `cv_monad::opt` verdict, if the query translates: the Figure 2
@@ -158,6 +223,7 @@ fn compile_with_source(q: &Query, source: Option<String>) -> CompiledPlan {
         instrs: InstrSeq::from_ops(c.ops),
         slots: c.slots,
         par_hint: par_hint(q),
+        costs: CostLog::default(),
     }
 }
 

@@ -161,24 +161,34 @@ impl Frame {
     }
 }
 
-/// Writes `s` as a JSON string literal into `out`.
+/// Writes `s` as a JSON string literal into `out`. Runs of bytes that
+/// need no escape are copied whole; every byte that does is ASCII, so
+/// the run boundaries are char boundaries.
 fn encode_str(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0x00..=0x1F => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -261,12 +271,11 @@ impl Parser<'_> {
         loop {
             let start = self.pos;
             // Fast path: run of plain bytes up to the next quote/escape.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
+            let rest = &self.bytes[start..];
+            self.pos += rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
             // The slice is valid UTF-8 by construction (src is a &str and
             // we only stop on ASCII boundaries).
             out.push_str(&self.src[start..self.pos]);
@@ -344,6 +353,46 @@ mod tests {
         // Escaped input parses too, including a surrogate pair.
         let f = Frame::parse(r#"{"s":"aéb😀c\/d"}"#).unwrap();
         assert_eq!(f.get_str("s"), Some("aéb\u{1F600}c/d"));
+    }
+
+    #[test]
+    fn byte_runs_encode_exactly_as_char_by_char_escaping() {
+        // The per-char encoder the byte-run one replaced, as the reference.
+        fn reference(s: &str) -> String {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    '\u{08}' => out.push_str("\\b"),
+                    '\u{0C}' => out.push_str("\\f"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        let every_ascii: String = (0u8..0x80).map(char::from).collect();
+        for s in [
+            "",
+            "plain <a><b/></a>",
+            "\"",
+            "é\u{1F600}\n\u{7f}\u{1f}end",
+            "\\\\\"\"\u{0}",
+            &every_ascii,
+        ] {
+            let mut got = String::new();
+            encode_str(&mut got, s);
+            assert_eq!(got, reference(s), "{s:?}");
+            let parsed = Frame::parse(&format!("{{\"s\":{got}}}")).unwrap();
+            assert_eq!(parsed.get_str("s"), Some(s));
+        }
     }
 
     #[test]

@@ -21,6 +21,15 @@
 //!   reactor-chosen ticket. The pool worker evaluates and pushes
 //!   `(ticket, result)` onto the completion queue
 //!   ([`xq_core::CompletionSink`]), then wakes the eventfd.
+//! * A repeat request the pool has already measured as cheap skips that
+//!   handoff: [`QueryService::try_serve_inline`] answers it on the
+//!   reactor thread when its plan is cached, its budget single-threaded
+//!   and its (plan, document) pair last cost at most
+//!   [`xq_core::service::INLINE_MAX_STEPS`] steps and
+//!   [`xq_core::service::INLINE_MAX_BYTES`] bytes — no ticket, no cancel
+//!   flag, no eventfd wake. Only a connection with no pool answer
+//!   outstanding is served inline, so an inline answer never waits
+//!   behind a pool one.
 //! * Responses to `query` frames flow through a per-connection FIFO
 //!   (`pending` ids + out-of-order `done` results), so a pipelining
 //!   client reads answers in the order it sent queries — exactly the
@@ -208,6 +217,11 @@ pub struct ServerStats {
     /// Query frames answered `internal_error` (a contained panic, a
     /// crashed worker, or an exhausted restart budget).
     pub internal_errors: AtomicU64,
+    /// Query frames answered on the reactor thread by the inline route
+    /// ([`QueryService::try_serve_inline`]), whatever the outcome. Every
+    /// other query frame that passed validation and the rate limit went
+    /// to the pool.
+    pub inline: AtomicU64,
     /// Times a connection hit the write high-water mark and was corked
     /// (stopped being polled readable until its buffer drained).
     pub backpressured: AtomicU64,
@@ -951,8 +965,8 @@ impl Reactor {
         }
     }
 
-    /// A `query` frame: validate, rate-limit, register the cancel flag,
-    /// and hand off to the pool.
+    /// A `query` frame: validate, rate-limit, then answer it inline or
+    /// register its cancel flag and hand it off to the pool.
     fn handle_query(&mut self, token: u64, frame: &Frame) {
         let Some(id) = frame.get_uint("id") else {
             self.respond(token, bad_request("query needs a numeric id"));
@@ -1035,16 +1049,37 @@ impl Reactor {
                 return;
             }
         }
-        let flag = CancelFlag::new();
+        // The `overloaded` hint, taken while no connection is borrowed.
+        let retry_ms = self.overload_retry_ms();
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let mut budget = conn.budget.clone().with_cancel(flag.clone());
-        if let Some(ms) = frame.get_uint("deadline_ms") {
-            budget = budget.with_deadline_in(Duration::from_millis(ms));
-        }
         let mut request = Request::new(query, Arc::clone(doc));
-        request.budget = budget;
+        request.budget = conn.budget.clone();
+        if let Some(ms) = frame.get_uint("deadline_ms") {
+            request.budget = request.budget.with_deadline_in(Duration::from_millis(ms));
+        }
+        // The inline route: a request the pool has measured as cheap is
+        // answered here, into the FIFO slot a pool completion would fill.
+        // Only while this connection waits on no pool answer: an inline
+        // answer queued behind one would gain nothing, and serving in
+        // request order keeps each fault point's draws in request order
+        // on a connection, so a seeded run replays exactly.
+        if conn.flags.is_empty() {
+            if let Some(result) = self.service.try_serve_inline(&request) {
+                self.stats.inline.fetch_add(1, Ordering::Relaxed);
+                let shed = matches!(result, Err(ServiceError::Overloaded));
+                let mut frame = render(&self.stats, id, result);
+                if shed {
+                    frame = frame.uint("retry_after_ms", retry_ms);
+                }
+                conn.pending.push_back(id);
+                conn.done.insert(id, frame);
+                return;
+            }
+        }
+        let flag = CancelFlag::new();
+        request.budget = request.budget.with_cancel(flag.clone());
         // Register before submitting: a cancel (or EOF) racing the
         // evaluation must still reach the flag.
         conn.pending.push_back(id);
@@ -1059,10 +1094,7 @@ impl Reactor {
             // plausibly freed.
             self.routes.remove(&ticket);
             let frame = render(&self.stats, id, Err(ServiceError::Overloaded))
-                .uint("retry_after_ms", self.overload_retry_ms());
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
+                .uint("retry_after_ms", retry_ms);
             conn.flags.remove(&id);
             conn.done.insert(id, frame);
         }

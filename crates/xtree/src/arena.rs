@@ -43,6 +43,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, OnceLock, PoisonError, RwLock};
 
 /// An interned label: a `u32` handle into the global sharded
@@ -385,6 +386,9 @@ pub struct ArenaDoc {
     /// so turning a node into a `Tree` is an `Arc` clone. 8 bytes per
     /// node on top of the tree itself.
     nodes: OnceLock<Vec<Tree>>,
+    /// Process-unique identity, assigned when construction finishes; see
+    /// [`ArenaDoc::id`].
+    id: u64,
     // Every field is plain data (`LabelId`s resolve through the global
     // interner) or `Arc`-backed `Tree`s behind a `OnceLock`, so
     // `ArenaDoc` is automatically `Send + Sync` — asserted at compile
@@ -429,6 +433,7 @@ impl ArenaBuilder {
                 child_ids: Vec::with_capacity(nodes.saturating_sub(1)),
                 subtree_ends: Vec::with_capacity(nodes),
                 nodes: OnceLock::new(),
+                id: 0,
             },
             stack: Vec::new(),
             scratch: Vec::new(),
@@ -477,14 +482,25 @@ impl ArenaBuilder {
     /// Finishes construction. Panics unless exactly one root was built and
     /// every `open` was closed (malformed input should be rejected earlier,
     /// by [`ArenaDoc::parse`]).
-    pub fn finish(self) -> ArenaDoc {
+    pub fn finish(mut self) -> ArenaDoc {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
         assert!(self.stack.is_empty(), "unclosed node in ArenaBuilder");
         assert_eq!(self.roots, 1, "ArenaDoc holds exactly one root");
+        self.doc.id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
         self.doc
     }
 }
 
 impl ArenaDoc {
+    /// This document's process-unique identity: no two documents built in
+    /// one process share an id, even documents with equal contents, and
+    /// an id is never reused. A document is immutable once built, so a
+    /// fact measured on one (say, what a query cost on it) stays true
+    /// for as long as its id is seen.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
     /// Builds the arena for `tree` (lossless; see [`ArenaDoc::to_tree`]).
     pub fn from_tree(tree: &Tree) -> ArenaDoc {
         let mut b = ArenaBuilder::with_capacity(tree.size() as usize);
