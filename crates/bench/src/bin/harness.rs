@@ -489,11 +489,24 @@ fn t16_json(rows: &[T16Row]) -> String {
     table_json("T16", &[], &rows, None)
 }
 
-/// One T18 measurement: a configuration's total and per-unit latency.
+/// One T18 measurement: a configuration's total and per-unit latency,
+/// plus any fields of its own (preformatted JSON members).
 struct T18Row {
     label: &'static str,
     total_us: f64,
     per_unit_us: f64,
+    extra: String,
+}
+
+impl T18Row {
+    fn timing(label: &'static str, total_us: f64, per_unit_us: f64) -> T18Row {
+        T18Row {
+            label,
+            total_us,
+            per_unit_us,
+            extra: String::new(),
+        }
+    }
 }
 
 fn t18_vm() -> Vec<T18Row> {
@@ -542,26 +555,10 @@ fn t18_vm() -> Vec<T18Row> {
         println!("| {label} | {us:.1} | {:.2}x |", interp_us / us);
     }
     println!("\nCompile cost (amortized by the cache): {compile_us:.1} µs/plan");
-    rows.push(T18Row {
-        label: "interp_eval",
-        total_us: interp_us,
-        per_unit_us: interp_us,
-    });
-    rows.push(T18Row {
-        label: "interp_parse_eval",
-        total_us: reparse_us,
-        per_unit_us: reparse_us,
-    });
-    rows.push(T18Row {
-        label: "vm_exec",
-        total_us: vm_us,
-        per_unit_us: vm_us,
-    });
-    rows.push(T18Row {
-        label: "compile",
-        total_us: compile_us,
-        per_unit_us: compile_us,
-    });
+    rows.push(T18Row::timing("interp_eval", interp_us, interp_us));
+    rows.push(T18Row::timing("interp_parse_eval", reparse_us, reparse_us));
+    rows.push(T18Row::timing("vm_exec", vm_us, vm_us));
+    rows.push(T18Row::timing("compile", compile_us, compile_us));
 
     // The serving benchmark's `heavy-eval` request: the T16 cross-join on
     // the depth-8 binary doubling document, wrapped in one element. Here
@@ -625,21 +622,17 @@ fn t18_vm() -> Vec<T18Row> {
     ] {
         println!("| {label} | {us:.1} | {:.2}x |", heavy_interp_us / us);
     }
-    rows.push(T18Row {
-        label: "heavy_interp_eval",
-        total_us: heavy_interp_us,
-        per_unit_us: heavy_interp_us,
-    });
-    rows.push(T18Row {
-        label: "heavy_vm_exec",
-        total_us: heavy_vm_us,
-        per_unit_us: heavy_vm_us,
-    });
-    rows.push(T18Row {
-        label: "heavy_vm_exec_arena",
-        total_us: heavy_arena_us,
-        per_unit_us: heavy_arena_us,
-    });
+    rows.push(T18Row::timing(
+        "heavy_interp_eval",
+        heavy_interp_us,
+        heavy_interp_us,
+    ));
+    rows.push(T18Row::timing("heavy_vm_exec", heavy_vm_us, heavy_vm_us));
+    rows.push(T18Row::timing(
+        "heavy_vm_exec_arena",
+        heavy_arena_us,
+        heavy_arena_us,
+    ));
 
     // The service row: the exact T16 batch shape (64 requests over 4
     // docs, 4 workers, one hot query). Workers hit the global plan cache,
@@ -672,11 +665,11 @@ fn t18_vm() -> Vec<T18Row> {
          ({:.1} µs/request, median of {T18_BATCH_RUNS} runs)",
         batch_us / 64.0
     );
-    rows.push(T18Row {
-        label: "service_cached_vm",
-        total_us: batch_us,
-        per_unit_us: batch_us / 64.0,
-    });
+    rows.push(T18Row::timing(
+        "service_cached_vm",
+        batch_us,
+        batch_us / 64.0,
+    ));
 
     // The parallel entry point still engages through a compiled plan.
     let arena = &docs[0];
@@ -687,8 +680,98 @@ fn t18_vm() -> Vec<T18Row> {
         stats.parallelized, stats.workers
     );
 
+    rows.push(t18_plan_cache_flood());
+
     println!("\nShape: the VM wins by skipping per-request parse + scope re-resolution; the plan cache amortizes compilation to zero on hot queries, so a served request pays one cache probe plus the VM's evaluation.");
     rows
+}
+
+/// Hot texts of the flood: `many-small`'s hot-set size.
+const FLOOD_HOT: usize = 256;
+/// One-shot texts of the flood, each followed by `FLOOD_HITS` hot hits
+/// (`many-small` sends one fresh text in eight requests).
+const FLOOD_ONE_SHOTS: usize = 20_000;
+const FLOOD_HITS: usize = 7;
+
+/// The `plan_cache_flood` row: `many-small`'s plan-cache traffic on a
+/// private cache — distinct coverage-corpus texts as the hot set, then
+/// one-shot texts shaped like servebench's fresh ones. Self-checking: no
+/// hot text recompiles after warm-up and the cache stays within its
+/// capacity. Reports the resident plans and the RSS the flood added.
+fn t18_plan_cache_flood() -> T18Row {
+    use std::collections::HashSet;
+    use std::sync::Arc;
+    use xq_core::PlanCache;
+
+    let mut seen = HashSet::new();
+    let hot: Vec<String> = xq_bench::coverage_corpus(4 * FLOOD_HOT)
+        .iter()
+        .map(ToString::to_string)
+        .filter(|t| seen.insert(t.clone()))
+        .take(FLOOD_HOT)
+        .collect();
+    assert_eq!(hot.len(), FLOOD_HOT, "corpus too small for the hot set");
+    let cache = PlanCache::new();
+    let mut plans: Vec<_> = hot
+        .iter()
+        .map(|t| cache.get_or_compile(t).expect("corpus text parses"))
+        .collect();
+    let rss_before = rss_kb();
+    let (mut next, mut recompiles) = (0, 0);
+    let start = Instant::now();
+    for seq in 0..FLOOD_ONE_SHOTS {
+        let base = &hot[seq % FLOOD_HOT];
+        cache
+            .get_or_compile(&format!("let $f0n{seq} := <f/> return ({base})"))
+            .expect("fresh text parses");
+        for _ in 0..FLOOD_HITS {
+            let plan = cache.get_or_compile(&hot[next]).unwrap();
+            if !Arc::ptr_eq(&plan, &plans[next]) {
+                recompiles += 1;
+                plans[next] = plan;
+            }
+            next = (next + 1) % FLOOD_HOT;
+        }
+    }
+    let total_us = start.elapsed().as_secs_f64() * 1e6;
+    let rss_delta_mb = (rss_kb() as f64 - rss_before as f64) / 1024.0;
+    let resident = cache.len();
+    let requests = FLOOD_ONE_SHOTS * (FLOOD_HITS + 1);
+    println!(
+        "\nPlan-cache flood ({FLOOD_HOT} hot texts, then {FLOOD_ONE_SHOTS} one-shot texts \
+         each followed by {FLOOD_HITS} hot hits): {resident} plans resident \
+         (capacity {}), {recompiles} hot recompiles, RSS {rss_delta_mb:+.1} MB, \
+         {:.2} µs/request",
+        PlanCache::CAPACITY,
+        total_us / requests as f64
+    );
+    assert_eq!(recompiles, 0, "a hot text was evicted by one-shot texts");
+    assert!(
+        resident <= PlanCache::CAPACITY,
+        "the plan cache outgrew its capacity"
+    );
+    T18Row {
+        label: "plan_cache_flood",
+        total_us,
+        per_unit_us: total_us / requests as f64,
+        extra: format!(
+            ", \"resident_plans\": {resident}, \"hot_recompiles\": {recompiles}, \
+             \"rss_delta_mb\": {rss_delta_mb:.1}"
+        ),
+    }
+}
+
+/// This process's resident set size in KiB (`VmRSS`; 0 where
+/// `/proc/self/status` is unavailable).
+fn rss_kb() -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find_map(|l| l.strip_prefix("VmRSS:"))
+                .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        })
+        .unwrap_or(0)
 }
 
 /// One T19 measurement: a closed-loop client count's serving profile
@@ -1498,8 +1581,8 @@ fn t18_json(rows: &[T18Row]) -> String {
         .iter()
         .map(|r| {
             format!(
-                "\"label\": \"{}\", \"total_us\": {:.1}, \"per_unit_us\": {:.2}",
-                r.label, r.total_us, r.per_unit_us
+                "\"label\": \"{}\", \"total_us\": {:.1}, \"per_unit_us\": {:.2}{}",
+                r.label, r.total_us, r.per_unit_us, r.extra
             )
         })
         .collect();

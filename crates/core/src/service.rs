@@ -16,11 +16,10 @@
 //! loaded once and served by every worker without copying.
 //!
 //! Workers do not parse per request: query text resolves through the
-//! process-wide [`PlanCache`] to a
-//! [`CompiledPlan`](crate::vm::CompiledPlan) — compiled exactly once per
-//! process, however many workers race on it — and runs on the bytecode
-//! VM via [`eval_compiled_par`](crate::eval_compiled_par), which also
-//! decides whether a threaded request shards.
+//! process-wide [`PlanCache`] to a [`CompiledPlan`] — compiled once
+//! while it stays cached, however many workers race on it — and runs on
+//! the bytecode VM via [`eval_compiled_par`](crate::eval_compiled_par),
+//! which also decides whether a threaded request shards.
 //!
 //! ## The cost record and the inline route
 //!
@@ -76,7 +75,7 @@
 
 use crate::fault::{FaultPoint, Faults, INJECTED_PANIC_PREFIX};
 use crate::semantics::{Budget, XqError};
-use crate::vm::{PlanCache, RunCost};
+use crate::vm::{CompiledPlan, PlanCache, RunCost};
 use cv_xtree::ArenaDoc;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -469,7 +468,7 @@ fn run_job(pool: &Pool, job: Job) {
     drop(queued);
     let in_flight = GaugeGuard::claim(&pool.in_flight);
     let faults = pool.faults.as_deref();
-    let result = fenced_serve(pool, &request);
+    let result = fenced_serve(pool, &request, None);
     // Gauge before reply: a collected batch implies `in_flight` has
     // already been released for each of its requests (tests assert the
     // gauges are zero immediately after `run_batch` returns).
@@ -488,13 +487,18 @@ fn run_job(pool: &Pool, job: Job) {
 ///   and every write is insert-after-construct, so a panic under a
 ///   write lock at worst loses the entry being inserted. A plan's cost
 ///   log recovers the same way, and its one write is a single store.
-fn fenced_serve(pool: &Pool, request: &Request) -> Result<String, ServiceError> {
-    catch_unwind(AssertUnwindSafe(|| serve(request, pool.faults.as_deref()))).unwrap_or_else(
-        |payload| {
-            pool.contained.fetch_add(1, Ordering::SeqCst);
-            Err(ServiceError::Internal(panic_message(payload.as_ref())))
-        },
-    )
+fn fenced_serve(
+    pool: &Pool,
+    request: &Request,
+    probed: Option<Arc<CompiledPlan>>,
+) -> Result<String, ServiceError> {
+    catch_unwind(AssertUnwindSafe(|| {
+        serve(request, probed, pool.faults.as_deref())
+    }))
+    .unwrap_or_else(|payload| {
+        pool.contained.fetch_add(1, Ordering::SeqCst);
+        Err(ServiceError::Internal(panic_message(payload.as_ref())))
+    })
 }
 
 /// Spawns one worker thread. The `alive` gauge counts the worker before
@@ -633,7 +637,16 @@ pub struct QueryService {
     queue_capacity: usize,
 }
 
-fn serve(request: &Request, faults: Option<&Faults>) -> Result<String, ServiceError> {
+/// Serves one request on the calling thread. A pool worker passes no
+/// plan: the text resolves through the [`PlanCache`] (compiling on a
+/// miss) and a successful sequential run records its cost. The inline
+/// route passes the plan it probed and records nothing — the record that
+/// routed it is already this run's cost.
+fn serve(
+    request: &Request,
+    probed: Option<Arc<CompiledPlan>>,
+    faults: Option<&Faults>,
+) -> Result<String, ServiceError> {
     if let Some(f) = faults {
         // Inside the unwind fence: this is the "a query panicked the
         // engine" simulation — contained, answered `internal_error`.
@@ -651,9 +664,13 @@ fn serve(request: &Request, faults: Option<&Faults>) -> Result<String, ServiceEr
         .budget
         .preflight()
         .map_err(|e| ServiceError::from_eval(&e))?;
-    let plan = PlanCache::global()
-        .get_or_compile(&request.query)
-        .map_err(|e| ServiceError::Parse(e.to_string()))?;
+    let inline = probed.is_some();
+    let plan = match probed {
+        Some(plan) => plan,
+        None => PlanCache::global()
+            .get_or_compile(&request.query)
+            .map_err(|e| ServiceError::Parse(e.to_string()))?,
+    };
     let (out, stats) = crate::eval_compiled_par(&plan, &request.doc, request.budget.clone())
         .map_err(|e| ServiceError::from_eval(&e))?;
     let mut xml = String::new();
@@ -662,7 +679,7 @@ fn serve(request: &Request, faults: Option<&Faults>) -> Result<String, ServiceEr
     }
     // A sharded run charges its own step count; only the sequential VM's
     // is the pair's exact cost.
-    if !stats.parallelized {
+    if !inline && !stats.parallelized {
         plan.record_cost(
             request.doc.id(),
             RunCost {
@@ -861,13 +878,15 @@ impl QueryService {
     /// mid-delivery leaves behind — without unwinding the caller. The
     /// admission slot is released at once and `in_flight` counts the
     /// evaluation, so the gauges read as they would for a pool request.
+    /// The run uses the plan the probe returned, so the cache is looked
+    /// up once, and leaves the cost record as it is: the run costs what
+    /// the record says.
     pub fn try_serve_inline(&self, request: &Request) -> Option<Result<String, ServiceError>> {
         if request.budget.threads.count() > 1 {
             return None;
         }
-        let cost = PlanCache::global()
-            .get(&request.query)?
-            .recorded_cost(request.doc.id())?;
+        let plan = PlanCache::global().get(&request.query)?;
+        let cost = plan.recorded_cost(request.doc.id())?;
         if cost.steps > INLINE_MAX_STEPS || cost.bytes > INLINE_MAX_BYTES {
             return None;
         }
@@ -876,7 +895,7 @@ impl QueryService {
         };
         drop(queued);
         let in_flight = GaugeGuard::claim(&self.pool.in_flight);
-        let result = fenced_serve(&self.pool, request);
+        let result = fenced_serve(&self.pool, request, Some(plan));
         drop(in_flight);
         if let Some(f) = &self.pool.faults {
             if f.fires(FaultPoint::CompletionDrop) {

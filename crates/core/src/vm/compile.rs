@@ -66,11 +66,15 @@ pub struct RunCost {
 }
 
 /// Documents whose cost one plan remembers.
-const COST_SLOTS: usize = 16;
+const COST_SLOTS: usize = 64;
 
-/// A plan's recorded costs, keyed by [`ArenaDoc::id`](cv_xtree::ArenaDoc::id):
-/// at most [`COST_SLOTS`] documents, a new one replacing the entry at
-/// `id % COST_SLOTS` once the log is full. Cloning a plan copies its log.
+/// A plan's recorded costs, keyed by [`ArenaDoc::id`](cv_xtree::ArenaDoc::id)
+/// and direct-mapped by `id % COST_SLOTS`: a new document replaces the
+/// entry of the same residue, if there is one, and is appended otherwise.
+/// So the log holds at most [`COST_SLOTS`] documents, grows only as far
+/// as it has recorded, and a text served on consecutive documents keeps
+/// the records of the last `COST_SLOTS` of them. Cloning a plan copies
+/// its log.
 #[derive(Default)]
 struct CostLog(Mutex<Vec<(u64, RunCost)>>);
 
@@ -127,12 +131,13 @@ impl CompiledPlan {
     /// document with id `doc` ([`ArenaDoc::id`](cv_xtree::ArenaDoc::id)).
     pub fn record_cost(&self, doc: u64, cost: RunCost) {
         let mut entries = self.costs.entries();
-        if let Some(e) = entries.iter_mut().find(|(d, _)| *d == doc) {
-            e.1 = cost;
-        } else if entries.len() < COST_SLOTS {
-            entries.push((doc, cost));
-        } else {
-            entries[doc as usize % COST_SLOTS] = (doc, cost);
+        let residue = doc % COST_SLOTS as u64;
+        match entries
+            .iter_mut()
+            .find(|(d, _)| d % COST_SLOTS as u64 == residue)
+        {
+            Some(e) => *e = (doc, cost),
+            None => entries.push((doc, cost)),
         }
     }
 

@@ -7,7 +7,10 @@
 //! suite checks the record against the VM itself: for every query of the
 //! seeded coverage corpus on seeded 40-node documents, the steps the pool
 //! recorded equal the steps of a repeated `exec_doc`, the bytes equal the
-//! answer's length, and a failed run records nothing. (That a rebuilt
+//! answer's length, and a failed run records nothing. A text served on
+//! 40 documents keeps all 40 records: the log holds 64 documents,
+//! direct-mapped by id, so no two of 64 documents built one after
+//! another evict each other's records. (That a rebuilt
 //! document starts with no record is checked where it matters, on the
 //! inline route: the service unit tests and `xq_server`'s `inline.rs`.)
 
@@ -91,4 +94,29 @@ fn recorded_steps_equal_a_repeated_exec_doc_on_the_coverage_corpus() {
     }
     assert!(recorded > 0, "the corpus exercised the record");
     assert!(failed > 0, "the step cap failed some runs");
+}
+
+#[test]
+fn a_text_served_on_forty_documents_keeps_every_record() {
+    let text = "for $cost_forty in $root/* return <forty>{ $cost_forty }</forty>";
+    let docs: Vec<Arc<ArenaDoc>> = (0..40u64)
+        .map(|seed| {
+            let mut g = TreeGen::new(5000 + seed);
+            Arc::new(ArenaDoc::from_tree(&random_tree(&mut g, 12, &["a", "b"])))
+        })
+        .collect();
+    let service = QueryService::new(2);
+    let answers = service.run_batch(
+        docs.iter()
+            .map(|d| Request::new(text, Arc::clone(d)))
+            .collect(),
+    );
+    let plan = PlanCache::global().get(text).expect("the pool compiled it");
+    for (doc, answer) in docs.iter().zip(&answers) {
+        let xml = answer.as_ref().expect("the text evaluates");
+        let cost = plan
+            .recorded_cost(doc.id())
+            .expect("every document keeps its record");
+        assert_eq!(cost.bytes, xml.len() as u64);
+    }
 }

@@ -4,7 +4,8 @@
 //! each text compiled **exactly once** no matter how many threads race
 //! for it — asserted while 8 threads hammer the same query set
 //! simultaneously in rotated orders (so shard-lock acquisition
-//! interleaves, as in the label-interner smoke test this mirrors).
+//! interleaves, as in the label-interner smoke test this mirrors) —
+//! and while a flood of one-shot texts forces evictions underneath them.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -102,4 +103,44 @@ fn concurrent_parse_errors_stay_uncached_and_plans_stay_executable() {
     assert_eq!(cache.len(), 1, "only the good text is cached");
     assert_eq!(cache.compile_count("<ok/>"), 1);
     assert_eq!(cache.compile_count("for $x in"), 0);
+}
+
+#[test]
+fn lookups_racing_an_eviction_flood_get_their_own_plans() {
+    let cache = PlanCache::new();
+    let queries = query_set();
+    // Enough one-shot texts to turn every shard over many times while
+    // the workers read.
+    let flood: Vec<String> = (0..4000)
+        .map(|i| format!("let $flood{i} := <f/> return $root/t{i}"))
+        .collect();
+    std::thread::scope(|scope| {
+        let (cache, queries, flood) = (&cache, &queries, &flood);
+        scope.spawn(move || {
+            for src in flood {
+                let plan = cache.get_or_compile(src).expect("flood text parses");
+                assert_eq!(plan.source(), Some(src.as_str()));
+            }
+        });
+        for w in 0..WORKERS {
+            scope.spawn(move || {
+                for round in 0..64 {
+                    for i in 0..queries.len() {
+                        let src = &queries[(i + w * 7 + round) % queries.len()];
+                        let plan = cache.get_or_compile(src).expect("query parses");
+                        assert_eq!(plan.source(), Some(src.as_str()), "wrong plan");
+                    }
+                }
+            });
+        }
+    });
+    // Eviction may have dropped a text, and a later miss compiled it
+    // again; but no resident entry was ever compiled twice.
+    for src in queries.iter().chain(&flood) {
+        assert!(cache.compile_count(src) <= 1, "duplicate compile of {src}");
+    }
+    assert!(
+        cache.len() <= PlanCache::CAPACITY,
+        "the cache stays bounded"
+    );
 }
