@@ -50,15 +50,20 @@ cargo test -q -p cv_xtree --test interner_threads
 # The bytecode-VM surface: vm_diff proves interpreter, fresh plans, and
 # warm cache hits byte- and counter-identical on the seeded coverage
 # corpus; vm_golden pins the disassembly listings; plan_cache_threads
-# hammers the lock-striped plan store from 8 threads. Run again with
-# XQ_ARENA=1 + XQ_THREADS=4 so arena documents and the parallel entry
-# points are exercised through compiled plans too.
-step "bytecode VM suites (vm_diff, vm_golden, plan_cache_threads; XQ_ARENA=1 XQ_THREADS=4)"
+# hammers the lock-striped plan store from 8 threads; vm_alloc is the
+# allocation guard (a counting global allocator: after a warm run, a
+# constructor loop and the heavy-eval text allocate as often on a
+# 400-node document as on a 40-node one, on both entry points), run in
+# debug and release. Run again with XQ_ARENA=1 + XQ_THREADS=4 so arena
+# documents and the parallel entry points are exercised through
+# compiled plans too.
+step "bytecode VM suites (vm_diff, vm_golden, vm_alloc, plan_cache_threads; XQ_ARENA=1 XQ_THREADS=4)"
 for e in "${TWICE[@]}"; do
     env $e XQ_RANDOM_CASES="${XQ_RANDOM_CASES:-16}" cargo test -q -p xq_core --test vm_diff
     env $e cargo test -q -p xq_core --test vm_golden
 done
 cargo test -q -p xq_core --test plan_cache_threads
+cargo test -q --release -p xq_core --test vm_alloc
 
 # The streaming cursor-core surface: cursor_diff locks the refactored
 # one-pipeline engine byte- and counter-identical (pulls, recomputations,

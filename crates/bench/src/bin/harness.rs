@@ -634,6 +634,8 @@ fn t18_vm() -> Vec<T18Row> {
         heavy_arena_us,
     ));
 
+    rows.push(t18_ctor_loop());
+
     // The service row: the exact T16 batch shape (64 requests over 4
     // docs, 4 workers, one hot query). Workers hit the global plan cache,
     // so the parse + compile happens once per distinct text per process.
@@ -684,6 +686,55 @@ fn t18_vm() -> Vec<T18Row> {
 
     println!("\nShape: the VM wins by skipping per-request parse + scope re-resolution; the plan cache amortizes compilation to zero on hot queries, so a served request pays one cache probe plus the VM's evaluation.");
     rows
+}
+
+/// `many-small`'s slowest hot text (seed 1): two nested loops that build
+/// one `<k/>` per inner iteration.
+const CTOR_LOOP: &str = "for $v0 in $root//* return if (not($v0 =atomic <a/>)) then \
+                         for $v1 in $root/dos::* return <k/>";
+
+/// The `ctor_loop_vm_exec` row: [`CTOR_LOOP`] over the arena on a seeded
+/// 40-node document, a `many-small`-sized request where the loops'
+/// lists and constructors, not scans or comparisons, set the cost.
+/// Self-checking: the served route must return the interpreter's trees
+/// and charge its steps and items. Median of 201 runs.
+fn t18_ctor_loop() -> T18Row {
+    let budget = xq_core::Budget::default();
+    let doc = cv_xtree::random_arena_document(&mut TreeGen::new(1), 40, &["a", "b", "k"]);
+    let q = xq_core::parse_query(CTOR_LOOP).unwrap();
+    let env = xq_core::Env::with_root(doc.to_tree());
+    let (want, want_stats) = xq_core::eval_with(&q, &env, budget.clone()).unwrap();
+    let plan = xq_core::compile_query(&q);
+    let (got, got_stats) = xq_core::vm::exec_doc(&plan, &doc, budget.clone()).unwrap();
+    assert_eq!(
+        got, want,
+        "the arena route diverged on the constructor loop"
+    );
+    assert_eq!(
+        (got_stats.steps, got_stats.items),
+        (want_stats.steps, want_stats.items),
+        "the arena route must charge the interpreter's steps and items on the constructor loop"
+    );
+    let us = median_us(201, || {
+        xq_core::vm::exec_doc(&plan, &doc, budget.clone()).unwrap();
+    });
+    println!(
+        "\nConstructor loop (`many-small` hot text 249, seeded 40-node document): \
+         {} steps, {} items, {} trees out: {us:.1} µs per evaluation over the arena \
+         (median of 201)",
+        got_stats.steps,
+        got_stats.items,
+        got.len()
+    );
+    T18Row {
+        label: "ctor_loop_vm_exec",
+        total_us: us,
+        per_unit_us: us,
+        extra: format!(
+            ", \"steps\": {}, \"items\": {}",
+            got_stats.steps, got_stats.items
+        ),
+    }
 }
 
 /// Hot texts of the flood: `many-small`'s hot-set size.

@@ -5,7 +5,7 @@
 //! [`EvalStats`] counters, and the same error at the same point when the
 //! budget runs out. That equivalence is the load-bearing contract (the
 //! `vm_diff` suite pins it per corpus query), so the machine is
-//! deliberately plain: three stacks (lists, booleans, loop frames), a
+//! deliberately plain: a value stack, a boolean stack, loop frames, a
 //! static slot array for query-bound variables, and a program counter
 //! over the flat instruction sequence. No recursion: `for`/`let` loops
 //! and quantifiers run as jump-backed loops, so evaluation depth is
@@ -23,6 +23,16 @@
 //! * [`exec_with`] runs over an [`Env`] of [`Tree`]s (tests, the
 //!   harness, and callers holding trees).
 //!
+//! Lists are regions of one value stack, not vectors of their own: a
+//! list runs from its mark to the next one (the top list to the end of
+//! the stack). A loop's accumulator is the region
+//! directly under its body's result, so `iter.accum` and `concat` merge
+//! two lists by dropping a mark and charge their items in one bulk
+//! charge (exact, as an item charge polls nothing). Loop and
+//! quantifier sources move to a second stack that the frame indexes.
+//! Each thread keeps the emptied stacks of its last run, so a warm run
+//! allocates no list storage.
+//!
 //! Values on the stacks are `Item`s: a document node (`Node`), a tree
 //! borrowed from the caller's environment for the whole run (`Doc`), or
 //! one the query built (`Built`). The hot loops touch no refcount. A
@@ -33,12 +43,21 @@
 //! ([`ArenaDoc::shared_node`]), an `Arc` handle, never a copy. Matches
 //! scanned out of a constructed tree are cloned out of it, as there is
 //! no document to borrow from.
+//!
+//! Constructors are memoized per run. Values are compared by value and
+//! have no node identity, so an `elem` whose children are the very
+//! values (the same node, the same borrowed tree, the same `Arc`) it was
+//! given the last time it ran returns the tree it built then, at the
+//! cost of one `Arc` clone; a leaf constructor builds once per run. The
+//! memo is charged exactly as a fresh build, lives in the machine, and is
+//! emptied when the run ends.
 
 use super::compile::CompiledPlan;
 use super::ir::{OpCode, VarRef};
 use crate::ast::EqMode;
 use crate::semantics::{Budget, Env, EvalStats, XqError};
 use cv_xtree::{ArenaDoc, Axis, LabelId, NodeId, NodeTest, Tree};
+use std::cell::Cell;
 
 /// Executes a compiled plan in `env` under `budget` — the VM counterpart
 /// of [`eval_with`](crate::eval_with), byte- and counter-identical to it.
@@ -78,6 +97,36 @@ enum Input<'e> {
     Doc(&'e ArenaDoc),
 }
 
+impl<'e> Input<'e> {
+    /// The input document. Only [`exec_doc`] creates `Node` items, so
+    /// every caller holding one runs on that route.
+    fn doc(self) -> &'e ArenaDoc {
+        match self {
+            Input::Doc(doc) => doc,
+            Input::Env(_) => unreachable!("document nodes exist only over an ArenaDoc"),
+        }
+    }
+
+    /// The value's tree form, borrowed.
+    fn tree<'a>(self, item: &'a Item<'e>) -> &'a Tree
+    where
+        'e: 'a,
+    {
+        match item {
+            Item::Node(n) => self.doc().shared_node(n.id()),
+            Item::Doc(t) => t,
+            Item::Built(t) => t,
+        }
+    }
+
+    fn tree_of(self, item: Item<'e>) -> Tree {
+        match item {
+            Item::Built(t) => t,
+            item => self.tree(&item).clone(),
+        }
+    }
+}
+
 /// A VM value: a node of the input document, a tree borrowed from the
 /// caller's [`Env`] for the whole run, or one the query constructed (an
 /// element, or a match scanned out of one).
@@ -86,6 +135,12 @@ enum Item<'e> {
     Node(Node),
     Doc(&'e Tree),
     Built(Tree),
+}
+
+/// Moves a source value out of its stack entry, leaving a copyable
+/// placeholder that is truncated away with the frame.
+fn take<'e>(slot: &mut Item<'e>) -> Item<'e> {
+    std::mem::replace(slot, Item::Node(Node(0)))
 }
 
 /// A document node's [`NodeId`], held as a full word. With every payload
@@ -141,11 +196,69 @@ impl IdTest {
     }
 }
 
-/// An open loop: remaining work items plus (for `for`/`let`) the output
-/// accumulated so far. Quantifier frames leave `out` empty.
-struct Frame<'e> {
-    items: std::vec::IntoIter<Item<'e>>,
-    out: Vec<Item<'e>>,
+/// An open loop or quantifier. Its source values are `srcs[base..]` (the
+/// frames opened inside it have closed by the time it binds again), and
+/// `next` is the one to bind next. A `for`/`let` accumulates into the
+/// list on top of the value stack when it opened.
+struct Frame {
+    base: usize,
+    next: usize,
+}
+
+/// The machine's buffers. Between runs each thread keeps one emptied
+/// set, so a warm run grows no buffer that an earlier run on the thread
+/// already grew.
+#[derive(Default)]
+struct Stacks<'e> {
+    /// The value stack: every open list, oldest first.
+    vals: Vec<Item<'e>>,
+    /// Where each open list starts in `vals`; the last is the top list.
+    marks: Vec<usize>,
+    /// Loop and quantifier sources, and an axis step's bases while it
+    /// scans them.
+    srcs: Vec<Item<'e>>,
+    frames: Vec<Frame>,
+    bools: Vec<bool>,
+    locals: Vec<Option<Item<'e>>>,
+    /// Per `elem` instruction, the tree it built last in this run.
+    memo: Vec<Option<Tree>>,
+    /// The preorder walk of [`Machine::descend`].
+    walk: Vec<std::slice::Iter<'e, Tree>>,
+}
+
+/// A buffer above this many entries is freed rather than kept for the
+/// thread's next run.
+const SPARE_CAP: usize = 1 << 18;
+
+thread_local! {
+    static SPARE: Cell<Stacks<'static>> = Cell::new(Stacks::default());
+}
+
+/// Empties `v` and hands its buffer over at another element type of the
+/// same layout (here: another lifetime). The collect runs in place, so
+/// the buffer is reused, not reallocated; a buffer over [`SPARE_CAP`] is
+/// dropped instead.
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    if v.capacity() > SPARE_CAP {
+        return Vec::new();
+    }
+    v.into_iter().map(|_| unreachable!("emptied")).collect()
+}
+
+impl Stacks<'_> {
+    fn emptied(self) -> Stacks<'static> {
+        Stacks {
+            vals: recycle(self.vals),
+            marks: recycle(self.marks),
+            srcs: recycle(self.srcs),
+            frames: recycle(self.frames),
+            bools: recycle(self.bools),
+            locals: recycle(self.locals),
+            memo: recycle(self.memo),
+            walk: recycle(self.walk),
+        }
+    }
 }
 
 struct Machine<'e> {
@@ -155,10 +268,14 @@ struct Machine<'e> {
     /// The caller's environment depth — static scope depths in `TickQ`
     /// offset from here, reproducing the interpreter's `max_env_depth`.
     env_depth: usize,
-    locals: Vec<Option<Item<'e>>>,
-    lists: Vec<Vec<Item<'e>>>,
-    bools: Vec<bool>,
-    frames: Vec<Frame<'e>>,
+    s: Stacks<'e>,
+}
+
+impl Drop for Machine<'_> {
+    fn drop(&mut self) {
+        let spare = std::mem::take(&mut self.s).emptied();
+        SPARE.with(|s| s.set(spare));
+    }
 }
 
 /// The body the executor runs as one fused loop: `quant.next` at `pc`
@@ -181,42 +298,29 @@ fn fused_quant_body(ops: &[OpCode], pc: usize) -> Option<&OpCode> {
 
 impl<'e> Machine<'e> {
     fn new(plan: &CompiledPlan, input: Input<'e>, env_depth: usize, budget: Budget) -> Self {
+        let mut s: Stacks<'e> = SPARE.with(Cell::take);
+        s.locals.resize(plan.slots(), None);
+        s.memo.resize(plan.instrs().len(), None);
         Machine {
             budget,
             stats: EvalStats::default(),
             input,
             env_depth,
-            locals: vec![None; plan.slots()],
-            lists: Vec::new(),
-            bools: Vec::new(),
-            frames: Vec::new(),
+            s,
         }
     }
 
     fn run_plan(mut self, plan: &CompiledPlan) -> Result<(Vec<Tree>, EvalStats), XqError> {
         self.run(plan.instrs().ops())?;
-        debug_assert!(self.bools.is_empty() && self.frames.is_empty());
-        let out = self.pop_list();
-        debug_assert!(self.lists.is_empty());
-        let out = out.into_iter().map(|t| self.tree_of(t)).collect();
+        debug_assert!(self.s.bools.is_empty() && self.s.frames.is_empty());
+        debug_assert!(self.s.marks == [0] && self.s.srcs.is_empty());
+        let input = self.input;
+        let out = self.s.vals.drain(..).map(|t| input.tree_of(t)).collect();
         Ok((out, self.stats))
     }
 
-    /// The input document. Only [`exec_doc`] creates `Node` items, so
-    /// every caller holding one runs on that route.
     fn doc(&self) -> &'e ArenaDoc {
-        match self.input {
-            Input::Doc(doc) => doc,
-            Input::Env(_) => unreachable!("document nodes exist only over an ArenaDoc"),
-        }
-    }
-
-    fn tree_of(&self, item: Item<'e>) -> Tree {
-        match item {
-            Item::Node(n) => self.doc().shared_node(n.id()).clone(),
-            Item::Doc(t) => t.clone(),
-            Item::Built(t) => t,
-        }
+        self.input.doc()
     }
 
     fn step(&mut self) -> Result<(), XqError> {
@@ -227,11 +331,33 @@ impl<'e> Machine<'e> {
         self.budget.charge_step(self.stats.steps)
     }
 
-    fn emit(&mut self, out: &mut Vec<Item<'e>>, t: Item<'e>) -> Result<(), XqError> {
-        self.stats.items += 1;
-        self.budget.charge_item(self.stats.items)?;
-        out.push(t);
+    /// Charges `n` items at once: the error, if any, is the one the
+    /// `n`th single charge would raise, as item charges poll nothing.
+    fn charge_items(&mut self, n: usize) -> Result<(), XqError> {
+        self.stats.items += n as u64;
+        self.budget.charge_item(self.stats.items)
+    }
+
+    /// Charges one item and pushes `t` onto the top list.
+    fn emit(&mut self, t: Item<'e>) -> Result<(), XqError> {
+        self.charge_items(1)?;
+        self.s.vals.push(t);
         Ok(())
+    }
+
+    /// Where the top list starts.
+    fn top(&self) -> usize {
+        *self.s.marks.last().expect("list operand on the stack")
+    }
+
+    /// Drops the top list's mark, merging it into the list below.
+    fn pop_mark(&mut self) -> usize {
+        self.s.marks.pop().expect("list operand on the stack")
+    }
+
+    /// Opens a new, empty top list.
+    fn push_mark(&mut self) {
+        self.s.marks.push(self.s.vals.len());
     }
 
     /// A free variable's value: `$root` is the document's root on the
@@ -248,7 +374,7 @@ impl<'e> Machine<'e> {
     fn view(&self, r: &VarRef) -> Result<View<'_>, XqError> {
         match r {
             VarRef::Local(slot, _) => Ok(
-                match self.locals[*slot as usize]
+                match self.s.locals[*slot as usize]
                     .as_ref()
                     .expect("compiled local is live inside its binder")
                 {
@@ -267,19 +393,72 @@ impl<'e> Machine<'e> {
 
     fn load(&self, r: &VarRef) -> Result<Item<'e>, XqError> {
         match r {
-            VarRef::Local(slot, _) => Ok(self.locals[*slot as usize]
+            VarRef::Local(slot, _) => Ok(self.s.locals[*slot as usize]
                 .clone()
                 .expect("compiled local is live inside its binder")),
             VarRef::Free(v) => self.free(v),
         }
     }
 
-    fn pop_list(&mut self) -> Vec<Item<'e>> {
-        self.lists.pop().expect("list operand on the stack")
+    fn pop_bool(&mut self) -> bool {
+        self.s.bools.pop().expect("boolean operand on the stack")
     }
 
-    fn pop_bool(&mut self) -> bool {
-        self.bools.pop().expect("boolean operand on the stack")
+    /// Moves the top list onto the source stack and opens a frame over
+    /// it; the list's mark stays as the (empty) accumulator.
+    fn open_frame(&mut self) {
+        let base = self.s.srcs.len();
+        let from = self.top();
+        self.s.srcs.extend(self.s.vals.drain(from..));
+        self.s.frames.push(Frame { base, next: base });
+    }
+
+    /// Binds the innermost frame's next source value into `slot`, or
+    /// closes the frame and returns false when it is exhausted.
+    fn bind_next(&mut self, slot: u16) -> bool {
+        let frame = self.s.frames.last_mut().expect("open loop frame");
+        if frame.next < self.s.srcs.len() {
+            let t = take(&mut self.s.srcs[frame.next]);
+            frame.next += 1;
+            self.s.locals[slot as usize] = Some(t);
+            true
+        } else {
+            self.close_frame();
+            false
+        }
+    }
+
+    fn close_frame(&mut self) {
+        let frame = self.s.frames.pop().expect("open loop frame");
+        self.s.srcs.truncate(frame.base);
+    }
+
+    /// `elem <a>` at `pc` over the children on top of the stack: the tree
+    /// this instruction built last, if its children were these very
+    /// values, else a new one.
+    fn make_elem(&mut self, pc: usize, a: &cv_xtree::Label) -> Tree {
+        let from = self.top();
+        let input = self.input;
+        let children = &self.s.vals[from..];
+        if let Some(last) = &self.s.memo[pc] {
+            let same = last.children().len() == children.len()
+                && last
+                    .children()
+                    .iter()
+                    .zip(children)
+                    .all(|(c, t)| c.ptr_eq(input.tree(t)));
+            if same {
+                let last = last.clone();
+                self.s.vals.truncate(from);
+                return last;
+            }
+        }
+        let elem = Tree::node(
+            a.clone(),
+            self.s.vals.drain(from..).map(|t| input.tree_of(t)),
+        );
+        self.s.memo[pc] = Some(elem.clone());
+        elem
     }
 
     /// The interned id of a `cmp.const` constant, resolved once per
@@ -359,19 +538,22 @@ impl<'e> Machine<'e> {
     /// the comparison and `quant.check` make one instruction at a time.
     /// Returns the quantifier's verdict.
     fn fused_quant(&mut self, slot: u16, some: bool, cmp: &OpCode) -> Result<bool, XqError> {
-        let frame = self.frames.pop().expect("open quantifier frame");
         let konst = self.const_id(cmp);
-        for t in frame.items {
-            self.locals[slot as usize] = Some(t);
+        let frame = self.s.frames.last().expect("open quantifier frame");
+        // Exhausted without a decision: `some` is false, `every`
+        // vacuously true.
+        let mut verdict = !some;
+        for i in frame.next..self.s.srcs.len() {
+            self.s.locals[slot as usize] = Some(take(&mut self.s.srcs[i]));
             self.step()?;
             if self.compare(cmp, konst)? == some {
                 // true decides `some`; false decides `every`.
-                return Ok(some);
+                verdict = some;
+                break;
             }
         }
-        // Exhausted without a decision: `some` is false, `every`
-        // vacuously true.
-        Ok(!some)
+        self.close_frame();
+        Ok(verdict)
     }
 
     /// Scans `axis` from `base` in document order, charging one step per
@@ -382,19 +564,18 @@ impl<'e> Machine<'e> {
         base: &'a Tree,
         axis: Axis,
         test: &NodeTest,
-        out: &mut Vec<Item<'e>>,
         keep: &impl Fn(&'a Tree) -> Item<'e>,
     ) -> Result<(), XqError> {
         match axis {
-            Axis::SelfAxis => self.visit(base, test, out, keep),
+            Axis::SelfAxis => self.visit(base, test, keep),
             Axis::Child => base
                 .children()
                 .iter()
-                .try_for_each(|c| self.visit(c, test, out, keep)),
-            Axis::Descendant => self.descend(base, test, out, keep),
+                .try_for_each(|c| self.visit(c, test, keep)),
+            Axis::Descendant => self.descend(base, test, keep),
             Axis::DescendantOrSelf => {
-                self.visit(base, test, out, keep)?;
-                self.descend(base, test, out, keep)
+                self.visit(base, test, keep)?;
+                self.descend(base, test, keep)
             }
         }
     }
@@ -405,14 +586,14 @@ impl<'e> Machine<'e> {
         &mut self,
         t: &'a Tree,
         test: &NodeTest,
-        out: &mut Vec<Item<'e>>,
         keep: &impl Fn(&'a Tree) -> Item<'e>,
     ) -> Result<(), XqError> {
-        let mut stack = vec![t.children().iter()];
+        let mut stack: Vec<std::slice::Iter<'a, Tree>> = recycle(std::mem::take(&mut self.s.walk));
+        stack.push(t.children().iter());
         while let Some(it) = stack.last_mut() {
             match it.next() {
                 Some(c) => {
-                    self.visit(c, test, out, keep)?;
+                    self.visit(c, test, keep)?;
                     if !c.is_leaf() {
                         stack.push(c.children().iter());
                     }
@@ -422,6 +603,7 @@ impl<'e> Machine<'e> {
                 }
             }
         }
+        self.s.walk = recycle(stack);
         Ok(())
     }
 
@@ -429,54 +611,63 @@ impl<'e> Machine<'e> {
         &mut self,
         s: &'a Tree,
         test: &NodeTest,
-        out: &mut Vec<Item<'e>>,
         keep: &impl Fn(&'a Tree) -> Item<'e>,
     ) -> Result<(), XqError> {
         self.step()?;
         if test.matches(s.label()) {
-            self.emit(out, keep(s))?;
+            self.emit(keep(s))?;
         }
         Ok(())
     }
 
     /// [`Machine::scan`] from a document node: a child slice or a
     /// preorder id range, in document order, with the same charges.
-    fn scan_node(
-        &mut self,
-        base: NodeId,
-        axis: Axis,
-        test: IdTest,
-        out: &mut Vec<Item<'e>>,
-    ) -> Result<(), XqError> {
+    fn scan_node(&mut self, base: NodeId, axis: Axis, test: IdTest) -> Result<(), XqError> {
         let doc = self.doc();
         match axis {
-            Axis::SelfAxis => self.visit_node(doc, base, test, out),
+            Axis::SelfAxis => self.visit_node(doc, base, test),
             Axis::Child => doc
                 .children(base)
                 .iter()
-                .try_for_each(|&c| self.visit_node(doc, c, test, out)),
+                .try_for_each(|&c| self.visit_node(doc, c, test)),
             Axis::Descendant => doc
                 .descendants(base)
-                .try_for_each(|c| self.visit_node(doc, c, test, out)),
+                .try_for_each(|c| self.visit_node(doc, c, test)),
             Axis::DescendantOrSelf => {
-                self.visit_node(doc, base, test, out)?;
+                self.visit_node(doc, base, test)?;
                 doc.descendants(base)
-                    .try_for_each(|c| self.visit_node(doc, c, test, out))
+                    .try_for_each(|c| self.visit_node(doc, c, test))
             }
         }
     }
 
-    fn visit_node(
-        &mut self,
-        doc: &ArenaDoc,
-        n: NodeId,
-        test: IdTest,
-        out: &mut Vec<Item<'e>>,
-    ) -> Result<(), XqError> {
+    fn visit_node(&mut self, doc: &ArenaDoc, n: NodeId, test: IdTest) -> Result<(), XqError> {
         self.step()?;
         if test.matches(doc.label_id(n)) {
-            self.emit(out, Item::Node(Node::new(n)))?;
+            self.emit(Item::Node(Node::new(n)))?;
         }
+        Ok(())
+    }
+
+    /// `step`: the bases move to the source stack, and the matches of
+    /// each, in order, replace them as the top list.
+    fn axis_step(&mut self, axis: Axis, test: &NodeTest) -> Result<(), XqError> {
+        let first = self.s.srcs.len();
+        let from = self.top();
+        self.s.srcs.extend(self.s.vals.drain(from..));
+        // Resolved at the first document base, once per step.
+        let mut ids = None;
+        for i in first..self.s.srcs.len() {
+            match take(&mut self.s.srcs[i]) {
+                Item::Node(n) => {
+                    let ids = *ids.get_or_insert_with(|| IdTest::of(test));
+                    self.scan_node(n.id(), axis, ids)?
+                }
+                Item::Doc(t) => self.scan(t, axis, test, &Item::Doc)?,
+                Item::Built(t) => self.scan(&t, axis, test, &|s| Item::Built(s.clone()))?,
+            }
+        }
+        self.s.srcs.truncate(first);
         Ok(())
     }
 
@@ -490,92 +681,53 @@ impl<'e> Machine<'e> {
                         self.stats.max_env_depth.max(self.env_depth + *d as usize);
                 }
                 OpCode::TickC => self.step()?,
-                OpCode::PushUnit => self.lists.push(Vec::new()),
+                OpCode::PushUnit => self.push_mark(),
                 OpCode::Load(r) => {
                     let t = self.load(r)?;
-                    let mut out = Vec::with_capacity(1);
-                    self.emit(&mut out, t)?;
-                    self.lists.push(out);
+                    self.push_mark();
+                    self.emit(t)?;
                 }
                 OpCode::MakeElem(a) => {
-                    let children = self.pop_list();
-                    let children = children.into_iter().map(|t| self.tree_of(t));
-                    let elem = Tree::node(a.clone(), children);
-                    let mut out = Vec::with_capacity(1);
-                    self.emit(&mut out, Item::Built(elem))?;
-                    self.lists.push(out);
+                    // Charged before it is built; the outcome is the same.
+                    self.charge_items(1)?;
+                    let elem = self.make_elem(pc, a);
+                    self.s.vals.push(Item::Built(elem));
                 }
+                // Both lists are already in place: the right one is
+                // charged again, one item per tree.
                 OpCode::Concat => {
-                    let rest = self.pop_list();
-                    let mut out = self.pop_list();
-                    for t in rest {
-                        self.emit(&mut out, t)?;
-                    }
-                    self.lists.push(out);
+                    let rest = self.pop_mark();
+                    self.charge_items(self.s.vals.len() - rest)?;
                 }
-                OpCode::AxisStep(axis, test) => {
-                    let bases = self.pop_list();
-                    let mut out = Vec::new();
-                    // Resolved at the first document base, once per step.
-                    let mut ids = None;
-                    for base in &bases {
-                        match base {
-                            Item::Node(n) => {
-                                let ids = *ids.get_or_insert_with(|| IdTest::of(test));
-                                self.scan_node(n.id(), *axis, ids, &mut out)?
-                            }
-                            Item::Doc(t) => self.scan(t, *axis, test, &mut out, &Item::Doc)?,
-                            Item::Built(t) => {
-                                self.scan(t, *axis, test, &mut out, &|s| Item::Built(s.clone()))?
-                            }
-                        }
-                    }
-                    self.lists.push(out);
-                }
-                OpCode::IterInit => {
-                    let items = self.pop_list();
-                    self.frames.push(Frame {
-                        items: items.into_iter(),
-                        out: Vec::new(),
-                    });
-                }
+                OpCode::AxisStep(axis, test) => self.axis_step(*axis, test)?,
+                OpCode::IterInit => self.open_frame(),
                 OpCode::IterNext { slot, exit, .. } => {
-                    let frame = self.frames.last_mut().expect("open loop frame");
-                    match frame.items.next() {
-                        Some(t) => self.locals[*slot as usize] = Some(t),
-                        None => {
-                            let frame = self.frames.pop().expect("open loop frame");
-                            self.lists.push(frame.out);
-                            pc = *exit as usize;
-                            continue;
-                        }
+                    // An exhausted loop leaves its accumulator on top.
+                    if !self.bind_next(*slot) {
+                        pc = *exit as usize;
+                        continue;
                     }
                 }
+                // The body's result sits directly on the accumulator.
                 OpCode::IterAccum { back } => {
-                    let r = self.pop_list();
-                    // Swap the accumulator out so `emit` (which borrows
-                    // `self` mutably for the counters) can fill it.
-                    let mut out =
-                        std::mem::take(&mut self.frames.last_mut().expect("open loop frame").out);
-                    for x in r {
-                        self.emit(&mut out, x)?;
-                    }
-                    self.frames.last_mut().expect("open loop frame").out = out;
+                    let body = self.pop_mark();
+                    self.charge_items(self.s.vals.len() - body)?;
                     pc = *back as usize;
                     continue;
                 }
-                OpCode::PushBool(b) => self.bools.push(*b),
+                OpCode::PushBool(b) => self.s.bools.push(*b),
                 cmp @ (OpCode::CmpVars(..) | OpCode::CmpConst(..)) => {
                     let verdict = self.compare(cmp, self.const_id(cmp))?;
-                    self.bools.push(verdict);
+                    self.s.bools.push(verdict);
                 }
                 OpCode::NonEmpty => {
-                    let l = self.pop_list();
-                    self.bools.push(!l.is_empty());
+                    let from = self.pop_mark();
+                    self.s.bools.push(self.s.vals.len() > from);
+                    self.s.vals.truncate(from);
                 }
                 OpCode::NotBool => {
                     let b = self.pop_bool();
-                    self.bools.push(!b);
+                    self.s.bools.push(!b);
                 }
                 OpCode::JumpIfFalse(t) => {
                     if !self.pop_bool() {
@@ -588,56 +740,49 @@ impl<'e> Machine<'e> {
                     continue;
                 }
                 OpCode::AndJump(t) => {
-                    if *self.bools.last().expect("boolean operand") {
-                        self.bools.pop();
+                    if *self.s.bools.last().expect("boolean operand") {
+                        self.s.bools.pop();
                     } else {
                         pc = *t as usize;
                         continue;
                     }
                 }
                 OpCode::OrJump(t) => {
-                    if *self.bools.last().expect("boolean operand") {
+                    if *self.s.bools.last().expect("boolean operand") {
                         pc = *t as usize;
                         continue;
                     } else {
-                        self.bools.pop();
+                        self.s.bools.pop();
                     }
                 }
+                // A quantifier accumulates nothing: its source's mark goes.
                 OpCode::QuantInit => {
-                    let items = self.pop_list();
-                    self.frames.push(Frame {
-                        items: items.into_iter(),
-                        out: Vec::new(),
-                    });
+                    self.open_frame();
+                    self.pop_mark();
                 }
                 OpCode::QuantNext {
                     slot, some, exit, ..
                 } => {
                     if let Some(cmp) = fused_quant_body(ops, pc) {
                         let verdict = self.fused_quant(*slot, *some, cmp)?;
-                        self.bools.push(verdict);
+                        self.s.bools.push(verdict);
                         pc = *exit as usize;
                         continue;
                     }
-                    let frame = self.frames.last_mut().expect("open quantifier frame");
-                    match frame.items.next() {
-                        Some(t) => self.locals[*slot as usize] = Some(t),
-                        None => {
-                            self.frames.pop();
-                            // Exhausted without a decision: `some` is
-                            // false, `every` vacuously true.
-                            self.bools.push(!*some);
-                            pc = *exit as usize;
-                            continue;
-                        }
+                    if !self.bind_next(*slot) {
+                        // Exhausted without a decision: `some` is false,
+                        // `every` vacuously true.
+                        self.s.bools.push(!*some);
+                        pc = *exit as usize;
+                        continue;
                     }
                 }
                 OpCode::QuantCheck { some, back, exit } => {
                     let verdict = self.pop_bool();
                     if verdict == *some {
                         // true decides `some`; false decides `every`.
-                        self.frames.pop();
-                        self.bools.push(*some);
+                        self.close_frame();
+                        self.s.bools.push(*some);
                         pc = *exit as usize;
                     } else {
                         pc = *back as usize;
@@ -882,6 +1027,62 @@ mod tests {
         }
         assert_eq!(LabelId::lookup(tag), None);
         assert_eq!(LabelId::lookup(konst), None);
+    }
+
+    /// Loops whose lists merge in place on the value stack, and
+    /// constructors the per-run memo may answer: each must match the
+    /// interpreter under every cap and trip point, on both entry points.
+    const CONSTRUCTOR_LOOPS: [&str; 16] = [
+        // Leaf and nested constructors in nested loops: built once per run.
+        "for $x in $root//* return for $y in $x/* return <k/>",
+        "for $x in $root/* return for $y in $root//* return <x>{ <k/> }</x>",
+        "for $v0 in $root//* return if (not($v0 =atomic <a/>)) then \
+         for $v1 in $root/dos::* return <k/>",
+        "for $v0 in (($root//*)//a)/* return (<x>{ <k/> }</x>, \
+         for $v1 in $root/dos::b return $v1/a)",
+        // New children on every iteration: rebuilt every time.
+        "for $v in $root//* return <w>{ $v }</w>",
+        "for $x in $root/* return for $y in $x/* return <w>{ ($x, $y, <k/>) }</w>",
+        // Over matches scanned out of a constructed tree.
+        "for $x in $root/* return let $z := <a><b/><c><b/></c></a> return \
+         for $y in $z//* return <m>{ $y }</m>",
+        "let $w := <w>{ $root/* }</w> return for $x in $root/* return <m>{ $w/* }</m>",
+        // Concatenation in a loop body.
+        "for $x in $root/* return ($x, <k/>, $x/*)",
+        // Empty bodies, alone and inside a constructor.
+        "for $x in $root//* return ()",
+        "for $x in $root//* return for $y in $x/zzz return <k/>",
+        "<e>{ for $x in $root/* return () }</e>",
+        // A quantifier in a `for` body, fused and not.
+        "for $x in $root//* return if (every $y in $x/* satisfies $y =atomic <b/>) then <all/>",
+        "for $x in $root/* return \
+         if (some $y in $x//* satisfies ($y =atomic <b/> and $y/c)) then <hit>{ $x }</hit>",
+        // A `for` in a quantifier body.
+        "if (some $y in $root/* satisfies for $z in $y/* return <k/>) then <hit/>",
+        "for $x in $root/* return \
+         if (every $y in $x/* satisfies for $w in $y/* return <k/>) then <all>{ $x }</all>",
+    ];
+
+    #[test]
+    fn loops_and_memoized_constructors_match_the_interpreter() {
+        for src in CONSTRUCTOR_LOOPS {
+            sweep_text(src, DOC);
+        }
+    }
+
+    #[test]
+    fn memoized_constructors_share_their_trees_within_a_run_only() {
+        let arena = ArenaDoc::parse(DOC).unwrap();
+        let plan = compile_query_text("for $x in $root//* return <x>{ <k/> }</x>").unwrap();
+        let run = || exec_doc(&plan, &arena, Budget::default()).unwrap().0;
+        let (first, second) = (run(), run());
+        assert_eq!(first.len(), 8);
+        assert!(first.iter().all(|t| t.ptr_eq(&first[0])));
+        assert!(!first[0].ptr_eq(&second[0]), "shared across runs");
+        // Different children: a tree per iteration.
+        let plan = compile_query_text("for $x in $root//* return <w>{ $x }</w>").unwrap();
+        let out = exec_doc(&plan, &arena, Budget::default()).unwrap().0;
+        assert!(out.windows(2).all(|w| !w[0].ptr_eq(&w[1])));
     }
 
     #[test]

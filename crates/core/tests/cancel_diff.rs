@@ -220,6 +220,45 @@ fn unset_cancel_flag_is_byte_identical_to_seed_behavior() {
     }
 }
 
+/// Loops whose lists the VM merges in place on its value stack, and
+/// constructors its per-run memo may answer with the tree it built last
+/// (the texts of `vm::exec`'s `CONSTRUCTOR_LOOPS` sweep).
+const CONSTRUCTOR_LOOPS: [&str; 16] = [
+    "for $x in $root//* return for $y in $x/* return <k/>",
+    "for $x in $root/* return for $y in $root//* return <x>{ <k/> }</x>",
+    "for $v0 in $root//* return if (not($v0 =atomic <a/>)) then \
+     for $v1 in $root/dos::* return <k/>",
+    "for $v0 in (($root//*)//a)/* return (<x>{ <k/> }</x>, \
+     for $v1 in $root/dos::b return $v1/a)",
+    "for $v in $root//* return <w>{ $v }</w>",
+    "for $x in $root/* return for $y in $x/* return <w>{ ($x, $y, <k/>) }</w>",
+    "for $x in $root/* return let $z := <a><b/><c><b/></c></a> return \
+     for $y in $z//* return <m>{ $y }</m>",
+    "let $w := <w>{ $root/* }</w> return for $x in $root/* return <m>{ $w/* }</m>",
+    "for $x in $root/* return ($x, <k/>, $x/*)",
+    "for $x in $root//* return ()",
+    "for $x in $root//* return for $y in $x/zzz return <k/>",
+    "<e>{ for $x in $root/* return () }</e>",
+    "for $x in $root//* return if (every $y in $x/* satisfies $y =atomic <b/>) then <all/>",
+    "for $x in $root/* return \
+     if (some $y in $x//* satisfies ($y =atomic <b/> and $y/c)) then <hit>{ $x }</hit>",
+    "if (some $y in $root/* satisfies for $z in $y/* return <k/>) then <hit/>",
+    "for $x in $root/* return \
+     if (every $y in $x/* satisfies for $w in $y/* return <k/>) then <all>{ $x }</all>",
+];
+
+#[test]
+fn constructor_loops_cancel_deterministically() {
+    for doc in &docs() {
+        for src in CONSTRUCTOR_LOOPS {
+            let q = xq_core::parse_query(src).unwrap();
+            assert_cancel_point_is_deterministic(&q, doc);
+            assert_every_trip_point_agrees(&q, doc);
+            assert_untripped_flag_is_invisible(&q, doc);
+        }
+    }
+}
+
 /// Deadlines share the abort discipline: an already-expired deadline
 /// rejects at the very first tick on both engines, and a generous one is
 /// invisible.

@@ -308,6 +308,8 @@ impl Server {
             drain_cancelled: false,
             wheel,
             ewma_us: 0.0,
+            tokens: Vec::new(),
+            chunk: vec![0; READ_CHUNK].into_boxed_slice(),
         };
         let handle = std::thread::spawn(move || reactor.run());
         Ok(Server {
@@ -395,6 +397,8 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// newline is dropped (the pre-reactor `BufReader` had no such guard —
 /// one hostile connection could balloon memory without bound).
 const MAX_LINE: usize = 1 << 20;
+/// Bytes one socket read asks for.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// A per-tenant token bucket (see [`RateLimit`]).
 struct Bucket {
@@ -403,15 +407,17 @@ struct Bucket {
 }
 
 impl Bucket {
-    fn full(limit: &RateLimit) -> Bucket {
+    fn full(limit: &RateLimit, now: Instant) -> Bucket {
         Bucket {
             tokens: limit.burst as f64,
-            last: Instant::now(),
+            last: now,
         }
     }
 
-    fn take(&mut self, limit: &RateLimit) -> bool {
-        let now = Instant::now();
+    /// Refills for the time since the last call, up to `burst`, then
+    /// spends one token if there is one. `now` is the caller's clock
+    /// reading, so the arithmetic is a pure function of the readings.
+    fn take(&mut self, limit: &RateLimit, now: Instant) -> bool {
         let dt = now.saturating_duration_since(self.last).as_secs_f64();
         self.last = now;
         self.tokens = (self.tokens + dt * limit.per_sec).min(limit.burst as f64);
@@ -648,6 +654,10 @@ struct Reactor {
     /// frame's `retry_after_ms` hint: "one request's worth of time from
     /// now" is when a slot has plausibly freed.
     ewma_us: f64,
+    /// Connection tokens of the current turn; one buffer, refilled each turn.
+    tokens: Vec<u64>,
+    /// The buffer every socket read lands in before `Conn::rbuf`.
+    chunk: Box<[u8]>,
 }
 
 impl Reactor {
@@ -658,17 +668,20 @@ impl Reactor {
             if self.poller.wait(&mut events, timeout).is_err() {
                 break; // unrecoverable poller failure
             }
-            for ev in events.clone() {
+            for ev in &events {
                 match ev.token {
                     TOKEN_WAKE => self.wake.drain(),
                     TOKEN_LISTENER => self.accept_ready(),
-                    token => self.conn_ready(token, &ev),
+                    token => self.conn_ready(token, ev),
                 }
             }
             self.drain_completions();
-            let tokens: Vec<u64> = self.conns.keys().copied().collect();
-            for token in &tokens {
-                self.process_buffered(*token);
+            // The token list is taken off `self` so the loop may borrow it.
+            let mut tokens = std::mem::take(&mut self.tokens);
+            tokens.clear();
+            tokens.extend(self.conns.keys().copied());
+            for &token in &tokens {
+                self.process_buffered(token);
             }
             if self.shutdown.load(Ordering::SeqCst) && self.drain_deadline.is_none() {
                 self.begin_drain();
@@ -682,10 +695,12 @@ impl Reactor {
                 }
             }
             self.check_idle();
-            let tokens: Vec<u64> = self.conns.keys().copied().collect();
-            for token in tokens {
+            tokens.clear();
+            tokens.extend(self.conns.keys().copied());
+            for &token in &tokens {
                 self.post_io(token);
             }
+            self.tokens = tokens;
             self.reap();
             if self.drain_deadline.is_some() && self.drained() {
                 break; // dropping self closes every remaining socket
@@ -831,16 +846,15 @@ impl Reactor {
             return;
         };
         if ev.readable || ev.hangup {
-            let mut chunk = [0u8; 16 * 1024];
             // A corked connection is not read at all — the kernel socket
             // buffer (and eventually the peer's send path) absorbs the
             // pressure, which is the whole point of backpressure.
             while !conn.eof_seen && !conn.dead && !conn.corked {
-                match conn.stream.read(&mut chunk) {
+                match conn.stream.read(&mut self.chunk) {
                     Ok(0) => conn.eof_seen = true,
                     Ok(n) => {
                         conn.last_activity = Instant::now();
-                        conn.rbuf.extend(&chunk[..n]);
+                        conn.rbuf.extend(&self.chunk[..n]);
                         // Stop pulling once a hostile line is over-long;
                         // process_buffered turns that into a teardown.
                         if conn.rbuf.len() > MAX_LINE {
@@ -1020,11 +1034,12 @@ impl Reactor {
             .get(&tenant)
             .or(self.config.default_rate.as_ref());
         if let Some(limit) = limit {
+            let now = Instant::now();
             let bucket = self
                 .buckets
                 .entry(tenant)
-                .or_insert_with(|| Bucket::full(limit));
-            if !bucket.take(limit) {
+                .or_insert_with(|| Bucket::full(limit, now));
+            if !bucket.take(limit, now) {
                 self.stats.rate_limited.fetch_add(1, Ordering::Relaxed);
                 let mut resp = Frame::new()
                     .bool("ok", false)
@@ -1286,6 +1301,51 @@ fn render(stats: &ServerStats, id: u64, result: Result<String, ServiceError>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn limit(per_sec: f64, burst: u32) -> RateLimit {
+        RateLimit { per_sec, burst }
+    }
+
+    #[test]
+    fn a_spent_bucket_refills_one_token_per_period() {
+        let rate = limit(20.0, 1);
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        let mut b = Bucket::full(&rate, t0);
+        assert!(b.take(&rate, t0), "a new bucket starts full");
+        // One token takes 1/20 s = 50 ms to earn.
+        assert!(!b.take(&rate, at(10)), "refused well before 1/per_sec");
+        assert!(!b.take(&rate, at(40)), "refused well before 1/per_sec");
+        assert!(b.take(&rate, at(91)), "admitted once 1/per_sec has passed");
+        assert!(!b.take(&rate, at(92)));
+    }
+
+    #[test]
+    fn a_long_idle_refills_to_burst_and_no_further() {
+        let rate = limit(20.0, 3);
+        let t0 = Instant::now();
+        let mut b = Bucket::full(&rate, t0);
+        for _ in 0..3 {
+            assert!(b.take(&rate, t0));
+        }
+        assert!(!b.take(&rate, t0));
+        let later = t0 + Duration::from_secs(3600);
+        for _ in 0..3 {
+            assert!(b.take(&rate, later), "an hour idle refills to burst");
+        }
+        assert!(!b.take(&rate, later), "and no further");
+    }
+
+    #[test]
+    fn a_zero_rate_never_refills() {
+        let rate = limit(0.0, 2);
+        let t0 = Instant::now();
+        let mut b = Bucket::full(&rate, t0);
+        assert!(b.take(&rate, t0) && b.take(&rate, t0));
+        for secs in [0, 1, 3600, 86_400 * 365] {
+            assert!(!b.take(&rate, t0 + Duration::from_secs(secs)), "{secs}s");
+        }
+    }
 
     /// `lines` pipelined hello frames, the way a client writes a burst.
     fn burst(lines: usize) -> Vec<u8> {

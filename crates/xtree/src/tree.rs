@@ -114,6 +114,13 @@ impl Tree {
         &self.0.children
     }
 
+    /// True iff `self` and `other` are handles to the same node. Identity
+    /// implies equality, never the converse; trees have no observable
+    /// identity, so this is only a shortcut.
+    pub fn ptr_eq(&self, other: &Tree) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
     /// True iff the node has no children (is an atomic value).
     pub fn is_leaf(&self) -> bool {
         self.0.children.is_empty()
