@@ -87,9 +87,16 @@ done
 # chaos soak (chaos: injected worker panics, dropped completions, and
 # refusals — zero lost or duplicated responses, pool self-healing),
 # the backpressure + idle-timeout suite (pressure), the fault-spec
-# environment gate (fault_env), and the protocol + epoll-binding +
-# timer-wheel unit tests — all against the readiness-driven reactor
-# front door. The supervision suite drives the unwind fence, restart
+# environment gate (fault_env), the inline-route suite (inline: first
+# sightings probed on the reactor, heavy pairs escalated once and then
+# pooled, the `escalated` counter, seeded fault draws identical whether
+# a request is served inline, escalated or pooled), and the protocol +
+# epoll-binding + timer-wheel unit tests — all against the
+# readiness-driven reactor front door. (The probe's cost records are
+# checked against the pool's in xq_core's cost_record suite, and the
+# step-cap sweep, long-answer escalation and `=deep` tree-comparison
+# flag in the service and compile unit tests, all run by the workspace
+# test step above.) The supervision suite drives the unwind fence, restart
 # budget, and RAII gauge contracts on the pool directly. Run again with
 # XQ_ARENA=1 + XQ_THREADS=4 so cancellation, the socket path, and the
 # chaos soak are exercised over arena documents and the parallel entry

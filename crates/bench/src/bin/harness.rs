@@ -634,7 +634,9 @@ fn t18_vm() -> Vec<T18Row> {
         heavy_arena_us,
     ));
 
-    rows.push(t18_ctor_loop());
+    let (ctor_loop, steps_per_us) = t18_ctor_loop();
+    rows.push(ctor_loop);
+    rows.extend(t18_inline_handoff(steps_per_us));
 
     // The service row: the exact T16 batch shape (64 requests over 4
     // docs, 4 workers, one hot query). Workers hit the global plan cache,
@@ -697,8 +699,9 @@ const CTOR_LOOP: &str = "for $v0 in $root//* return if (not($v0 =atomic <a/>)) t
 /// 40-node document, a `many-small`-sized request where the loops'
 /// lists and constructors, not scans or comparisons, set the cost.
 /// Self-checking: the served route must return the interpreter's trees
-/// and charge its steps and items. Median of 201 runs.
-fn t18_ctor_loop() -> T18Row {
+/// and charge its steps and items. Median of 201 runs. Also returns the
+/// row's VM steps per µs.
+fn t18_ctor_loop() -> (T18Row, f64) {
     let budget = xq_core::Budget::default();
     let doc = cv_xtree::random_arena_document(&mut TreeGen::new(1), 40, &["a", "b", "k"]);
     let q = xq_core::parse_query(CTOR_LOOP).unwrap();
@@ -718,23 +721,81 @@ fn t18_ctor_loop() -> T18Row {
     let us = median_us(201, || {
         xq_core::vm::exec_doc(&plan, &doc, budget.clone()).unwrap();
     });
+    let steps_per_us = got_stats.steps as f64 / us;
     println!(
         "\nConstructor loop (`many-small` hot text 249, seeded 40-node document): \
          {} steps, {} items, {} trees out: {us:.1} µs per evaluation over the arena \
-         (median of 201)",
+         (median of 201), {steps_per_us:.0} steps/µs",
         got_stats.steps,
         got_stats.items,
         got.len()
     );
-    T18Row {
+    let row = T18Row {
         label: "ctor_loop_vm_exec",
         total_us: us,
         per_unit_us: us,
         extra: format!(
-            ", \"steps\": {}, \"items\": {}",
+            ", \"steps\": {}, \"items\": {}, \"steps_per_us\": {steps_per_us:.1}",
             got_stats.steps, got_stats.items
         ),
-    }
+    };
+    (row, steps_per_us)
+}
+
+/// The `inline_handoff_*` rows: what the pool handoff costs, the basis of
+/// `INLINE_MAX_STEPS`. One cheap pair (plan cached, cost recorded) on a
+/// seeded 40-node document, answered on the calling thread
+/// (`try_serve_inline`) and through a one-request `run_batch` (a queue
+/// push, a worker wake, a completion and a caller wake), median of
+/// [`T18_BATCH_RUNS`] runs each. The difference, priced at the
+/// constructor loop's `steps_per_us`, is the handoff in VM steps.
+/// Self-checking: the pair is served inline, with the pool's bytes.
+fn t18_inline_handoff(steps_per_us: f64) -> [T18Row; 2] {
+    use xq_core::service::INLINE_MAX_STEPS;
+    use xq_core::{Inline, QueryService, Request};
+
+    let doc = std::sync::Arc::new(cv_xtree::random_arena_document(
+        &mut TreeGen::new(1),
+        40,
+        &["a", "b", "k"],
+    ));
+    let request = Request::new("for $x in $root/* return <w>{ $x }</w>", doc);
+    let service = QueryService::new(2);
+    let want = service.run_batch(vec![request.clone()]).remove(0);
+    assert!(want.is_ok(), "the handoff pair evaluates");
+    let inline_us = median_us(T18_BATCH_RUNS, || {
+        match service.try_serve_inline(&request) {
+            Inline::Served(got) => assert_eq!(got, want, "inline and pool answers differ"),
+            other => panic!("the handoff pair is not served inline: {other:?}"),
+        }
+    });
+    let pool_us = median_us(T18_BATCH_RUNS, || {
+        assert_eq!(
+            service.run_batch(vec![request.clone()]),
+            std::slice::from_ref(&want)
+        );
+    });
+    let handoff_steps = (pool_us - inline_us) * steps_per_us;
+    println!(
+        "\nPool handoff: one cheap cached pair answered inline in {inline_us:.1} µs, \
+         through a one-request run_batch in {pool_us:.1} µs (median of {T18_BATCH_RUNS}): \
+         the handoff costs {:.1} µs, about {handoff_steps:.0} VM steps \
+         (INLINE_MAX_STEPS = {INLINE_MAX_STEPS})",
+        pool_us - inline_us
+    );
+    [
+        T18Row::timing("inline_handoff_inline", inline_us, inline_us),
+        T18Row {
+            label: "inline_handoff_pool",
+            total_us: pool_us,
+            per_unit_us: pool_us,
+            extra: format!(
+                ", \"handoff_us\": {:.1}, \"handoff_steps\": {handoff_steps:.0}, \
+                 \"inline_max_steps\": {INLINE_MAX_STEPS}",
+                pool_us - inline_us
+            ),
+        },
+    ]
 }
 
 /// Hot texts of the flood: `many-small`'s hot-set size.

@@ -59,7 +59,9 @@ pub use semantics::{
     boolean_result, eval_cond_with, eval_query, eval_with, Budget, CancelFlag, Env, EvalStats,
     Threads, XqError,
 };
-pub use service::{CompletionSink, PoolConfig, QueryService, Request, ServiceError};
+pub use service::{
+    CompletionSink, Handoff, Inline, PoolConfig, QueryService, Request, ServiceError,
+};
 pub use translate::{
     c_forest, c_tree, c_tree_inverse, ma_env, ma_invariant_holds, ma_query, ma_query_optimized,
     t_value, t_value_inverse, value_query, xq_invariant_holds, xq_of_ma, TranslateError,

@@ -25,16 +25,43 @@
 //!
 //! Figure 1 is deterministic: a fixed query on a fixed document charges
 //! the same steps and yields the same answer on every run. So when a
-//! request succeeds sequentially, the worker records its exact cost —
-//! steps and answer bytes — on the compiled plan, keyed by the
-//! document's process-unique [`ArenaDoc::id`]
+//! request succeeds sequentially, its exact cost — steps and answer
+//! bytes — is recorded on the compiled plan, keyed by the document's
+//! process-unique [`ArenaDoc::id`]
 //! ([`CompiledPlan::record_cost`](crate::CompiledPlan::record_cost)).
-//! [`QueryService::try_serve_inline`] reads that record: a single-threaded
-//! request whose plan is cached and whose pair last cost at most
-//! [`INLINE_MAX_STEPS`] steps and [`INLINE_MAX_BYTES`] bytes is served on
-//! the *calling* thread, under the same unwind fence, fault points and
-//! budget a worker applies, with no queue handoff and no wake. Every
-//! other request is left to [`QueryService::try_submit`].
+//!
+//! A request's cost cannot be read from its text (Core XQuery's
+//! combined complexity is TA\[2^O(n), O(n)\]), but a bounded run's
+//! answer is final. So [`QueryService::try_serve_inline`] starts every
+//! single-threaded request on the *calling* thread — under the same
+//! unwind fence, fault points and budget a worker applies, with no queue
+//! handoff and no wake — and within the *reactor bound*: at most
+//! [`INLINE_MAX_STEPS`] steps and [`INLINE_MAX_BYTES`] bytes of XML.
+//!
+//! * A plan-cache miss is compiled there, unless the text is longer
+//!   than [`INLINE_MAX_BYTES`].
+//! * A pair with no record is *probed*: run with its step cap lowered to
+//!   [`INLINE_MAX_STEPS`]. A probe that finishes within the bound is the
+//!   answer and records its exact cost. A probe that crosses it records
+//!   a lower bound ([`CostRecord::AtLeast`]) and *escalates*: the caller
+//!   passes it to [`QueryService::hand_off`], which queues it with its
+//!   admission slot and fault draws already taken, and the pool's run
+//!   records the exact cost. When the request's own cap is at or below
+//!   [`INLINE_MAX_STEPS`], the probe is the real run, and its error is
+//!   the answer.
+//! * A pair recorded as costing more than the bound is declined without
+//!   running, and so is a plan that may compare two constructed trees
+//!   with `=deep` ([`CompiledPlan::compares_trees`]): that comparison
+//!   is charged one step however large the trees are. A declined
+//!   request goes to [`QueryService::try_submit`].
+//!
+//! [`INLINE_MAX_STEPS`] is the one knob, sized to the handoff it saves.
+//! On a 2-vCPU host T18's `inline_handoff` rows price the in-process
+//! handoff (a queue push, a worker wake, a caller wake) at about 10 µs,
+//! some 1,300 VM steps; through the socket reactor and its eventfd it is
+//! about 20 µs. Of the ceilings 256, 2,048, 4,096 and 8,192, 4,096 is
+//! the smallest that brings the serving benchmark's `many-small` p99 to
+//! its floor (DESIGN.md).
 //!
 //! ## Fault containment
 //!
@@ -75,7 +102,7 @@
 
 use crate::fault::{FaultPoint, Faults, INJECTED_PANIC_PREFIX};
 use crate::semantics::{Budget, XqError};
-use crate::vm::{CompiledPlan, PlanCache, RunCost};
+use crate::vm::{CompiledPlan, CostRecord, PlanCache, RunCost};
 use cv_xtree::ArenaDoc;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -212,6 +239,7 @@ impl Default for PoolConfig {
 /// claiming a slot and completing can no longer leave `queued` or
 /// `in_flight` permanently elevated, because the decrement rides the
 /// guard's destructor through every exit path, unwinding included.
+#[derive(Debug)]
 struct GaugeGuard(Arc<AtomicUsize>);
 
 impl GaugeGuard {
@@ -286,6 +314,9 @@ impl Drop for Delivery {
 
 struct Job {
     request: Request,
+    /// Set for a request an inline probe escalated: the plan the probe
+    /// ran, whose `worker-panic` and `slow-eval` points it already drew.
+    escalated: Option<Arc<CompiledPlan>>,
     /// The reply obligation; carries the caller's correlation tag
     /// (`run_batch` uses the request's position, other `try_submit`
     /// callers route whatever ticket they chose).
@@ -460,6 +491,7 @@ fn worker_loop(pool: &Pool) {
 fn run_job(pool: &Pool, job: Job) {
     let Job {
         request,
+        escalated,
         delivery,
         queued,
     } = job;
@@ -468,7 +500,12 @@ fn run_job(pool: &Pool, job: Job) {
     drop(queued);
     let in_flight = GaugeGuard::claim(&pool.in_flight);
     let faults = pool.faults.as_deref();
-    let result = fenced_serve(pool, &request, None);
+    // An escalated request drew its evaluation's fault points inline.
+    let draws = if escalated.is_some() { None } else { faults };
+    let result = match fenced_serve(pool, &request, escalated.map(Ok), draws, Route::Pool) {
+        Served::Answer(result) => result,
+        Served::Escalate(_) => unreachable!("a pool run is not bounded"),
+    };
     // Gauge before reply: a collected batch implies `in_flight` has
     // already been released for each of its requests (tests assert the
     // gauges are zero immediately after `run_batch` returns).
@@ -490,15 +527,16 @@ fn run_job(pool: &Pool, job: Job) {
 fn fenced_serve(
     pool: &Pool,
     request: &Request,
-    probed: Option<Arc<CompiledPlan>>,
-) -> Result<String, ServiceError> {
-    catch_unwind(AssertUnwindSafe(|| {
-        serve(request, probed, pool.faults.as_deref())
-    }))
-    .unwrap_or_else(|payload| {
-        pool.contained.fetch_add(1, Ordering::SeqCst);
-        Err(ServiceError::Internal(panic_message(payload.as_ref())))
-    })
+    plan: Option<Result<Arc<CompiledPlan>, ServiceError>>,
+    faults: Option<&Faults>,
+    route: Route,
+) -> Served {
+    catch_unwind(AssertUnwindSafe(|| serve(request, plan, faults, route))).unwrap_or_else(
+        |payload| {
+            pool.contained.fetch_add(1, Ordering::SeqCst);
+            Served::Answer(Err(ServiceError::Internal(panic_message(payload.as_ref()))))
+        },
+    )
 }
 
 /// Spawns one worker thread. The `alive` gauge counts the worker before
@@ -610,9 +648,7 @@ fn supervise(
 fn degraded_drain(pool: &Pool) {
     while let Some(job) = pool.jobs.pop() {
         let Job {
-            request: _,
-            delivery,
-            queued,
+            delivery, queued, ..
         } = job;
         drop(queued);
         delivery.deliver(
@@ -637,16 +673,43 @@ pub struct QueryService {
     queue_capacity: usize,
 }
 
-/// Serves one request on the calling thread. A pool worker passes no
-/// plan: the text resolves through the [`PlanCache`] (compiling on a
-/// miss) and a successful sequential run records its cost. The inline
-/// route passes the plan it probed and records nothing — the record that
-/// routed it is already this run's cost.
+/// Where [`serve`] runs a request, which decides its bound and what it
+/// records.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// A pool worker: the request's own budget; a sequential success
+    /// records its exact cost.
+    Pool,
+    /// The calling thread, within the reactor bound, for a pair whose
+    /// exact cost is recorded and within it: the run records nothing.
+    Recorded,
+    /// The calling thread, within the reactor bound, for a pair with no
+    /// record: the run records its exact cost, or a lower bound when it
+    /// crosses the bound.
+    Probe,
+}
+
+/// What [`serve`] produced.
+enum Served {
+    /// The request's answer.
+    Answer(Result<String, ServiceError>),
+    /// An inline run of this plan crossed the reactor bound: the pool
+    /// must run it.
+    Escalate(Arc<CompiledPlan>),
+}
+
+/// Serves one request on the calling thread. `plan` is the request's
+/// plan (or the error compiling it) when the caller resolved it; a pool
+/// worker with a fresh job passes `None`, and the text resolves through
+/// the [`PlanCache`] (compiling on a miss) after preflight. `faults` is
+/// the registry to draw `worker-panic` and `slow-eval` from (`None` when
+/// injection is off, or when an inline probe already drew them).
 fn serve(
     request: &Request,
-    probed: Option<Arc<CompiledPlan>>,
+    plan: Option<Result<Arc<CompiledPlan>, ServiceError>>,
     faults: Option<&Faults>,
-) -> Result<String, ServiceError> {
+    route: Route,
+) -> Served {
     if let Some(f) = faults {
         // Inside the unwind fence: this is the "a query panicked the
         // engine" simulation — contained, answered `internal_error`.
@@ -660,43 +723,105 @@ fn serve(
     // A request that is already doomed — pre-set cancel flag, expired
     // deadline, zero step cap — is rejected before any evaluation
     // starts (the zero-cap contract extended to the new Budget fields).
-    request
-        .budget
-        .preflight()
-        .map_err(|e| ServiceError::from_eval(&e))?;
-    let inline = probed.is_some();
-    let plan = match probed {
-        Some(plan) => plan,
-        None => PlanCache::global()
-            .get_or_compile(&request.query)
-            .map_err(|e| ServiceError::Parse(e.to_string()))?,
+    if let Err(e) = request.budget.preflight() {
+        return Served::Answer(Err(ServiceError::from_eval(&e)));
+    }
+    let plan = match plan.unwrap_or_else(|| resolve(&request.query)) {
+        Ok(plan) => plan,
+        Err(e) => return Served::Answer(Err(e)),
     };
-    let (out, stats) = crate::eval_compiled_par(&plan, &request.doc, request.budget.clone())
-        .map_err(|e| ServiceError::from_eval(&e))?;
+    let doc = request.doc.id();
+    let bounded = route != Route::Pool;
+    let mut budget = request.budget.clone();
+    // The reactor bound's step cap; it is the request's own cap when
+    // that is lower, and then a tripped cap is the request's answer.
+    let capped = bounded && budget.max_steps > INLINE_MAX_STEPS;
+    if capped {
+        budget.max_steps = INLINE_MAX_STEPS;
+    }
+    let (out, stats) = match crate::eval_compiled_par(&plan, &request.doc, budget) {
+        Ok(run) => run,
+        Err(XqError::Budget { which: "steps" }) if capped => {
+            if route == Route::Probe {
+                let floor = RunCost {
+                    steps: INLINE_MAX_STEPS + 1,
+                    bytes: 0,
+                };
+                plan.record_cost(doc, CostRecord::AtLeast(floor));
+            }
+            return Served::Escalate(plan);
+        }
+        Err(e) => return Served::Answer(Err(ServiceError::from_eval(&e))),
+    };
+    let limit = if bounded {
+        INLINE_MAX_BYTES as usize
+    } else {
+        usize::MAX
+    };
     let mut xml = String::new();
-    for tree in &out {
-        tree.write_xml(&mut xml);
+    if !out
+        .iter()
+        .all(|tree| tree.write_xml_within(&mut xml, limit))
+    {
+        if route == Route::Probe {
+            let floor = RunCost {
+                steps: stats.steps,
+                bytes: INLINE_MAX_BYTES + 1,
+            };
+            plan.record_cost(doc, CostRecord::AtLeast(floor));
+        }
+        return Served::Escalate(plan);
     }
     // A sharded run charges its own step count; only the sequential VM's
     // is the pair's exact cost.
-    if !inline && !stats.parallelized {
-        plan.record_cost(
-            request.doc.id(),
-            RunCost {
-                steps: stats.steps,
-                bytes: xml.len() as u64,
-            },
-        );
+    if route != Route::Recorded && !stats.parallelized {
+        let cost = RunCost {
+            steps: stats.steps,
+            bytes: xml.len() as u64,
+        };
+        plan.record_cost(doc, CostRecord::Exact(cost));
     }
-    Ok(xml)
+    Served::Answer(Ok(xml))
 }
 
-/// The inline route's step ceiling: a pair that last cost more steps
-/// than this goes to the pool.
-pub const INLINE_MAX_STEPS: u64 = 256;
+/// The plan of `text`, through the [`PlanCache`].
+fn resolve(text: &str) -> Result<Arc<CompiledPlan>, ServiceError> {
+    PlanCache::global()
+        .get_or_compile(text)
+        .map_err(|e| ServiceError::Parse(e.to_string()))
+}
 
-/// The inline route's answer-size ceiling, in bytes of XML.
+/// The reactor bound's step ceiling: an inline run stops after this many
+/// steps and, unless the request's own cap is this low, escalates to the
+/// pool. Sized to one pool handoff (see the module docs).
+pub const INLINE_MAX_STEPS: u64 = 4096;
+
+/// The reactor bound's answer-size ceiling, in bytes of XML: an inline
+/// run writes at most this much and escalates when its answer is longer.
+/// Also the longest text the inline route compiles.
 pub const INLINE_MAX_BYTES: u64 = 16 * 1024;
+
+/// What [`QueryService::try_serve_inline`] did with a request.
+#[derive(Debug)]
+#[must_use]
+pub enum Inline {
+    /// Answered on the calling thread.
+    Served(Result<String, ServiceError>),
+    /// Not run, and nothing drawn or claimed: submit it with
+    /// [`QueryService::try_submit`].
+    Declined,
+    /// Run on the calling thread until it crossed the reactor bound:
+    /// pass it to [`QueryService::hand_off`].
+    Escalated(Handoff),
+}
+
+/// An escalated request's claim on the pool: its admission slot and the
+/// plan its probe ran. Dropping it unused releases the slot.
+#[derive(Debug)]
+pub struct Handoff {
+    queued: GaugeGuard,
+    plan: Arc<CompiledPlan>,
+}
 
 impl QueryService {
     /// Spawns a pool of `workers` evaluation threads (at least 1).
@@ -837,7 +962,7 @@ impl QueryService {
             .map(|_| GaugeGuard::adopt(Arc::clone(&self.pool.queued)))
     }
 
-    /// Submits one request — the only way work enters the pool. On
+    /// Submits one request — the only way new work enters the pool. On
     /// admission the request is queued and `true` returned immediately;
     /// the result arrives later as `(tag, result)` on the sink's channel,
     /// followed by the sink's waker. Returns `false` (shed) without
@@ -848,61 +973,99 @@ impl QueryService {
         let Some(queued) = self.admit() else {
             return false;
         };
+        self.enqueue(tag, request, None, queued, sink);
+        true
+    }
+
+    /// Queues a request [`QueryService::try_serve_inline`] escalated. Its
+    /// admission slot is already claimed, so this never sheds, and the
+    /// worker draws only the `completion-drop` point: the probe drew the
+    /// others. The request may differ from the probed one only in its
+    /// cancel flag; the result arrives as for [`QueryService::try_submit`].
+    pub fn hand_off(&self, tag: u64, request: Request, handoff: Handoff, sink: &CompletionSink) {
+        let Handoff { queued, plan } = handoff;
+        self.enqueue(tag, request, Some(plan), queued, sink);
+    }
+
+    fn enqueue(
+        &self,
+        tag: u64,
+        request: Request,
+        escalated: Option<Arc<CompiledPlan>>,
+        queued: GaugeGuard,
+        sink: &CompletionSink,
+    ) {
         // The queue closes only in `Drop`, which consumes the service, so
         // every pushed job is popped — by a worker, or by the supervisor
         // draining a collapsed pool — or dropped with the pool, which
         // answers it `Internal`.
         self.pool.jobs.push(Job {
             request,
+            escalated,
             delivery: Delivery::new(tag, sink.clone()),
             queued,
         });
-        true
     }
 
-    /// Serves `request` on the calling thread when the pool has measured
-    /// it as cheap, and returns `None` — having done nothing — otherwise;
-    /// the caller then submits it through [`QueryService::try_submit`].
+    /// Starts `request` on the calling thread within the reactor bound
+    /// (see the module docs): answers it there, declines it without doing
+    /// anything, or escalates it to the pool.
     ///
-    /// A request is served here only if its budget is single-threaded,
-    /// its plan is already cached (a probe: this never compiles), and the
-    /// plan's cost record for this very document says a run took at most
-    /// [`INLINE_MAX_STEPS`] steps and [`INLINE_MAX_BYTES`] bytes. Figure 1
-    /// is deterministic, so that record is what this run will cost too.
-    ///
-    /// It is served exactly as a worker would serve it: the admission
-    /// decision (with its `submit-refusal` point) answers
-    /// [`ServiceError::Overloaded`] when it sheds; evaluation runs under
-    /// the unwind fence (`worker-panic`, `slow-eval`); and a fired
+    /// A request is declined when its budget is threaded, its text misses
+    /// the plan cache and is longer than [`INLINE_MAX_BYTES`], its plan may
+    /// compare constructed trees, or its pair's record says it costs more
+    /// than the bound. Otherwise it is admitted and run as a worker would
+    /// run it: the admission decision (with its `submit-refusal` point)
+    /// answers [`ServiceError::Overloaded`] when it sheds; evaluation runs
+    /// under the unwind fence (`worker-panic`, `slow-eval`); and a fired
     /// `completion-drop` answers the same `Internal` a worker dying
     /// mid-delivery leaves behind — without unwinding the caller. The
-    /// admission slot is released at once and `in_flight` counts the
-    /// evaluation, so the gauges read as they would for a pool request.
-    /// The run uses the plan the probe returned, so the cache is looked
-    /// up once, and leaves the cost record as it is: the run costs what
-    /// the record says.
-    pub fn try_serve_inline(&self, request: &Request) -> Option<Result<String, ServiceError>> {
+    /// admission slot is held while the run lasts, and `in_flight` counts
+    /// it, so the gauges read as they would for a pool request. An
+    /// escalated request keeps its slot in the [`Handoff`] and has drawn
+    /// every point but `completion-drop`, so each point is drawn at most
+    /// once per request, in the same order on either route.
+    pub fn try_serve_inline(&self, request: &Request) -> Inline {
         if request.budget.threads.count() > 1 {
-            return None;
+            return Inline::Declined;
         }
-        let plan = PlanCache::global().get(&request.query)?;
-        let cost = plan.recorded_cost(request.doc.id())?;
-        if cost.steps > INLINE_MAX_STEPS || cost.bytes > INLINE_MAX_BYTES {
-            return None;
-        }
+        let plan = match PlanCache::global().get(&request.query) {
+            Some(plan) => Ok(plan),
+            None if request.query.len() as u64 > INLINE_MAX_BYTES => return Inline::Declined,
+            None => resolve(&request.query),
+        };
+        let route = match &plan {
+            // A parse error is the whole answer.
+            Err(_) => Route::Recorded,
+            Ok(plan) if plan.compares_trees() => return Inline::Declined,
+            Ok(plan) => match plan.cost_record(request.doc.id()) {
+                None => Route::Probe,
+                Some(CostRecord::Exact(cost))
+                    if cost.steps <= INLINE_MAX_STEPS && cost.bytes <= INLINE_MAX_BYTES =>
+                {
+                    Route::Recorded
+                }
+                Some(_) => return Inline::Declined,
+            },
+        };
         let Some(queued) = self.admit() else {
-            return Some(Err(ServiceError::Overloaded));
+            return Inline::Served(Err(ServiceError::Overloaded));
+        };
+        let faults = self.pool.faults.as_deref();
+        let in_flight = GaugeGuard::claim(&self.pool.in_flight);
+        let served = fenced_serve(&self.pool, request, Some(plan), faults, route);
+        drop(in_flight);
+        let result = match served {
+            Served::Answer(result) => result,
+            Served::Escalate(plan) => return Inline::Escalated(Handoff { queued, plan }),
         };
         drop(queued);
-        let in_flight = GaugeGuard::claim(&self.pool.in_flight);
-        let result = fenced_serve(&self.pool, request, Some(plan));
-        drop(in_flight);
-        if let Some(f) = &self.pool.faults {
+        if let Some(f) = faults {
             if f.fires(FaultPoint::CompletionDrop) {
-                return Some(Err(ServiceError::Internal(ABANDONED.to_string())));
+                return Inline::Served(Err(ServiceError::Internal(ABANDONED.to_string())));
             }
         }
-        Some(result)
+        Inline::Served(result)
     }
 
     /// Runs a batch: submits each request through
@@ -1180,14 +1343,11 @@ mod tests {
                 got, want,
                 "pool diverged from the interpreter at {threads:?}"
             );
-            // The pool has now recorded the successful pairs, so a cheap
-            // single-threaded repeat is served inline — with the same
-            // bytes. (Concurrent tests share these texts' plans and may
-            // push a pair out of its plan's bounded log; that pair just
-            // goes to the pool.)
+            // A cheap single-threaded request is served inline — with the
+            // same bytes.
             let mut inline = 0;
             for (request, want) in requests.iter().zip(&want) {
-                if let Some(got) = service.try_serve_inline(request) {
+                if let Some(got) = served(service.try_serve_inline(request)) {
                     assert_eq!(&got, want, "inline diverged on {}", request.query);
                     inline += 1;
                 }
@@ -1209,42 +1369,224 @@ mod tests {
         })
     }
 
+    /// The answer, if the request was answered inline.
+    fn served(inline: Inline) -> Option<Result<String, ServiceError>> {
+        match inline {
+            Inline::Served(result) => Some(result),
+            Inline::Declined | Inline::Escalated(_) => None,
+        }
+    }
+
+    /// A pool answer to `request` handed off by an inline escalation.
+    fn hand_off(service: &QueryService, request: &Request, handoff: Handoff) -> Reply {
+        let (tx, rx) = channel();
+        let sink = CompletionSink::new(tx, Arc::new(|| {}));
+        service.hand_off(5, request.clone(), handoff, &sink);
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("completion")
+    }
+
+    /// Three nested loops over every element: thousands of steps on a
+    /// 20-node document, and no answer.
+    const COSTLY: &str = "for $p in $root//* return for $q in $root//* return \
+                          for $s in $root//* return $s/never";
+
     #[test]
-    fn only_recorded_cheap_single_threaded_pairs_are_served_inline() {
+    fn inline_route_serves_cheap_pairs_and_escalates_heavy_ones() {
         use crate::semantics::Threads;
         let docs = corpus();
         let service = QueryService::new(2);
         let cheap = "for $inl in $root/* return <cheap>{ $inl }</cheap>";
         let request = Request::new(cheap, docs[0].clone());
-        // A plan-cache miss is never served inline (and never compiles).
-        assert_eq!(service.try_serve_inline(&request), None);
-        assert_eq!(PlanCache::global().compile_count(cheap), 0);
-        let first = service.run_batch(vec![request.clone()]);
-        // The second identical request is served inline, same bytes.
-        assert_eq!(service.try_serve_inline(&request), Some(first[0].clone()));
-        // The same text on another document: not measured yet.
-        let other = Request::new(cheap, docs[1].clone());
-        assert_eq!(service.try_serve_inline(&other), None);
-        // A document built afresh from the same tree: a new identity.
-        let rebuilt = Arc::new(ArenaDoc::from_tree(&docs[0].to_tree()));
+        let want = QueryService::new(1).run_batch(vec![request.clone()]);
+        // A first sighting is compiled and probed inline, and the probe
+        // is the answer.
         assert_eq!(
-            service.try_serve_inline(&Request::new(cheap, rebuilt)),
-            None
+            served(service.try_serve_inline(&request)),
+            Some(want[0].clone())
         );
-        // A threaded budget always goes to the pool.
+        assert_eq!(PlanCache::global().compile_count(cheap), 1);
+        // The repeat is served inline, same bytes.
+        assert_eq!(
+            served(service.try_serve_inline(&request)),
+            Some(want[0].clone())
+        );
+        // Another document and a document built afresh: probed inline.
+        for doc in [
+            docs[1].clone(),
+            Arc::new(ArenaDoc::from_tree(&docs[0].to_tree())),
+        ] {
+            let other = Request::new(cheap, doc);
+            let want = QueryService::new(1).run_batch(vec![other.clone()]);
+            assert_eq!(
+                served(service.try_serve_inline(&other)),
+                Some(want[0].clone())
+            );
+        }
+        // A threaded budget always goes to the pool, untouched.
         let mut threaded = request.clone();
         threaded.budget = threaded.budget.with_threads(Threads::N(2));
-        assert_eq!(service.try_serve_inline(&threaded), None);
-        // An expensive pair stays with the pool however often it runs.
-        let costly = Request::new(
-            "for $p in $root//* return for $q in $root//* return <c/>",
-            docs[0].clone(),
+        assert!(matches!(
+            service.try_serve_inline(&threaded),
+            Inline::Declined
+        ));
+        // A heavy pair escalates once, leaving a lower bound; the pool's
+        // run replaces it with the exact cost, and the pair then goes
+        // to the pool without running inline.
+        let costly = Request::new(COSTLY, docs[0].clone());
+        let Inline::Escalated(handoff) = service.try_serve_inline(&costly) else {
+            panic!("a heavy first sighting escalates");
+        };
+        let plan = PlanCache::global().get(COSTLY).unwrap();
+        let floor = RunCost {
+            steps: INLINE_MAX_STEPS + 1,
+            bytes: 0,
+        };
+        assert_eq!(
+            plan.cost_record(docs[0].id()),
+            Some(CostRecord::AtLeast(floor))
         );
-        service.run_batch(vec![costly.clone(), costly.clone()]);
-        let plan = PlanCache::global().get(&costly.query).unwrap();
-        assert!(plan.recorded_cost(docs[0].id()).unwrap().steps > INLINE_MAX_STEPS);
-        assert_eq!(service.try_serve_inline(&costly), None);
+        assert_eq!(
+            service.queue_depth(),
+            1,
+            "the handoff holds its admission slot"
+        );
+        let pooled = service.run_batch(vec![costly.clone()]);
+        assert_eq!(hand_off(&service, &costly, handoff), (5, pooled[0].clone()));
+        let exact = plan
+            .recorded_cost(docs[0].id())
+            .expect("the pool recorded it");
+        assert!(exact.steps > INLINE_MAX_STEPS, "{exact:?}");
+        assert!(matches!(
+            service.try_serve_inline(&costly),
+            Inline::Declined
+        ));
         assert_eq!((service.queue_depth(), service.in_flight()), (0, 0));
+    }
+
+    #[test]
+    fn an_own_step_cap_under_the_bound_is_answered_inline_exactly() {
+        // Across the inline ceiling, the request's own caps decide: at or
+        // below it the inline run is the real run, errors included; above
+        // it the run escalates and the pool answers. Either way the bytes
+        // are the pool's.
+        let docs = corpus();
+        let service = QueryService::new(1);
+        for cap in [
+            1,
+            60,
+            INLINE_MAX_STEPS - 1,
+            INLINE_MAX_STEPS,
+            INLINE_MAX_STEPS + 1,
+            u64::MAX,
+        ] {
+            for (steps, items) in [(cap, u64::MAX), (u64::MAX, cap)] {
+                // A document of its own per budget: no record carries over.
+                let doc = Arc::new(ArenaDoc::from_tree(&docs[2].to_tree()));
+                let mut request = Request::new(COSTLY, doc);
+                request.budget = Budget {
+                    max_steps: steps,
+                    max_items: items,
+                    ..Budget::default()
+                };
+                let got = match service.try_serve_inline(&request) {
+                    Inline::Served(got) => {
+                        assert!(steps <= INLINE_MAX_STEPS || items <= INLINE_MAX_STEPS);
+                        got
+                    }
+                    Inline::Escalated(handoff) => {
+                        assert!(steps > INLINE_MAX_STEPS);
+                        hand_off(&service, &request, handoff).1
+                    }
+                    Inline::Declined => panic!("declined at {steps}/{items}"),
+                };
+                let want = QueryService::new(1).run_batch(vec![request]);
+                assert_eq!(got, want[0], "steps {steps}, items {items}");
+            }
+        }
+    }
+
+    /// `let $x1 := <d>{ ($x0, $x0) }</d> return …` to depth `depth`, over
+    /// the leaf `$x0 := <d/>` (`var` names the chain): a tree whose text
+    /// doubles per binding.
+    fn doubling(var: &str, depth: usize) -> String {
+        let mut text = format!("let ${var}0 := <d/> return ");
+        for i in 1..=depth {
+            text += &format!(
+                "let ${var}{i} := <d>{{ (${var}{p}, ${var}{p}) }}</d> return ",
+                p = i - 1
+            );
+        }
+        text
+    }
+
+    #[test]
+    fn a_long_answer_escalates_and_the_pool_writes_it() {
+        let docs = corpus();
+        let service = QueryService::new(1);
+        // About a hundred steps and a 48 KiB answer.
+        let text = doubling("w", 12) + "$w12";
+        let request = Request::new(&text, docs[0].clone());
+        let Inline::Escalated(handoff) = service.try_serve_inline(&request) else {
+            panic!("an answer over the bound escalates");
+        };
+        let plan = PlanCache::global().get(&text).unwrap();
+        let Some(CostRecord::AtLeast(floor)) = plan.cost_record(docs[0].id()) else {
+            panic!("the probe leaves a lower bound");
+        };
+        assert_eq!(floor.bytes, INLINE_MAX_BYTES + 1);
+        let (_, answer) = hand_off(&service, &request, handoff);
+        let xml = answer.expect("the pool answers");
+        assert!(xml.len() as u64 > 2 * INLINE_MAX_BYTES, "{}", xml.len());
+        let exact = plan.recorded_cost(docs[0].id()).unwrap();
+        assert_eq!((exact.steps, exact.bytes), (floor.steps, xml.len() as u64));
+        assert!(matches!(
+            service.try_serve_inline(&request),
+            Inline::Declined
+        ));
+    }
+
+    #[test]
+    fn a_plan_that_compares_constructed_trees_never_runs_inline() {
+        // Two let chains of depth 20 compared with `=deep`: a few hundred
+        // steps, but the comparison unfolds both shared trees (2^20
+        // leaves), work the step budget does not charge.
+        let docs = corpus();
+        let text = doubling("x", 20) + &doubling("y", 20) + "if ($x20 = $y20) then <deep/>";
+        let request = Request::new(&text, docs[0].clone());
+        let service = QueryService::new(1);
+        let want = service.run_batch(vec![request.clone()]);
+        assert_eq!(want[0].as_deref(), Ok("<deep/>"));
+        let plan = PlanCache::global().get(&text).unwrap();
+        assert!(plan.compares_trees());
+        let cost = plan.recorded_cost(docs[0].id()).unwrap();
+        assert!(cost.steps <= INLINE_MAX_STEPS, "{cost:?}");
+        for _ in 0..3 {
+            assert!(matches!(
+                service.try_serve_inline(&request),
+                Inline::Declined
+            ));
+        }
+        // A comparison of document nodes stays inline.
+        let nodes = "for $v0 in for $v0 in $root/a return if ($root = $root) then $v0 \
+                     return for $v1 in $root/b return $v1";
+        let request = Request::new(nodes, docs[0].clone());
+        assert!(!PlanCache::global()
+            .get_or_compile(nodes)
+            .unwrap()
+            .compares_trees());
+        assert!(matches!(
+            service.try_serve_inline(&request),
+            Inline::Served(Ok(_))
+        ));
+        // A text longer than the bound is not compiled inline.
+        let long = format!("<long>{{ {} }}</long>", vec!["$root"; 4000].join(", "));
+        let request = Request::new(&long, docs[0].clone());
+        assert!(matches!(
+            service.try_serve_inline(&request),
+            Inline::Declined
+        ));
+        assert_eq!(PlanCache::global().compile_count(&long), 0);
     }
 
     #[test]
@@ -1257,12 +1599,12 @@ mod tests {
         // A refused admission sheds.
         let refusing = faulted("submit-refusal=1");
         assert_eq!(
-            refusing.try_serve_inline(&request),
+            served(refusing.try_serve_inline(&request)),
             Some(Err(ServiceError::Overloaded))
         );
         // A panicking evaluation is contained, as on a worker.
         let panicking = faulted("worker-panic=1");
-        match panicking.try_serve_inline(&request) {
+        match served(panicking.try_serve_inline(&request)) {
             Some(Err(ServiceError::Internal(m))) => {
                 assert!(m.starts_with(INJECTED_PANIC_PREFIX), "{m}")
             }
@@ -1271,12 +1613,15 @@ mod tests {
         assert_eq!(panicking.contained_panics(), 1);
         // A stalled evaluation still answers.
         let slow = faulted("slow-eval=1@1");
-        assert_eq!(slow.try_serve_inline(&request), Some(want[0].clone()));
+        assert_eq!(
+            served(slow.try_serve_inline(&request)),
+            Some(want[0].clone())
+        );
         // A dropped completion answers what a dead worker leaves behind,
         // and kills nothing.
         let dropping = faulted("completion-drop=1");
         assert_eq!(
-            dropping.try_serve_inline(&request),
+            served(dropping.try_serve_inline(&request)),
             Some(Err(ServiceError::Internal(ABANDONED.to_string())))
         );
         assert_eq!(dropping.worker_deaths(), 0);

@@ -11,8 +11,10 @@
 //!   binders, and the document-independent [`compile::par_hint`]; the
 //!   monad-algebra optimizer verdict ([`MaInfo`]) is computed on demand
 //!   for the disassembly, never on the compile path; each plan also keeps
-//!   a small log of what it cost ([`RunCost`]) on the documents the
-//!   serving pool ran it on;
+//!   a small log of what it cost ([`RunCost`], exact or a lower bound:
+//!   [`CostRecord`]) on the documents the serving pool ran it on, and
+//!   whether it may compare constructed trees, work the step budget does
+//!   not charge ([`CompiledPlan::compares_trees`]);
 //! * [`exec`] — the stack executor, byte- and budget-counter-identical
 //!   to [`eval_with`](crate::eval_with) (the `vm_diff` differential suite
 //!   is the proof obligation);
@@ -29,6 +31,8 @@ pub mod exec;
 pub mod ir;
 
 pub use cache::PlanCache;
-pub use compile::{compile_query, compile_query_text, par_hint, CompiledPlan, MaInfo, RunCost};
+pub use compile::{
+    compile_query, compile_query_text, par_hint, CompiledPlan, CostRecord, MaInfo, RunCost,
+};
 pub use exec::{exec_doc, exec_query, exec_with};
 pub use ir::{InstrSeq, OpCode, VarRef};

@@ -14,7 +14,16 @@
 //!   conservative [`par_hint`]: `false` proves the parallel planner could
 //!   never engage on any document, letting executors skip planning
 //!   entirely (the sound direction `engages ⇒ hint` is property-tested in
-//!   `vm_diff`).
+//!   `vm_diff`);
+//! * **uncharged work** — whether a `=deep` `cmp.var` may compare two
+//!   constructed trees ([`CompiledPlan::compares_trees`]). The step budget
+//!   charges that comparison one tick however large the trees are, and a
+//!   `let` chain of constructors doubles them per step, so the serving
+//!   pool keeps such plans off its inline route. Compilation infers which
+//!   variables hold document nodes only — `$root`, and any binder whose
+//!   source is a node-only expression (a node-only variable, an axis step
+//!   from a node-only expression, …) — and a comparison with a node-only
+//!   operand stops within the document's size.
 //!
 //! The `cv_monad::opt` verdict on the query's Figure 2 translation is
 //! *not* compiled in: no execution path reads it, so a compile is
@@ -22,7 +31,7 @@
 //! [`CompiledPlan::ma`] computes it on demand for the disassembly header.
 
 use super::ir::{InstrSeq, OpCode, VarRef};
-use crate::ast::{Cond, Query, Var};
+use crate::ast::{Cond, EqMode, Query, Var};
 use std::fmt::Write as _;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -50,6 +59,7 @@ pub struct CompiledPlan {
     instrs: InstrSeq,
     slots: usize,
     par_hint: bool,
+    compares_trees: bool,
     costs: CostLog,
 }
 
@@ -65,6 +75,16 @@ pub struct RunCost {
     pub bytes: u64,
 }
 
+/// What a plan's cost log knows about one document.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CostRecord {
+    /// A run finished: every run costs exactly this.
+    Exact(RunCost),
+    /// A run was cut short at a bound of the caller's (the inline route's
+    /// step or byte ceiling): every run costs at least this.
+    AtLeast(RunCost),
+}
+
 /// Documents whose cost one plan remembers.
 const COST_SLOTS: usize = 64;
 
@@ -76,10 +96,10 @@ const COST_SLOTS: usize = 64;
 /// the records of the last `COST_SLOTS` of them. Cloning a plan copies
 /// its log.
 #[derive(Default)]
-struct CostLog(Mutex<Vec<(u64, RunCost)>>);
+struct CostLog(Mutex<Vec<(u64, CostRecord)>>);
 
 impl CostLog {
-    fn entries(&self) -> MutexGuard<'_, Vec<(u64, RunCost)>> {
+    fn entries(&self) -> MutexGuard<'_, Vec<(u64, CostRecord)>> {
         // Every critical section is a scan plus one store, so a poisoned
         // log is still consistent.
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
@@ -127,27 +147,46 @@ impl CompiledPlan {
         self.par_hint
     }
 
-    /// Records what a successful sequential run of this plan cost on the
-    /// document with id `doc` ([`ArenaDoc::id`](cv_xtree::ArenaDoc::id)).
-    pub fn record_cost(&self, doc: u64, cost: RunCost) {
+    /// Whether a `=deep` `cmp.var` of this plan may compare two
+    /// constructed trees: neither operand is known to hold document nodes
+    /// only. The step budget does not charge such a comparison by size,
+    /// so `false` is what lets a caller bound a run by its step cap.
+    pub fn compares_trees(&self) -> bool {
+        self.compares_trees
+    }
+
+    /// Records what a run of this plan cost on the document with id `doc`
+    /// ([`ArenaDoc::id`](cv_xtree::ArenaDoc::id)). A lower bound never
+    /// replaces an exact record of the same document.
+    pub fn record_cost(&self, doc: u64, record: CostRecord) {
         let mut entries = self.costs.entries();
         let residue = doc % COST_SLOTS as u64;
         match entries
             .iter_mut()
             .find(|(d, _)| d % COST_SLOTS as u64 == residue)
         {
-            Some(e) => *e = (doc, cost),
-            None => entries.push((doc, cost)),
+            Some((d, CostRecord::Exact(_)))
+                if *d == doc && matches!(record, CostRecord::AtLeast(_)) => {}
+            Some(e) => *e = (doc, record),
+            None => entries.push((doc, record)),
         }
     }
 
-    /// The cost recorded for the document with id `doc`, if any.
-    pub fn recorded_cost(&self, doc: u64) -> Option<RunCost> {
+    /// What the log knows about the document with id `doc`, if anything.
+    pub fn cost_record(&self, doc: u64) -> Option<CostRecord> {
         self.costs
             .entries()
             .iter()
             .find(|(d, _)| *d == doc)
             .map(|(_, c)| *c)
+    }
+
+    /// The exact cost recorded for the document with id `doc`, if any.
+    pub fn recorded_cost(&self, doc: u64) -> Option<RunCost> {
+        match self.cost_record(doc)? {
+            CostRecord::Exact(cost) => Some(cost),
+            CostRecord::AtLeast(_) => None,
+        }
     }
 
     /// The `cv_monad::opt` verdict, if the query translates: the Figure 2
@@ -219,7 +258,9 @@ fn compile_with_source(q: &Query, source: Option<String>) -> CompiledPlan {
     let mut c = Compiler {
         ops: Vec::new(),
         scope: Vec::new(),
+        nodes: Vec::new(),
         slots: 0,
+        compares_trees: false,
     };
     c.query(q);
     CompiledPlan {
@@ -228,6 +269,7 @@ fn compile_with_source(q: &Query, source: Option<String>) -> CompiledPlan {
         instrs: InstrSeq::from_ops(c.ops),
         slots: c.slots,
         par_hint: par_hint(q),
+        compares_trees: c.compares_trees,
         costs: CostLog::default(),
     }
 }
@@ -236,7 +278,11 @@ struct Compiler {
     ops: Vec<OpCode>,
     /// Live binders, outermost first — index is the slot.
     scope: Vec<Var>,
+    /// Per live binder: whether it only ever holds document nodes.
+    nodes: Vec<bool>,
     slots: usize,
+    /// Some `=deep` `cmp.var` has no node-only operand.
+    compares_trees: bool,
 }
 
 impl Compiler {
@@ -262,15 +308,57 @@ impl Compiler {
         }
     }
 
-    fn bind(&mut self, v: &Var) -> u16 {
+    /// Binds `v` to the items of `source`, noting whether they are all
+    /// document nodes.
+    fn bind(&mut self, v: &Var, source: &Query) -> u16 {
         let slot = self.depth();
-        self.scope.push(v.clone());
+        self.enter(v, source);
         self.slots = self.slots.max(self.scope.len());
         slot
     }
 
+    /// Brings `v` into scope over `source` (what [`Compiler::bind`] does
+    /// without allocating a slot).
+    fn enter(&mut self, v: &Var, source: &Query) {
+        let nodes = self.yields_nodes(source);
+        self.scope.push(v.clone());
+        self.nodes.push(nodes);
+    }
+
     fn unbind(&mut self) {
         self.scope.pop();
+        self.nodes.pop();
+    }
+
+    /// Whether `v`, in the current scope, only ever holds document nodes:
+    /// `$root` (the document's root on the served route), or a binder
+    /// over a node-only source.
+    fn holds_nodes(&self, v: &Var) -> bool {
+        match self.scope.iter().rposition(|b| b == v) {
+            Some(slot) => self.nodes[slot],
+            None => v.name() == "root",
+        }
+    }
+
+    /// Whether every item `q` evaluates to is a document node: node-only
+    /// variables and axis steps from node-only expressions, and the
+    /// sequences, conditionals and loops that return only those. An
+    /// element constructor is never node-only.
+    fn yields_nodes(&mut self, q: &Query) -> bool {
+        match q {
+            Query::Empty => true,
+            Query::Elem(..) => false,
+            Query::Var(v) => self.holds_nodes(v),
+            Query::Step(base, _, _) => self.yields_nodes(base),
+            Query::Seq(x, y) => self.yields_nodes(x) && self.yields_nodes(y),
+            Query::If(_, then) => self.yields_nodes(then),
+            Query::For(v, source, body) | Query::Let(v, source, body) => {
+                self.enter(v, source);
+                let nodes = self.yields_nodes(body);
+                self.unbind();
+                nodes
+            }
+        }
     }
 
     fn query(&mut self, q: &Query) {
@@ -307,7 +395,7 @@ impl Compiler {
                     var: v.clone(),
                     exit: 0,
                 });
-                let slot = self.bind(v);
+                let slot = self.bind(v, source);
                 self.query(body);
                 self.unbind();
                 self.emit(OpCode::IterAccum { back: head });
@@ -339,6 +427,9 @@ impl Compiler {
                 self.emit(OpCode::PushBool(true));
             }
             Cond::VarEq(x, y, mode) => {
+                if *mode == EqMode::Deep && !self.holds_nodes(x) && !self.holds_nodes(y) {
+                    self.compares_trees = true;
+                }
                 let (rx, ry) = (self.resolve(x), self.resolve(y));
                 self.emit(OpCode::CmpVars(rx, ry, *mode));
             }
@@ -381,7 +472,7 @@ impl Compiler {
             some,
             exit: 0,
         });
-        let slot = self.bind(v);
+        let slot = self.bind(v, source);
         self.cond(sat);
         self.unbind();
         let check = self.emit(OpCode::QuantCheck {
@@ -514,6 +605,48 @@ mod tests {
             ("if ($root = $root) then for $x in $root/* return $x", false),
         ] {
             assert_eq!(par_hint(&parse_query(src).unwrap()), want, "{src}");
+        }
+    }
+
+    #[test]
+    fn compares_trees_flags_deep_comparisons_without_a_node_operand() {
+        for (src, want) in [
+            ("if ($root = $root) then <e/>", false),
+            (
+                "for $x in $root//a return for $y in $root/b return if ($x = $y) then $x",
+                false,
+            ),
+            (
+                "for $x in (for $w in $root/* where $w/b return $w) return \
+                 if ($x = $x) then $x",
+                false,
+            ),
+            ("let $t := <a/> return if ($t = $root) then <e/>", false),
+            (
+                "if (some $s in ($root/a, $root//b) satisfies $s = $root) then <e/>",
+                false,
+            ),
+            (
+                "let $t := <a/> return let $u := <a/> return if ($t = $u) then <e/>",
+                true,
+            ),
+            (
+                "let $t := <a/> return let $u := <a/> return if ($t =atomic $u) then <e/>",
+                false,
+            ),
+            ("for $t in (<a/>, $root) return if ($t = $t) then $t", true),
+            (
+                "let $c := <a>{ $root }</a> return for $t in $c/* return if ($t = $t) then $t",
+                true,
+            ),
+            ("if (every $s in <a/> satisfies $s = $s) then <e/>", true),
+            // A binder shadowing `$root` with a tree.
+            (
+                "let $root := <a/> return if ($root = $root) then <e/>",
+                true,
+            ),
+        ] {
+            assert_eq!(compiled(src).compares_trees(), want, "{src}");
         }
     }
 

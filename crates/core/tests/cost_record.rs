@@ -13,12 +13,21 @@
 //! another evict each other's records. (That a rebuilt
 //! document starts with no record is checked where it matters, on the
 //! inline route: the service unit tests and `xq_server`'s `inline.rs`.)
+//!
+//! The inline route's probe records costs too: a probe that finishes
+//! records exactly what the pool records for the same pair, and one
+//! that crosses the reactor bound leaves a lower bound that the pool's
+//! run replaces with the exact cost.
 
 use std::sync::Arc;
 
 use cv_xtree::{random_tree, ArenaDoc, TreeGen};
-use xq_core::vm::{compile_query_text, exec_doc};
-use xq_core::{Budget, PlanCache, QueryService, Request};
+use std::sync::mpsc::channel;
+use std::time::Duration;
+
+use xq_core::service::{INLINE_MAX_BYTES, INLINE_MAX_STEPS};
+use xq_core::vm::{compile_query_text, exec_doc, CostRecord};
+use xq_core::{Budget, CompletionSink, Inline, PlanCache, QueryService, Request};
 
 /// Cases: `XQ_RANDOM_CASES` if set (CI uses 16), else 64.
 fn cases() -> usize {
@@ -119,4 +128,148 @@ fn a_text_served_on_forty_documents_keeps_every_record() {
             .expect("every document keeps its record");
         assert_eq!(cost.bytes, xml.len() as u64);
     }
+}
+
+/// Seeded 40-node documents, each with a twin built from the same tree:
+/// the same answers and costs, a separate record.
+fn twins(seed: u64) -> Vec<(Arc<ArenaDoc>, Arc<ArenaDoc>)> {
+    (0..3u64)
+        .map(|i| {
+            let mut g = TreeGen::new(seed + i);
+            let tree = random_tree(&mut g, 40, &["a", "b", "k"]);
+            (
+                Arc::new(ArenaDoc::from_tree(&tree)),
+                Arc::new(ArenaDoc::from_tree(&tree)),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn a_probe_records_what_the_pool_records_on_the_coverage_corpus() {
+    let texts: Vec<String> = xq_bench::coverage_corpus(cases())
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+    let service = QueryService::new(2);
+    let (mut exact, mut escalated) = (0, 0);
+    for (probed, pooled) in twins(6000) {
+        for text in &texts {
+            let request = Request::new(text, Arc::clone(&probed));
+            let inline = service.try_serve_inline(&request);
+            let twin = Request::new(text, Arc::clone(&pooled));
+            let answer = service.run_batch(vec![twin]).remove(0);
+            let plan = PlanCache::global().get(text).expect("compiled");
+            let pool_record = plan.cost_record(pooled.id());
+            match inline {
+                Inline::Served(got) => {
+                    assert_eq!(got, answer, "inline and pool answers differ on {text}");
+                    assert_eq!(
+                        plan.cost_record(probed.id()),
+                        pool_record,
+                        "probe and pool records differ on {text}"
+                    );
+                    exact += usize::from(got.is_ok());
+                }
+                Inline::Escalated(_) => {
+                    let Some(CostRecord::AtLeast(floor)) = plan.cost_record(probed.id()) else {
+                        panic!("an escalated probe leaves a lower bound on {text}");
+                    };
+                    let Some(CostRecord::Exact(cost)) = pool_record else {
+                        panic!("the pool records {text} exactly");
+                    };
+                    assert!(
+                        cost.steps >= floor.steps && cost.bytes >= floor.bytes,
+                        "{text}"
+                    );
+                    assert!(cost.steps > INLINE_MAX_STEPS || cost.bytes > INLINE_MAX_BYTES);
+                    escalated += 1;
+                }
+                Inline::Declined => assert!(plan.compares_trees(), "{text} declined"),
+            }
+        }
+    }
+    assert!(exact > 0, "the corpus exercised the probe");
+    assert!(escalated > 0, "the corpus crossed the reactor bound");
+}
+
+#[test]
+fn an_escalated_probe_leaves_a_lower_bound_the_pool_replaces() {
+    // Four nested loops over every element of a 40-node document.
+    let text = "for $bound_a in $root//* return for $bound_b in $root//* return \
+                for $bound_c in $root//* return $bound_c/never";
+    let (doc, _) = twins(7000).remove(0);
+    let service = QueryService::new(1);
+    let request = Request::new(text, Arc::clone(&doc));
+    let Inline::Escalated(handoff) = service.try_serve_inline(&request) else {
+        panic!("the probe crosses the step bound");
+    };
+    let plan = PlanCache::global().get(text).unwrap();
+    assert!(matches!(
+        plan.cost_record(doc.id()),
+        Some(CostRecord::AtLeast(floor)) if floor.steps == INLINE_MAX_STEPS + 1
+    ));
+    assert_eq!(
+        plan.recorded_cost(doc.id()),
+        None,
+        "a lower bound is not a cost"
+    );
+    let (tx, rx) = channel();
+    service.hand_off(
+        0,
+        request.clone(),
+        handoff,
+        &CompletionSink::new(tx, Arc::new(|| {})),
+    );
+    let (_, answer) = rx.recv_timeout(Duration::from_secs(60)).unwrap();
+    assert_eq!(answer.as_deref(), Ok(""));
+    let fresh = compile_query_text(text).unwrap();
+    let (_, stats) = exec_doc(&fresh, &doc, Budget::default()).unwrap();
+    assert_eq!(
+        plan.cost_record(doc.id()).map(|c| match c {
+            CostRecord::Exact(cost) => cost.steps,
+            CostRecord::AtLeast(_) => 0,
+        }),
+        Some(stats.steps),
+        "the pool's run replaced the bound with the exact cost"
+    );
+    assert!(matches!(
+        service.try_serve_inline(&request),
+        Inline::Declined
+    ));
+}
+
+#[test]
+fn corpus_texts_comparing_nodes_are_not_kept_off_the_inline_route() {
+    // `many-small`'s hot set is the first 256 distinct corpus texts that
+    // evaluate; about twenty of them compare with `=deep`, always
+    // between document nodes, so none is flagged and none is declined.
+    use std::collections::HashSet;
+    use xq_core::vm::OpCode;
+    use xq_core::EqMode;
+    let mut seen = HashSet::new();
+    let texts: Vec<String> = xq_bench::coverage_corpus(4096)
+        .iter()
+        .map(ToString::to_string)
+        .filter(|t| seen.insert(t.clone()))
+        .take(256)
+        .collect();
+    let (doc, _) = twins(8000).remove(0);
+    let service = QueryService::new(1);
+    let mut deep = 0;
+    for text in &texts {
+        let plan = PlanCache::global().get_or_compile(text).unwrap();
+        let compares = |op: &OpCode| matches!(op, OpCode::CmpVars(_, _, EqMode::Deep));
+        if !plan.instrs().ops().iter().any(compares) {
+            continue;
+        }
+        deep += 1;
+        assert!(!plan.compares_trees(), "{text}");
+        let request = Request::new(text, Arc::clone(&doc));
+        assert!(
+            !matches!(service.try_serve_inline(&request), Inline::Declined),
+            "{text}"
+        );
+    }
+    assert!(deep >= 20, "{deep} texts compare with =deep");
 }

@@ -21,15 +21,18 @@
 //!   reactor-chosen ticket. The pool worker evaluates and pushes
 //!   `(ticket, result)` onto the completion queue
 //!   ([`xq_core::CompletionSink`]), then wakes the eventfd.
-//! * A repeat request the pool has already measured as cheap skips that
-//!   handoff: [`QueryService::try_serve_inline`] answers it on the
-//!   reactor thread when its plan is cached, its budget single-threaded
-//!   and its (plan, document) pair last cost at most
-//!   [`xq_core::service::INLINE_MAX_STEPS`] steps and
-//!   [`xq_core::service::INLINE_MAX_BYTES`] bytes — no ticket, no cancel
-//!   flag, no eventfd wake. Only a connection with no pool answer
-//!   outstanding is served inline, so an inline answer never waits
-//!   behind a pool one.
+//! * Every single-threaded request starts on the reactor instead:
+//!   [`QueryService::try_serve_inline`] runs it there within the reactor
+//!   bound — at most [`xq_core::service::INLINE_MAX_STEPS`] steps and
+//!   [`xq_core::service::INLINE_MAX_BYTES`] bytes of answer — with no
+//!   ticket, no cancel flag and no eventfd wake, compiling a plan-cache
+//!   miss first. Only what a bounded run proves heavy reaches the pool:
+//!   a run that crosses the bound is *escalated*
+//!   ([`QueryService::hand_off`], counted in [`ServerStats::escalated`]),
+//!   and a pair recorded as heavy, a threaded budget, or a plan that may
+//!   compare constructed trees is submitted without running. Only a
+//!   connection with no pool answer outstanding is served inline, so an
+//!   inline answer never waits behind a pool one.
 //! * Responses to `query` frames flow through a per-connection FIFO
 //!   (`pending` ids + out-of-order `done` results), so a pipelining
 //!   client reads answers in the order it sent queries — exactly the
@@ -97,7 +100,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xq_core::{
-    Budget, CancelFlag, CompletionSink, Faults, PoolConfig, QueryService, Request, ServiceError,
+    Budget, CancelFlag, CompletionSink, Faults, Inline, PoolConfig, QueryService, Request,
+    ServiceError,
 };
 
 use cv_xtree::ArenaDoc;
@@ -222,6 +226,9 @@ pub struct ServerStats {
     /// other query frame that passed validation and the rate limit went
     /// to the pool.
     pub inline: AtomicU64,
+    /// Query frames the inline route started and escalated to the pool:
+    /// their run crossed the reactor bound. Counted apart from `inline`.
+    pub escalated: AtomicU64,
     /// Times a connection hit the write high-water mark and was corked
     /// (stopped being polled readable until its buffer drained).
     pub backpressured: AtomicU64,
@@ -1074,23 +1081,31 @@ impl Reactor {
         if let Some(ms) = frame.get_uint("deadline_ms") {
             request.budget = request.budget.with_deadline_in(Duration::from_millis(ms));
         }
-        // The inline route: a request the pool has measured as cheap is
-        // answered here, into the FIFO slot a pool completion would fill.
-        // Only while this connection waits on no pool answer: an inline
-        // answer queued behind one would gain nothing, and serving in
-        // request order keeps each fault point's draws in request order
-        // on a connection, so a seeded run replays exactly.
+        // The inline route: the request starts here, and its answer takes
+        // the FIFO slot a pool completion would fill. Only while this
+        // connection waits on no pool answer: an inline answer queued
+        // behind one would gain nothing, and serving in request order
+        // keeps each fault point's draws in request order on a
+        // connection, so a seeded run replays exactly.
+        let mut handoff = None;
         if conn.flags.is_empty() {
-            if let Some(result) = self.service.try_serve_inline(&request) {
-                self.stats.inline.fetch_add(1, Ordering::Relaxed);
-                let shed = matches!(result, Err(ServiceError::Overloaded));
-                let mut frame = render(&self.stats, id, result);
-                if shed {
-                    frame = frame.uint("retry_after_ms", retry_ms);
+            match self.service.try_serve_inline(&request) {
+                Inline::Served(result) => {
+                    self.stats.inline.fetch_add(1, Ordering::Relaxed);
+                    let shed = matches!(result, Err(ServiceError::Overloaded));
+                    let mut frame = render(&self.stats, id, result);
+                    if shed {
+                        frame = frame.uint("retry_after_ms", retry_ms);
+                    }
+                    conn.pending.push_back(id);
+                    conn.done.insert(id, frame);
+                    return;
                 }
-                conn.pending.push_back(id);
-                conn.done.insert(id, frame);
-                return;
+                Inline::Escalated(h) => {
+                    self.stats.escalated.fetch_add(1, Ordering::Relaxed);
+                    handoff = Some(h);
+                }
+                Inline::Declined => {}
             }
         }
         let flag = CancelFlag::new();
@@ -1102,7 +1117,10 @@ impl Reactor {
         let ticket = self.next_ticket;
         self.next_ticket += 1;
         self.routes.insert(ticket, (token, id, Instant::now()));
-        if !self.service.try_submit(ticket, request, &self.sink) {
+        if let Some(handoff) = handoff {
+            // Admitted already, by the inline run.
+            self.service.hand_off(ticket, request, handoff, &self.sink);
+        } else if !self.service.try_submit(ticket, request, &self.sink) {
             // Shed at admission: the result is known now; it still takes
             // the FIFO so responses stay ordered. The retry hint is one
             // EWMA-request's worth of time out — when a slot has

@@ -1,16 +1,20 @@
-//! The inline route over live sockets: a repeat request the pool has
-//! measured as cheap is answered on the reactor thread.
+//! The inline route over live sockets: every single-threaded request
+//! starts on the reactor thread, and only what a bounded run proves
+//! heavy reaches the pool.
 //!
-//! * **Routing** — a second identical cheap request is answered inline
-//!   (the `inline` counter), byte-for-byte as the pool answered the
-//!   first; an expensive pair, a document built afresh, a threaded
-//!   tenant and a plan-cache miss all go to the pool.
+//! * **Routing** — a cheap request is answered inline (the `inline`
+//!   counter) on its first sighting and every repeat, byte-for-byte as
+//!   the pool answers it, on a plan-cache miss and on a document built
+//!   afresh too; an expensive pair escalates once (the `escalated`
+//!   counter) and then goes straight to the pool, and a threaded tenant
+//!   always goes to the pool.
 //! * **Ordering** — on one pipelined connection, cheap requests queued
 //!   behind a slow pool request wait for it and answer in id order,
 //!   while another connection's cheap requests are answered inline in
 //!   the meantime.
 //! * **Fault points** — a seeded fault registry yields the same answer
-//!   sequence whichever route serves the requests.
+//!   sequence, and draws each point as often, whichever route serves the
+//!   requests: inline, escalated, or the pool alone.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -20,7 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cv_xtree::{parse_tree, ArenaDoc};
-use xq_core::{Budget, Faults, Threads};
+use xq_core::{Budget, FaultPoint, Faults, Threads};
 use xq_server::{Frame, Server, ServerConfig};
 
 const DOC: &str = "<r><a/><b><k/></b><k/></r>";
@@ -37,6 +41,19 @@ fn start(doc: &Arc<ArenaDoc>, config: ServerConfig) -> Server {
 
 fn inline_count(server: &Server) -> u64 {
     server.stats().inline.load(Ordering::Relaxed)
+}
+
+fn escalated_count(server: &Server) -> u64 {
+    server.stats().escalated.load(Ordering::Relaxed)
+}
+
+/// Six nested loops over the document's four elements: tens of thousands
+/// of steps, far past the reactor bound, and an empty answer.
+fn costly_query() -> String {
+    (1..=6)
+        .map(|i| format!("for $c{i} in $root//* return "))
+        .collect::<String>()
+        + "$root/never"
 }
 
 struct Client {
@@ -117,23 +134,45 @@ fn unlimited(threads: Threads) -> Budget {
 }
 
 #[test]
-fn a_repeat_cheap_request_is_answered_inline_with_the_pool_bytes() {
+fn a_cheap_request_is_answered_inline_with_the_pool_bytes() {
     let doc = doc();
-    let server = start(&doc, ServerConfig::default());
-    let mut c = Client::connect(&server);
+    let mut tenants = HashMap::new();
+    tenants.insert("par".to_string(), unlimited(Threads::N(2)));
+    let server = start(
+        &doc,
+        ServerConfig {
+            tenants,
+            ..ServerConfig::default()
+        },
+    );
     let text = "for $x in $root/* return <repeat>{ $x }</repeat>";
-    let pooled = c.ask(1, text);
+    let mut threaded = Client::connect(&server);
+    threaded.hello("par");
+    let pooled = threaded.ask(1, text);
     assert!(pooled.starts_with(r#"{"ok":true,"id":1,"#), "{pooled}");
-    assert_eq!(inline_count(&server), 0, "the first run is the pool's");
+    assert_eq!(
+        inline_count(&server),
+        0,
+        "a threaded tenant's run is the pool's"
+    );
+    let mut c = Client::connect(&server);
+    let first = c.ask(1, text);
+    assert_eq!(
+        inline_count(&server),
+        1,
+        "the first sighting is probed inline"
+    );
     let inline = c.ask(1, text);
-    assert_eq!(inline_count(&server), 1, "the repeat is answered inline");
+    assert_eq!(inline_count(&server), 2, "the repeat is answered inline");
+    assert_eq!(first, pooled, "same frame, byte for byte");
     assert_eq!(inline, pooled, "same frame, byte for byte");
-    assert_eq!(server.stats().served.load(Ordering::Relaxed), 2);
+    assert_eq!(server.stats().served.load(Ordering::Relaxed), 3);
+    assert_eq!(escalated_count(&server), 0);
     assert_eq!((server.queue_depth(), server.in_flight()), (0, 0));
 }
 
 #[test]
-fn expensive_fresh_threaded_and_uncached_requests_stay_with_the_pool() {
+fn expensive_pairs_escalate_once_and_threaded_requests_stay_with_the_pool() {
     let doc = doc();
     let mut tenants = HashMap::new();
     tenants.insert("par".to_string(), unlimited(Threads::N(2)));
@@ -145,37 +184,49 @@ fn expensive_fresh_threaded_and_uncached_requests_stay_with_the_pool() {
         },
     );
     let mut c = Client::connect(&server);
-    // A plan-cache miss: a text never seen before goes to the pool.
+    // A plan-cache miss: a text never seen before is compiled and probed
+    // on the reactor.
     let cheap = "for $x in $root/* return <routed>{ $x }</routed>";
-    c.ask(1, cheap);
-    assert_eq!(inline_count(&server), 0, "plan-cache miss");
-    // An expensive pair: ~4^3 loop iterations over the document's 5
-    // nodes, hundreds of steps, however often it runs.
-    let costly = "for $p in $root//* return for $q in $root//* return \
-                  for $s in $root//* return <c/>";
+    let want = c.ask(1, cheap);
+    assert_eq!(inline_count(&server), 1, "plan-cache miss");
+    // An expensive pair: its probe crosses the step bound and escalates,
+    // and the pool answers; its record then sends every repeat straight
+    // to the pool.
+    let costly = costly_query();
     for id in 2..5 {
-        assert!(c.ask(id, costly).contains(r#""ok":true"#));
+        assert_eq!(
+            c.ask(id, &costly),
+            format!(r#"{{"ok":true,"id":{id},"result":""}}"#)
+        );
     }
-    assert_eq!(inline_count(&server), 0, "expensive pair");
+    assert_eq!(inline_count(&server), 1, "expensive pair");
+    assert_eq!(escalated_count(&server), 1, "one probe, then the record");
     // A threaded tenant, on the pair that is cheap for everyone else.
     let mut threaded = Client::connect(&server);
     threaded.hello("par");
     for id in 1..3 {
-        threaded.ask(id, cheap);
+        assert_eq!(
+            threaded.ask(id, cheap),
+            want.replace(r#""id":1"#, &format!(r#""id":{id}"#))
+        );
     }
-    assert_eq!(inline_count(&server), 0, "threads > 1");
+    assert_eq!(inline_count(&server), 1, "threads > 1");
     // The same cheap text on a document built afresh from the same tree:
-    // nothing is inherited, so its first request is the pool's.
+    // nothing is inherited, and its first request is probed inline.
     let rebuilt = doc_rebuilt(&doc);
     let other = start(&rebuilt, ServerConfig::default());
     let mut o = Client::connect(&other);
-    o.ask(1, cheap);
-    assert_eq!(inline_count(&other), 0, "fresh document");
+    assert_eq!(o.ask(1, cheap), want);
+    assert_eq!(inline_count(&other), 1, "fresh document");
     o.ask(2, cheap);
-    assert_eq!(inline_count(&other), 1, "measured now");
+    assert_eq!(inline_count(&other), 2, "measured now");
     // And the original pair was cheap all along.
     c.ask(9, cheap);
-    assert_eq!(inline_count(&server), 1);
+    assert_eq!(inline_count(&server), 2);
+    assert_eq!(escalated_count(&server), 1);
+    wait_for("gauges back to zero", || {
+        server.queue_depth() == 0 && server.in_flight() == 0
+    });
 }
 
 fn doc_rebuilt(doc: &ArenaDoc) -> Arc<ArenaDoc> {
@@ -223,17 +274,18 @@ fn pipelined_answers_keep_id_order_around_a_slow_pool_request() {
     a.writer.write_all(burst.as_bytes()).unwrap();
     assert_eq!(a.recv(), want);
     assert_eq!(a.recv(), want.replace(r#""id":1"#, r#""id":2"#));
-    // The first two were answered inline; the three after them went to
-    // the pool, behind the slow request.
+    // The warm-up and the first two were answered inline; the slow one
+    // escalated, and the two after it went to the pool behind it.
     wait_for("the burst handled", || server.in_flight() == 1);
     wait_for("4 and 5 answered by the pool", || {
         server.stats().served.load(Ordering::Relaxed) == 5
     });
-    assert_eq!(inline_count(&server), 2);
+    assert_eq!(inline_count(&server), 3);
+    assert_eq!(escalated_count(&server), 1);
     // Another connection is answered inline while the slow one runs.
     let mut b = Client::connect(&server);
     assert_eq!(b.ask(1, cheap), want);
-    assert_eq!(inline_count(&server), 3);
+    assert_eq!(inline_count(&server), 4);
     assert_eq!(server.in_flight(), 1, "the slow request is still running");
     // Release it: 3, 4, 5 answer in id order after the cancel ack.
     a.send(r#"{"op":"cancel","id":3}"#);
@@ -248,15 +300,16 @@ fn pipelined_answers_keep_id_order_around_a_slow_pool_request() {
     });
 }
 
-/// `n` pipelined requests for `text`, answered in order; the overload
-/// retry hint is masked (it follows measured pool latency, which inline
+/// `texts` as pipelined requests, answered in order; the overload retry
+/// hint is masked (it follows measured pool latency, which inline
 /// requests do not feed).
-fn transcript(server: &Server, text: &str, n: u64) -> Vec<String> {
+fn transcript(server: &Server, texts: &[String]) -> Vec<String> {
     let mut c = Client::connect(server);
-    for id in 1..=n {
+    for (id, text) in (1..).zip(texts) {
         c.query(id, text);
     }
-    (1..=n)
+    texts
+        .iter()
         .map(|_| {
             let line = c.recv();
             match line.find(r#","retry_after_ms":"#) {
@@ -271,36 +324,43 @@ fn transcript(server: &Server, text: &str, n: u64) -> Vec<String> {
 fn seeded_faults_answer_the_same_on_either_route() {
     const SPEC: &str = "worker-panic=0.2,completion-drop=0.2,slow-eval=0.2@1,submit-refusal=0.2";
     const SEED: u64 = 7;
+    const POINTS: [FaultPoint; 4] = [
+        FaultPoint::SubmitRefusal,
+        FaultPoint::WorkerPanic,
+        FaultPoint::SlowEval,
+        FaultPoint::CompletionDrop,
+    ];
     let text = "for $x in $root/* return <faulted>{ $x }</faulted>";
-    let faults = || Some(Arc::new(Faults::from_spec(SPEC, SEED).unwrap()));
-    // Pool first: a fresh document, so nothing is measured until the
-    // first request succeeds. One worker, so pool requests draw their
-    // fault points in request order, as the reactor does.
-    let fresh = doc();
-    let pool = start(
-        &fresh,
-        ServerConfig {
-            workers: 1,
-            faults: faults(),
-            restart_budget: 1000,
-            ..ServerConfig::default()
-        },
-    );
-    let pooled = transcript(&pool, text, 40);
-    // Inline: a document measured beforehand on an unfaulted server.
-    let measured = doc();
-    let warm = start(&measured, ServerConfig::default());
-    assert!(Client::connect(&warm).ask(1, text).contains(r#""ok":true"#));
-    let inline = start(
-        &measured,
-        ServerConfig {
-            faults: faults(),
-            ..ServerConfig::default()
-        },
-    );
-    let inlined = transcript(&inline, text, 40);
-    assert_eq!(inline_count(&inline), 40, "every request served inline");
-    assert!(inline_count(&pool) < 40, "the pool served some");
+    // A cheap text, fresh texts (first sightings, each compiled once) and
+    // an over-bound text that escalates on its first request and goes to
+    // the pool after.
+    let texts: Vec<String> = (0..40)
+        .map(|i| match i % 10 {
+            3 => format!("let $fresh{i} := <f/> return ({text})"),
+            7 if i < 20 => costly_query(),
+            _ => text.to_string(),
+        })
+        .collect();
+    // One worker on both servers, so pool requests draw their fault
+    // points in request order, as the reactor does.
+    let config = |faults: &Arc<Faults>, default_budget: Budget| ServerConfig {
+        workers: 1,
+        faults: Some(Arc::clone(faults)),
+        restart_budget: 1000,
+        default_budget,
+        ..ServerConfig::default()
+    };
+    // The pool alone: a threaded budget never runs inline.
+    let pool_faults = Arc::new(Faults::from_spec(SPEC, SEED).unwrap());
+    let pool = start(&doc(), config(&pool_faults, unlimited(Threads::N(2))));
+    let pooled = transcript(&pool, &texts);
+    // Inline first: every route the reactor takes.
+    let inline_faults = Arc::new(Faults::from_spec(SPEC, SEED).unwrap());
+    let inline = start(&doc(), config(&inline_faults, Budget::default()));
+    let inlined = transcript(&inline, &texts);
+    assert_eq!(inline_count(&pool), 0, "the pool served everything");
+    assert!(inline_count(&inline) > 0, "the reactor served some");
+    assert!(escalated_count(&inline) > 0, "a probe escalated");
     assert_eq!(inlined, pooled, "same seed, same answers, either route");
     let has = |needle: &str| inlined.iter().any(|l| l.contains(needle));
     assert!(has(r#""ok":true"#));
@@ -309,13 +369,18 @@ fn seeded_faults_answer_the_same_on_either_route() {
     ));
     assert!(has("internal error: injected fault: worker-panic"));
     assert!(has("request abandoned before completion"));
-    assert_eq!(
-        inline.worker_deaths(),
-        0,
-        "a dropped completion kills nothing"
-    );
-    wait_for("pool gauges back to zero", || {
-        pool.queue_depth() == 0 && pool.in_flight() == 0
-    });
-    assert_eq!((inline.queue_depth(), inline.in_flight()), (0, 0));
+    // Each point is drawn at most once per request, as often on either
+    // route; every request draws the admission point.
+    let n = texts.len() as u64;
+    for point in POINTS {
+        let drawn = inline_faults.drawn(point);
+        assert_eq!(drawn, pool_faults.drawn(point), "{point:?}");
+        assert!(drawn <= n, "{point:?} drawn {drawn} times");
+    }
+    assert_eq!(inline_faults.drawn(FaultPoint::SubmitRefusal), n);
+    for server in [&pool, &inline] {
+        wait_for("gauges back to zero", || {
+            server.queue_depth() == 0 && server.in_flight() == 0
+        });
+    }
 }

@@ -188,21 +188,49 @@ impl Tree {
     /// Appends the XML text of [`Tree::to_xml`] to `out`, so a forest
     /// serializes into one buffer.
     pub fn write_xml(&self, out: &mut String) {
+        self.write_xml_within(out, usize::MAX);
+    }
+
+    /// [`Tree::write_xml`] that never lets `out` grow past `limit` bytes:
+    /// returns `false`, with the text cut at a tag boundary, as soon as
+    /// the next tag would not fit. A bounded writer for answers whose
+    /// size the caller cannot know beforehand: a constructed tree may
+    /// share subtrees, so its text can be exponentially longer than the
+    /// tree is large.
+    pub fn write_xml_within(&self, out: &mut String, limit: usize) -> bool {
+        let label = self.label().as_str();
+        // Cannot overflow: a `String` and a label each hold at most
+        // `isize::MAX` bytes.
+        let fits = |out: &String, n: usize| out.len() + n <= limit;
         if self.is_leaf() {
-            out.push('<');
-            out.push_str(self.label().as_str());
-            out.push_str("/>");
-        } else {
-            out.push('<');
-            out.push_str(self.label().as_str());
-            out.push('>');
-            for c in self.children() {
-                c.write_xml(out);
+            if !fits(out, label.len() + 3) {
+                return false;
             }
-            out.push_str("</");
-            out.push_str(self.label().as_str());
-            out.push('>');
+            out.push('<');
+            out.push_str(label);
+            out.push_str("/>");
+            return true;
         }
+        if !fits(out, label.len() + 2) {
+            return false;
+        }
+        out.push('<');
+        out.push_str(label);
+        out.push('>');
+        if !self
+            .children()
+            .iter()
+            .all(|c| c.write_xml_within(out, limit))
+        {
+            return false;
+        }
+        if !fits(out, label.len() + 3) {
+            return false;
+        }
+        out.push_str("</");
+        out.push_str(label);
+        out.push('>');
+        true
     }
 
     /// Rebuilds a forest (list of trees) from a well-formed token stream.
@@ -314,6 +342,27 @@ mod tests {
     #[test]
     fn xml_serialization_matches_paper_example() {
         assert_eq!(sample().to_xml(), "<c><d/><a/><a><c/></a></c>");
+    }
+
+    #[test]
+    fn bounded_serialization_stops_at_the_limit() {
+        let xml = sample().to_xml();
+        for limit in 0..=xml.len() + 2 {
+            let mut out = String::new();
+            let whole = sample().write_xml_within(&mut out, limit);
+            assert_eq!(whole, limit >= xml.len(), "limit {limit}");
+            assert!(out.len() <= limit, "limit {limit}: wrote {}", out.len());
+            assert!(xml.starts_with(&out), "limit {limit}: {out}");
+        }
+        // A doubling tree of 2^20 leaves shares its subtrees: bounded
+        // serialization stops within the limit, not at the full text.
+        let mut t = Tree::leaf("x");
+        for _ in 0..20 {
+            t = Tree::node("d", [t.clone(), t]);
+        }
+        let mut out = String::new();
+        assert!(!t.write_xml_within(&mut out, 16 * 1024));
+        assert!(out.len() <= 16 * 1024 && out.len() > 16 * 1024 - 8);
     }
 
     #[test]
