@@ -65,14 +65,17 @@ done
 cargo test -q -p xq_core --test plan_cache_threads
 cargo test -q --release -p xq_core --test vm_alloc
 
-# The streaming cursor-core surface: cursor_diff locks the refactored
-# one-pipeline engine byte- and counter-identical (pulls, recomputations,
-# peak_live_cursors, tokens_out, workers; errors at exact points under a
-# pull-budget sweep) to the frozen pre-refactor engine
-# (xq_bench::legacy_stream) on all four stream_query* entry points, and
-# byte-identical to the Figure 1 interpreter. Run again with XQ_ARENA=1 +
-# XQ_THREADS=4 so the corpus documents route through the arena store and
-# the parallel sweep picks up the CI thread knob.
+# The streaming cursor-core surface: cursor_diff checks stream_query
+# byte-identical to the Figure 1 interpreter under the lazy, buffered,
+# cap-1, 2-thread and 4-thread configurations, compares its counters
+# (pulls, recomputations, peak_live_cursors, tokens_out, workers,
+# buffered_sources) and the 4-thread pull-budget sweep against
+# tests/golden/cursor_counters.golden, asserts every sequential
+# configuration fails with Budget below its own pull count and succeeds
+# identically at it, and checks stream_boolean's verdicts against
+# Figure 1. Run again with XQ_ARENA=1 + XQ_THREADS=4 so the corpus
+# documents route through the arena store (the golden file is the same
+# for both passes).
 step "streaming cursor suites (cursor_diff; XQ_ARENA=1 XQ_THREADS=4)"
 for e in "${TWICE[@]}"; do
     env $e XQ_RANDOM_CASES="${XQ_RANDOM_CASES:-16}" cargo test -q -p xq_stream --test cursor_diff
@@ -116,8 +119,8 @@ cargo test --release --offline --manifest-path servebench/Cargo.toml
 
 # The machine-readable experiment tables: T16 parallel scaling, T17
 # planner coverage, T18 VM vs interpreter, T19 network serving, T20
-# connection scaling, T21 chaos soak, T22 cursor core.
-for t in 16 17 18 19 20 21 22; do
+# connection scaling, T21 chaos soak.
+for t in 16 17 18 19 20 21; do
     step "T$t harness table (machine-readable: BENCH_T$t.json)"
     cargo run --release -p xq_bench --bin harness -- --only "t$t" --json "BENCH_T$t.json" > /dev/null
 done

@@ -1,12 +1,11 @@
 //! T15 — the arena document store vs the `Rc` tree (`cv_xtree::arena`):
-//! document build, descendant-axis scan, and full-query streaming over
-//! the doubling-family documents. The harness binary prints the
+//! document build, descendant-axis scan, and tokenization of the
+//! doubling-family documents. The harness binary prints the
 //! corresponding table; this target keeps the workload compiling and
 //! timeable under `cargo bench`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use cv_xtree::{Axis, DoublingFamily, NodeTest, Tree};
-use xq_core::parse_query;
 
 fn bench_build(c: &mut Criterion) {
     let mut g = c.benchmark_group("arena_vs_rc/build");
@@ -60,38 +59,12 @@ fn bench_axis_scan(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_full_query(c: &mut Criterion) {
-    let mut g = c.benchmark_group("arena_vs_rc/stream-query");
-    g.sample_size(10);
-    let q = parse_query("for $x in $root//a return <w>{ $x/* }</w>").unwrap();
+fn bench_tokenize(c: &mut Criterion) {
+    let mut g = c.benchmark_group("arena_vs_rc/tokenize");
     let tree: Tree = DoublingFamily::Binary.tree(7);
     let arena = DoublingFamily::Binary.arena(7);
-    g.bench_function("binary-n7-tree", |b| {
-        b.iter(|| {
-            black_box(
-                xq_stream::stream_query_buffered(
-                    &q,
-                    &tree,
-                    u64::MAX,
-                    xq_stream::DEFAULT_BUFFER_LIMIT,
-                )
-                .unwrap(),
-            )
-        })
-    });
-    g.bench_function("binary-n7-arena", |b| {
-        b.iter(|| {
-            black_box(
-                xq_stream::stream_query_arena(
-                    &q,
-                    &arena,
-                    u64::MAX,
-                    xq_stream::DEFAULT_BUFFER_LIMIT,
-                )
-                .unwrap(),
-            )
-        })
-    });
+    g.bench_function("binary-n7-tree", |b| b.iter(|| black_box(tree.tokens())));
+    g.bench_function("binary-n7-arena", |b| b.iter(|| black_box(arena.tokens())));
     g.finish();
 }
 
@@ -100,6 +73,6 @@ criterion_group!(
     bench_build,
     bench_parse,
     bench_axis_scan,
-    bench_full_query
+    bench_tokenize
 );
 criterion_main!(benches);

@@ -8,8 +8,9 @@
 //!   buffered fast path vs full materialization.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cv_monad::{eval, opt, CollectionKind};
-use cv_xtree::parse_tree;
+use cv_xtree::{parse_tree, ArenaDoc};
 use xq_bench::{diff_workload, doubling_query};
+use xq_stream::StreamConfig;
 
 fn bench_diff(c: &mut Criterion) {
     let (derived, builtin, input) = diff_workload();
@@ -34,19 +35,20 @@ fn bench_diff(c: &mut Criterion) {
 
 fn bench_stream(c: &mut Criterion) {
     let t = parse_tree("<r/>").unwrap();
+    let doc = ArenaDoc::from_tree(&t);
+    let (lazy, buffered) = (
+        StreamConfig::lazy(u64::MAX),
+        StreamConfig::buffered(u64::MAX),
+    );
     let mut g = c.benchmark_group("opt_vs_naive");
     g.sample_size(10);
     for n in [2usize, 4] {
         let q = doubling_query(n);
         g.bench_with_input(BenchmarkId::new("stream_lazy", n), &q, |b, q| {
-            b.iter(|| xq_stream::stream_query(q, &t, u64::MAX).unwrap().1)
+            b.iter(|| xq_stream::stream_query(q, &doc, lazy).unwrap().1)
         });
         g.bench_with_input(BenchmarkId::new("stream_buffered", n), &q, |b, q| {
-            b.iter(|| {
-                xq_stream::stream_query_buffered(q, &t, u64::MAX, xq_stream::DEFAULT_BUFFER_LIMIT)
-                    .unwrap()
-                    .1
-            })
+            b.iter(|| xq_stream::stream_query(q, &doc, buffered).unwrap().1)
         });
         g.bench_with_input(BenchmarkId::new("materializing", n), &q, |b, q| {
             b.iter(|| xq_core::eval_query(q, &t).unwrap().len())

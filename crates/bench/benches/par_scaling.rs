@@ -1,5 +1,5 @@
 //! T16/T17 — data-parallel evaluation over the arena store
-//! (`xq_core::par`, `xq_stream::stream_query_arena_par`): the cross-join
+//! (`xq_core::par`, `xq_stream::stream_query`): the cross-join
 //! `for`-nests of the doubling families evaluated at 1/2/4 worker
 //! threads, the planner shapes (`Seq`-of-`for`s, nested `for`s, and a
 //! `$root`-sharing body exercising the build-once root materialization),
@@ -46,18 +46,11 @@ fn bench_stream_par(c: &mut Criterion) {
     let q = stream_workload(family);
     for threads in [1usize, 2, 4] {
         g.bench_function(format!("{family}-n{n}-t{threads}"), |b| {
-            b.iter(|| {
-                black_box(
-                    xq_stream::stream_query_arena_par(
-                        &q,
-                        &doc,
-                        u64::MAX,
-                        xq_stream::DEFAULT_BUFFER_LIMIT,
-                        threads,
-                    )
-                    .unwrap(),
-                )
-            })
+            let cfg = xq_stream::StreamConfig {
+                threads,
+                ..xq_stream::StreamConfig::buffered(u64::MAX)
+            };
+            b.iter(|| black_box(xq_stream::stream_query(&q, &doc, cfg).unwrap()))
         });
     }
     g.finish();

@@ -9,7 +9,6 @@
 //! cargo run --release -p xq_bench --bin harness -- --only t19 --json BENCH_T19.json
 //! cargo run --release -p xq_bench --bin harness -- --only t20 --json BENCH_T20.json
 //! cargo run --release -p xq_bench --bin harness -- --only t21 --json BENCH_T21.json
-//! cargo run --release -p xq_bench --bin harness -- --only t22 --json BENCH_T22.json
 //! ```
 //!
 //! `--only tN` runs a single table; `--json FILE` additionally writes the
@@ -18,9 +17,7 @@
 //! `--only t18`, T19 (network serving under load) under `--only t19`,
 //! T20 (connection scaling on the reactor) under `--only t20`,
 //! T21 (chaos soak under seeded fault injection) under `--only t21`,
-//! T22 (cursor core vs the frozen pre-refactor streaming engine) under
-//! `--only t22`, T16 (parallel scaling) otherwise — the CI
-//! perf-trajectory artifacts.
+//! T16 (parallel scaling) otherwise — the CI perf-trajectory artifacts.
 
 use cv_monad::Budget;
 use cv_xtree::{ArenaDoc, TreeGen};
@@ -33,6 +30,7 @@ use xq_paths::{eval_paths, figure_5_query, prove, unit_input};
 use xq_reductions as red;
 use xq_reductions::{EqFlavor, NtmReduction};
 use xq_rewrite::eliminate_composition;
+use xq_stream::StreamConfig;
 
 /// A table that writes a `--json` payload: its `--only` name, and a
 /// runner that prints the table and returns the payload.
@@ -58,23 +56,22 @@ fn main() {
     }
     if let Some(o) = &only {
         // A typo must fail loudly, not silently run zero tables.
-        let known: Vec<String> = (1..=22).map(|i| format!("t{i}")).collect();
+        let known: Vec<String> = (1..=21).map(|i| format!("t{i}")).collect();
         assert!(
             known.contains(o),
-            "--only {o:?} is not a known table (expected one of t1..t22)"
+            "--only {o:?} is not a known table (expected one of t1..t21)"
         );
     }
 
-    // T16–T22 run last and carry the JSON payloads: `--only tN` writes
+    // T16–T21 run last and carry the JSON payloads: `--only tN` writes
     // table N's; any other selection that includes T16 writes T16's.
-    let json_tables: [JsonTable; 7] = [
+    let json_tables: [JsonTable; 6] = [
         ("t16", || t16_json(&t16_parallel())),
         ("t17", || t17_json(&t17_coverage())),
         ("t18", || t18_json(&t18_vm())),
         ("t19", || t19_json(&t19_serving())),
         ("t20", || t20_json(&t20_connection_scaling())),
         ("t21", || t21_json(&t21_chaos())),
-        ("t22", || t22_json(&t22_cursor())),
     ];
     // Checked before any table runs, so a bad selection costs nothing.
     if json_path.is_some()
@@ -82,7 +79,7 @@ fn main() {
             .as_deref()
             .is_some_and(|o| json_tables.iter().all(|(name, _)| *name != o))
     {
-        panic!("--json requires T16..T22 to run (drop --only or use --only t16/.../t22)");
+        panic!("--json requires T16..T21 to run (drop --only or use --only t16/.../t21)");
     }
 
     println!("# Koch (PODS 2005) reproduction — experiment harness");
@@ -342,13 +339,13 @@ struct T16Row {
 }
 
 /// T16 — data-parallel evaluation over the arena store (`xq_core::par`,
-/// `stream_query_arena_par`): the cross-join `for`-nest workloads at
+/// `xq_stream::stream_query`): the cross-join `for`-nest workloads at
 /// 1/2/4 worker threads, plus the indexed-vs-linear `Env::lookup`
 /// contrast and the `QueryService` batch shape.
 fn t16_parallel() -> Vec<T16Row> {
     use xq_core::{eval_query_par, Threads};
 
-    header("T16  Data-parallel evaluation  (xq_core::par, stream_query_arena_par)");
+    header("T16  Data-parallel evaluation  (xq_core::par, xq_stream::stream_query)");
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "Host parallelism: {host} hardware thread(s). Speedups are \
@@ -384,15 +381,12 @@ fn t16_parallel() -> Vec<T16Row> {
             let eval_us = time_us(2, || {
                 eval_query_par(&q, &doc, budget.clone()).unwrap();
             });
+            let cfg = xq_stream::StreamConfig {
+                threads,
+                ..xq_stream::StreamConfig::buffered(u64::MAX)
+            };
             let stream_us = time_us(2, || {
-                xq_stream::stream_query_arena_par(
-                    &qs,
-                    &doc,
-                    u64::MAX,
-                    xq_stream::DEFAULT_BUFFER_LIMIT,
-                    threads,
-                )
-                .unwrap();
+                xq_stream::stream_query(&qs, &doc, cfg).unwrap();
             });
             if threads == 1 {
                 eval_base = eval_us;
@@ -899,7 +893,9 @@ struct T19Row {
     wall_ms: f64,
 }
 
-/// The latency percentile of a sorted sample (nearest-rank).
+/// The latency percentile of a sorted sample: the element at the linear
+/// index `p/100 · (len − 1)`, rounded to the nearest index (no
+/// interpolation).
 fn percentile_us(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -908,10 +904,62 @@ fn percentile_us(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn t19_serving() -> Vec<T19Row> {
+/// The closed-loop client of T19 and T20: `clients` connections to
+/// `addr`, one thread each, every one sending a `query` frame for `src`
+/// on document `d0`, waiting for its answer, and repeating `per_client`
+/// times (nothing pipelined). Returns each answer with its round-trip
+/// latency in µs, and the wall time of the whole run in ms.
+fn closed_loop(
+    addr: std::net::SocketAddr,
+    clients: usize,
+    per_client: usize,
+    src: &str,
+) -> (Vec<(f64, xq_server::Frame)>, f64) {
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
-    use xq_server::{Frame, Server, ServerConfig};
+    use xq_server::Frame;
+
+    let started = Instant::now();
+    let answers = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|_| {
+                scope.spawn(move || {
+                    let stream = TcpStream::connect(addr).expect("connect");
+                    stream.set_nodelay(true).expect("nodelay");
+                    let mut reader = BufReader::new(stream.try_clone().unwrap());
+                    let mut writer = stream;
+                    (0..per_client)
+                        .map(|id| {
+                            let frame = Frame::new()
+                                .str("op", "query")
+                                .uint("id", id as u64)
+                                .str("doc", "d0")
+                                .str("query", src);
+                            let t0 = Instant::now();
+                            writer.write_all(frame.encode().as_bytes()).expect("send");
+                            writer.write_all(b"\n").expect("send");
+                            writer.flush().expect("flush");
+                            let mut line = String::new();
+                            reader.read_line(&mut line).expect("recv");
+                            let us = t0.elapsed().as_secs_f64() * 1e6;
+                            let resp =
+                                Frame::parse(line.trim_end_matches('\n')).expect("frame parses");
+                            (us, resp)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    (answers, started.elapsed().as_secs_f64() * 1e3)
+}
+
+fn t19_serving() -> Vec<T19Row> {
+    use xq_server::{Server, ServerConfig};
 
     header("T19  Network serving under load  (xq_server: admission, shedding)");
     const WORKERS: usize = 2;
@@ -951,61 +999,22 @@ fn t19_serving() -> Vec<T19Row> {
             ..ServerConfig::default()
         })
         .expect("start T19 server");
-        let started = Instant::now();
+        let (answers, wall_ms) = closed_loop(server.addr(), clients, PER_CLIENT, src);
         let mut latencies: Vec<f64> = Vec::new();
-        let mut ok = 0usize;
         let mut shed = 0usize;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..clients)
-                .map(|_| {
-                    let addr = server.addr();
-                    scope.spawn(move || {
-                        let stream = TcpStream::connect(addr).expect("connect");
-                        stream.set_nodelay(true).expect("nodelay");
-                        let mut reader = BufReader::new(stream.try_clone().unwrap());
-                        let mut writer = stream;
-                        let mut lat = Vec::with_capacity(PER_CLIENT);
-                        let mut ok = 0usize;
-                        let mut shed = 0usize;
-                        for id in 0..PER_CLIENT {
-                            let frame = Frame::new()
-                                .str("op", "query")
-                                .uint("id", id as u64)
-                                .str("doc", "d0")
-                                .str("query", src);
-                            let t0 = Instant::now();
-                            writer.write_all(frame.encode().as_bytes()).expect("send");
-                            writer.write_all(b"\n").expect("send");
-                            writer.flush().expect("flush");
-                            let mut line = String::new();
-                            reader.read_line(&mut line).expect("recv");
-                            let us = t0.elapsed().as_secs_f64() * 1e6;
-                            let resp =
-                                Frame::parse(line.trim_end_matches('\n')).expect("frame parses");
-                            if resp.get_bool("ok") == Some(true) {
-                                ok += 1;
-                                lat.push(us);
-                            } else {
-                                assert_eq!(
-                                    resp.get_str("code"),
-                                    Some("overloaded"),
-                                    "T19 only expects ok or overloaded answers"
-                                );
-                                shed += 1;
-                            }
-                        }
-                        (lat, ok, shed)
-                    })
-                })
-                .collect();
-            for h in handles {
-                let (lat, o, s) = h.join().expect("client thread");
-                latencies.extend(lat);
-                ok += o;
-                shed += s;
+        for (us, resp) in answers {
+            if resp.get_bool("ok") == Some(true) {
+                latencies.push(us);
+            } else {
+                assert_eq!(
+                    resp.get_str("code"),
+                    Some("overloaded"),
+                    "T19 only expects ok or overloaded answers"
+                );
+                shed += 1;
             }
-        });
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+        }
+        let ok = latencies.len();
         latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let requests = clients * PER_CLIENT;
         let row = T19Row {
@@ -1095,9 +1104,7 @@ struct T20Row {
 }
 
 fn t20_connection_scaling() -> Vec<T20Row> {
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpStream;
-    use xq_server::{Frame, Server, ServerConfig};
+    use xq_server::{Server, ServerConfig};
 
     header("T20  Connection scaling  (xq_server reactor: fixed threads, many sockets)");
     const WORKERS: usize = 2;
@@ -1135,52 +1142,17 @@ fn t20_connection_scaling() -> Vec<T20Row> {
             ..ServerConfig::default()
         })
         .expect("start T20 server");
-        let started = Instant::now();
+        let (answers, wall_ms) = closed_loop(server.addr(), conns, PER_CONN, src);
         let mut latencies: Vec<f64> = Vec::new();
-        let mut ok = 0usize;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..conns)
-                .map(|_| {
-                    let addr = server.addr();
-                    scope.spawn(move || {
-                        let stream = TcpStream::connect(addr).expect("connect");
-                        stream.set_nodelay(true).expect("nodelay");
-                        let mut reader = BufReader::new(stream.try_clone().unwrap());
-                        let mut writer = stream;
-                        let mut lat = Vec::with_capacity(PER_CONN);
-                        for id in 0..PER_CONN {
-                            let frame = Frame::new()
-                                .str("op", "query")
-                                .uint("id", id as u64)
-                                .str("doc", "d0")
-                                .str("query", src);
-                            let t0 = Instant::now();
-                            writer.write_all(frame.encode().as_bytes()).expect("send");
-                            writer.write_all(b"\n").expect("send");
-                            writer.flush().expect("flush");
-                            let mut line = String::new();
-                            reader.read_line(&mut line).expect("recv");
-                            let us = t0.elapsed().as_secs_f64() * 1e6;
-                            let resp =
-                                Frame::parse(line.trim_end_matches('\n')).expect("frame parses");
-                            assert_eq!(
-                                resp.get_bool("ok"),
-                                Some(true),
-                                "T20 runs with an unbounded queue; every answer must be ok"
-                            );
-                            lat.push(us);
-                        }
-                        lat
-                    })
-                })
-                .collect();
-            for h in handles {
-                let lat = h.join().expect("client thread");
-                ok += lat.len();
-                latencies.extend(lat);
-            }
-        });
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+        for (us, resp) in answers {
+            assert_eq!(
+                resp.get_bool("ok"),
+                Some(true),
+                "T20 runs with an unbounded queue; every answer must be ok"
+            );
+            latencies.push(us);
+        }
+        let ok = latencies.len();
         latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let requests = conns * PER_CONN;
         let row = T20Row {
@@ -1490,203 +1462,6 @@ fn t21_json(rows: &[T21Row]) -> String {
     table_json("T21", &header, &rows, None)
 }
 
-/// One T22 measurement: one streaming discipline of one doubling family,
-/// timed on the refactored cursor core and on the frozen pre-refactor
-/// engine (`xq_bench::legacy_stream`).
-struct T22Row {
-    family: String,
-    n: u32,
-    discipline: &'static str,
-    tokens_out: u64,
-    legacy_us: f64,
-    cursor_us: f64,
-    /// High-water mark of parked tokens (cursor engine; the legacy
-    /// engine had no such gauge — its parallel merge materialized every
-    /// chunk, so its effective in-flight peak was `tokens_out`).
-    peak_buffered_tokens: u64,
-    workers: usize,
-}
-
-/// T22 — the cursor-core refactor's performance gate: lazy, buffered, and
-/// parallel-merge streaming on the doubling families, refactored engine
-/// vs the frozen pre-refactor engine. Self-checked: bytes and budget
-/// counters must match the baseline exactly (a slow-path regression
-/// cannot hide behind a fast mean), the cursor engine must stay within
-/// noise of the old engine on every discipline, and the parallel merge's
-/// `peak_buffered_tokens` must stay under its queue bound — the number
-/// that proves the merge consumes worker output incrementally where the
-/// old engine materialized whole chunks.
-fn t22_cursor() -> Vec<T22Row> {
-    use cv_xtree::DoublingFamily;
-    use xq_bench::legacy_stream as legacy;
-    use xq_stream::{DEFAULT_BUFFER_LIMIT, PAR_QUEUE_CAP_TOKENS, PAR_RUN_TOKENS};
-
-    header("T22  Cursor core vs pre-refactor engine  (xq_stream refactor)");
-    println!(
-        "The composable-cursor refactor routed all four `stream_query*` \
-         entry points through one pipeline builder; this table gates its \
-         cost. Lazy rows use smaller documents (re-streaming cost is \
-         quadratic), the parallel rows run 4 threads with the incremental \
-         run-queue merge.\n"
-    );
-    println!(
-        "| family (n) | discipline | tokens out | legacy (µs) | cursor (µs) | ratio | peak buffered tokens |"
-    );
-    println!("|---|---|---|---|---|---|---|");
-    let mut rows = Vec::new();
-    let mut push = |family: DoublingFamily,
-                    n: u32,
-                    discipline: &'static str,
-                    tokens_out: u64,
-                    legacy_us: f64,
-                    cursor_us: f64,
-                    peak: u64,
-                    workers: usize| {
-        println!(
-            "| {family} ({n}) | {discipline} | {tokens_out} | {legacy_us:.1} | {cursor_us:.1} | {:.2}x | {peak} |",
-            cursor_us / legacy_us
-        );
-        // The refactor gate: within noise of the old engine (generous
-        // margin — CI containers are single-core and share tenants).
-        assert!(
-            cursor_us <= legacy_us * 1.5 + 250.0,
-            "cursor core regressed {discipline} on {family}({n}): \
-             {cursor_us:.1}µs vs legacy {legacy_us:.1}µs"
-        );
-        rows.push(T22Row {
-            family: family.to_string(),
-            n,
-            discipline,
-            tokens_out,
-            legacy_us,
-            cursor_us,
-            peak_buffered_tokens: peak,
-            workers,
-        });
-    };
-    for (family, n_lazy, n) in [
-        (DoublingFamily::Binary, 8u32, 11u32),
-        (DoublingFamily::Wide, 9, 12),
-        (DoublingFamily::Comb, 7, 10),
-    ] {
-        let q = xq_bench::stream_workload(family);
-
-        // Lazy discipline (pure Theorem 4.5 re-streaming).
-        let tree = family.tree(n_lazy);
-        let (out, stats) = xq_stream::stream_query(&q, &tree, u64::MAX).unwrap();
-        let (lout, lstats) = legacy::stream_query(&q, &tree, u64::MAX).unwrap();
-        assert_eq!(out, lout, "lazy bytes diverged on {family}({n_lazy})");
-        assert_eq!(stats.pulls, lstats.pulls, "lazy pulls on {family}");
-        let cursor_us = time_us(3, || {
-            xq_stream::stream_query(&q, &tree, u64::MAX).unwrap();
-        });
-        let legacy_us = time_us(3, || {
-            legacy::stream_query(&q, &tree, u64::MAX).unwrap();
-        });
-        push(
-            family,
-            n_lazy,
-            "lazy",
-            stats.tokens_out,
-            legacy_us,
-            cursor_us,
-            stats.peak_buffered_tokens,
-            0,
-        );
-
-        // Buffered fast path.
-        let tree = family.tree(n);
-        let (out, stats) =
-            xq_stream::stream_query_buffered(&q, &tree, u64::MAX, DEFAULT_BUFFER_LIMIT).unwrap();
-        let (lout, lstats) =
-            legacy::stream_query_buffered(&q, &tree, u64::MAX, DEFAULT_BUFFER_LIMIT).unwrap();
-        assert_eq!(out, lout, "buffered bytes diverged on {family}({n})");
-        assert_eq!(stats.pulls, lstats.pulls, "buffered pulls on {family}");
-        let cursor_us = time_us(8, || {
-            xq_stream::stream_query_buffered(&q, &tree, u64::MAX, DEFAULT_BUFFER_LIMIT).unwrap();
-        });
-        let legacy_us = time_us(8, || {
-            legacy::stream_query_buffered(&q, &tree, u64::MAX, DEFAULT_BUFFER_LIMIT).unwrap();
-        });
-        push(
-            family,
-            n,
-            "buffered",
-            stats.tokens_out,
-            legacy_us,
-            cursor_us,
-            stats.peak_buffered_tokens,
-            0,
-        );
-
-        // Parallel incremental merge, 4 threads.
-        let doc = family.arena(n);
-        let (out, stats) =
-            xq_stream::stream_query_arena_par(&q, &doc, u64::MAX, DEFAULT_BUFFER_LIMIT, 4).unwrap();
-        let (lout, _) =
-            legacy::stream_query_arena_par(&q, &doc, u64::MAX, DEFAULT_BUFFER_LIMIT, 4).unwrap();
-        assert_eq!(out, lout, "par bytes diverged on {family}({n})");
-        // The boundedness gate: in-flight tokens stay under the queue
-        // bound however large the output grows — the legacy merge parked
-        // every chunk's full output instead.
-        let bound = (stats.workers * (PAR_QUEUE_CAP_TOKENS + PAR_RUN_TOKENS)) as u64;
-        assert!(
-            stats.peak_buffered_tokens <= bound,
-            "incremental merge exceeded its bound on {family}({n}): \
-             peak {} > {bound}",
-            stats.peak_buffered_tokens
-        );
-        let cursor_us = time_us(5, || {
-            xq_stream::stream_query_arena_par(&q, &doc, u64::MAX, DEFAULT_BUFFER_LIMIT, 4).unwrap();
-        });
-        let legacy_us = time_us(5, || {
-            legacy::stream_query_arena_par(&q, &doc, u64::MAX, DEFAULT_BUFFER_LIMIT, 4).unwrap();
-        });
-        push(
-            family,
-            n,
-            "par-merge 4T",
-            stats.tokens_out,
-            legacy_us,
-            cursor_us,
-            stats.peak_buffered_tokens,
-            stats.workers,
-        );
-    }
-    println!(
-        "\nSelf-checks passed: bytes and pull counters identical to the \
-         frozen baseline, cursor within noise on every discipline, \
-         parallel peak bounded by workers × (queue cap {PAR_QUEUE_CAP_TOKENS} \
-         + run {PAR_RUN_TOKENS}) tokens while the old merge parked whole \
-         chunk outputs."
-    );
-    rows
-}
-
-/// T22's `--json` payload.
-fn t22_json(rows: &[T22Row]) -> String {
-    let rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "\"family\": \"{}\", \"n\": {}, \"discipline\": \"{}\", \
-                 \"tokens_out\": {}, \"legacy_us\": {:.1}, \"cursor_us\": {:.1}, \
-                 \"ratio\": {:.3}, \"peak_buffered_tokens\": {}, \"workers\": {}",
-                r.family,
-                r.n,
-                r.discipline,
-                r.tokens_out,
-                r.legacy_us,
-                r.cursor_us,
-                r.cursor_us / r.legacy_us,
-                r.peak_buffered_tokens,
-                r.workers,
-            )
-        })
-        .collect();
-    table_json("T22", &[], &rows, None)
-}
-
 /// T18's `--json` payload.
 fn t18_json(rows: &[T18Row]) -> String {
     let rows: Vec<String> = rows
@@ -1765,22 +1540,24 @@ fn t14_optimizer() {
     println!("\n| n (doubling family) | lazy stream (µs) | buffered stream (µs) | materializing (µs) | lazy/buffered | lazy pulls | buffered pulls |");
     println!("|---|---|---|---|---|---|---|");
     let t = cv_xtree::parse_tree("<r/>").unwrap();
+    let doc = ArenaDoc::from_tree(&t);
+    let (lazy, buffered) = (
+        StreamConfig::lazy(u64::MAX),
+        StreamConfig::buffered(u64::MAX),
+    );
     for n in [2usize, 4] {
         let q = doubling_query(n);
         let lazy_us = time_us(10, || {
-            xq_stream::stream_query(&q, &t, u64::MAX).unwrap();
+            xq_stream::stream_query(&q, &doc, lazy).unwrap();
         });
         let buf_us = time_us(10, || {
-            xq_stream::stream_query_buffered(&q, &t, u64::MAX, xq_stream::DEFAULT_BUFFER_LIMIT)
-                .unwrap();
+            xq_stream::stream_query(&q, &doc, buffered).unwrap();
         });
         let mat_us = time_us(10, || {
             eval_query(&q, &t).unwrap();
         });
-        let (_, lazy_stats) = xq_stream::stream_query(&q, &t, u64::MAX).unwrap();
-        let (_, buf_stats) =
-            xq_stream::stream_query_buffered(&q, &t, u64::MAX, xq_stream::DEFAULT_BUFFER_LIMIT)
-                .unwrap();
+        let (_, lazy_stats) = xq_stream::stream_query(&q, &doc, lazy).unwrap();
+        let (_, buf_stats) = xq_stream::stream_query(&q, &doc, buffered).unwrap();
         println!(
             "| {n} | {lazy_us:.1} | {buf_us:.1} | {mat_us:.1} | {:.1}x | {} | {} |",
             lazy_us / buf_us,
@@ -1793,8 +1570,8 @@ fn t14_optimizer() {
 
 /// T15 — the arena document store vs the `Rc` tree (`cv_xtree::arena`,
 /// README "Performance" rows): build, descendant-axis scan, and
-/// full-query streaming at the doubling-family sizes, plus the arena
-/// route over the random-queries corpus documents.
+/// tokenization at the doubling-family sizes and on the random-queries
+/// corpus documents, plus the §5.1 path-set encoding.
 fn t15_arena() {
     use cv_xtree::{ArenaDoc, Axis, DoublingFamily, NodeTest, TreeGen};
 
@@ -1837,20 +1614,24 @@ fn t15_arena() {
         );
     }
 
-    println!("\n| stream workload | Rc-tree source (µs) | arena source (µs) | note |");
+    // Tokenization, the one step where a streaming run over an `Rc` tree
+    // and one over the arena differ: `Tree::tokens` recurses through
+    // `Rc` children, `ArenaDoc::tokens` walks the parallel vectors.
+    println!("\n| tokenization | `Tree::tokens` (µs) | `ArenaDoc::tokens` (µs) | ratio |");
     println!("|---|---|---|---|");
-    let q = xq_core::parse_query("for $x in $root//a return <w>{ $x/* }</w>").unwrap();
     let tree = DoublingFamily::Binary.tree(7);
     let arena = DoublingFamily::Binary.arena(7);
-    let cap = xq_stream::DEFAULT_BUFFER_LIMIT;
-    let t_us = time_us(10, || {
-        xq_stream::stream_query_buffered(&q, &tree, u64::MAX, cap).unwrap();
+    let t_us = time_us(50, || {
+        std::hint::black_box(tree.tokens());
     });
-    let a_us = time_us(10, || {
-        xq_stream::stream_query_arena(&q, &arena, u64::MAX, cap).unwrap();
+    let a_us = time_us(50, || {
+        std::hint::black_box(arena.tokens());
     });
-    println!("| `$root//a` nest, binary n=7 | {t_us:.1} | {a_us:.1} | arena tokenizes with zero Rc churn |");
-    // The random-queries corpus documents, streamed through both routes.
+    println!(
+        "| binary n=7 | {t_us:.1} | {a_us:.1} | {:.1}x |",
+        t_us / a_us
+    );
+    // The random-queries corpus documents.
     let corpus: Vec<cv_xtree::Tree> = (0..3u64)
         .map(|seed| {
             let mut g = TreeGen::new(seed);
@@ -1858,18 +1639,20 @@ fn t15_arena() {
         })
         .collect();
     let arenas: Vec<ArenaDoc> = corpus.iter().map(ArenaDoc::from_tree).collect();
-    let qs = xq_core::parse_query("for $x in $root/* return ($x//b, <w>{ $x/a }</w>)").unwrap();
-    let ct_us = time_us(50, || {
+    let ct_us = time_us(500, || {
         for d in &corpus {
-            xq_stream::stream_query_buffered(&qs, d, u64::MAX, cap).unwrap();
+            std::hint::black_box(d.tokens());
         }
     });
-    let ca_us = time_us(50, || {
+    let ca_us = time_us(500, || {
         for d in &arenas {
-            xq_stream::stream_query_arena(&qs, d, u64::MAX, cap).unwrap();
+            std::hint::black_box(d.tokens());
         }
     });
-    println!("| random-queries docs() corpus | {ct_us:.1} | {ca_us:.1} | agreement suites run both via XQ_ARENA |");
+    println!(
+        "| random-queries docs() corpus | {ct_us:.2} | {ca_us:.2} | {:.1}x |",
+        ct_us / ca_us
+    );
 
     // The §5.1 path-set encoding (xq_paths::treepaths): recursive Rc-tree
     // traversal vs the single-pass arena walk. Expected ratio ~1× — Term
@@ -1892,7 +1675,7 @@ fn t15_arena() {
         1u64 << 12,
         tp_us / dp_us
     );
-    println!("\nShape: contiguous id-indexed vectors beat per-node Rc allocation on build and axis scans; streaming and path-encoding differ only in how the source is walked, so those rows are ~1x.");
+    println!("\nShape: contiguous id-indexed vectors beat per-node Rc allocation on build and axis scans; tokenization and the path-set encoding (where Term construction dominates) run at about the same speed on both stores.");
 }
 
 /// T1 — Theorem 5.6 / Lemma 5.7(a,b): NTM reduction.
@@ -2014,10 +1797,12 @@ fn t4_streaming() {
     println!("| n | output tokens | materializer items | stream peak cursors | stream pulls |");
     println!("|---|---|---|---|---|");
     let t = cv_xtree::parse_tree("<r/>").unwrap();
+    let doc = ArenaDoc::from_tree(&t);
     for n in [2usize, 4, 6] {
         let q = doubling_query(n);
         let out = eval_query(&q, &t).unwrap();
-        let (tokens, stats) = xq_stream::stream_query(&q, &t, u64::MAX).unwrap();
+        let (tokens, stats) =
+            xq_stream::stream_query(&q, &doc, StreamConfig::lazy(u64::MAX)).unwrap();
         println!(
             "| {n} | {} | {} | {} | {} |",
             tokens.len(),

@@ -1,10 +1,6 @@
 //! Shared workloads for the benchmark harness (see `benches/` for the
 //! per-experiment Criterion targets and `src/bin/harness.rs` for the
-//! EXPERIMENTS.md table generator), plus [`legacy_stream`], the frozen
-//! pre-refactor streaming engine that `cursor_diff` and T22 baseline
-//! against.
-
-pub mod legacy_stream;
+//! EXPERIMENTS.md table generator).
 
 use cv_xtree::{Axis, DoublingFamily, NodeTest, Tree, TreeGen};
 use xq_core::ast::{Cond, EqMode};

@@ -121,7 +121,7 @@ pub fn resolve_node_source(doc: &ArenaDoc, source: &Query) -> Option<Vec<NodeId>
 /// Carves `items` into at most `parts` contiguous chunks of near-equal
 /// length (never empty; fewer chunks than `parts` when items are scarce).
 /// Public so every parallel engine shards identically
-/// (`xq_stream::stream_query_arena_par` uses it too).
+/// (`xq_stream::stream_query` with `threads > 1` uses it too).
 pub fn chunks<T>(items: &[T], parts: usize) -> Vec<&[T]> {
     let parts = parts.clamp(1, items.len().max(1));
     let base = items.len() / parts;

@@ -5,9 +5,8 @@
 //! 1/2/4/8 worker threads, on both parallel engines:
 //!
 //! * `xq_core::par::eval_query_par` vs the Figure 1 reference semantics;
-//! * `xq_stream::stream_query_arena_par` vs `stream_query_arena`,
-//!   token-for-token, at the default buffer cap *and* with a tiny cap
-//!   forcing the lazy discipline inside the workers.
+//! * `xq_stream::stream_query` at each thread count vs its sequential
+//!   run, token-for-token, at the default buffer cap.
 //!
 //! Determinism is the whole contract of `xq_core::par` (the chunk merge
 //! preserves document order; errors resolve in chunk order), so the suite
@@ -289,18 +288,14 @@ fn assert_par_agrees(q: &Query, doc: &Tree) -> Result<(), TestCaseError> {
     }
 
     // Streaming engine: sequential arena stream vs the parallel one.
-    let stream_want =
-        xq_stream::stream_query_arena(q, &arena, FUEL, xq_stream::DEFAULT_BUFFER_LIMIT)
-            .map(|(tokens, _)| tokens);
+    let sequential = xq_stream::StreamConfig::buffered(FUEL);
+    let stream_want = xq_stream::stream_query(q, &arena, sequential).map(|(tokens, _)| tokens);
     for threads in thread_counts() {
-        let got = xq_stream::stream_query_arena_par(
-            q,
-            &arena,
-            FUEL,
-            xq_stream::DEFAULT_BUFFER_LIMIT,
+        let cfg = xq_stream::StreamConfig {
             threads,
-        )
-        .map(|(tokens, _)| tokens);
+            ..sequential
+        };
+        let got = xq_stream::stream_query(q, &arena, cfg).map(|(tokens, _)| tokens);
         match (&stream_want, &got) {
             (Err(xq_stream::StreamError::Budget), _) => {} // monotone: allowed
             _ => prop_assert_eq!(

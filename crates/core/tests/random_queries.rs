@@ -204,7 +204,9 @@ proptest! {
     #[test]
     fn streaming_on_random_queries(q in xq_tilde(0, 2)) {
         for doc in &docs() {
-            let (got, _) = xq_stream::stream_query(&q, doc, 50_000_000)
+            let arena = cv_xtree::ArenaDoc::from_tree(doc);
+            let lazy = xq_stream::StreamConfig::lazy(50_000_000);
+            let (got, _) = xq_stream::stream_query(&q, &arena, lazy)
                 .unwrap_or_else(|e| panic!("{q}: {e}"));
             let want: Vec<cv_xtree::Token> = xq_core::eval_query(&q, doc)
                 .unwrap()
@@ -212,9 +214,9 @@ proptest! {
                 .flat_map(Tree::tokens)
                 .collect();
             prop_assert_eq!(&got, &want, "{} on {}", q, doc);
-            let (fast, _) = xq_stream::stream_query_buffered(
-                &q, doc, 50_000_000, xq_stream::DEFAULT_BUFFER_LIMIT,
-            ).unwrap_or_else(|e| panic!("buffered {q}: {e}"));
+            let buffered = xq_stream::StreamConfig::buffered(50_000_000);
+            let (fast, _) = xq_stream::stream_query(&q, &arena, buffered)
+                .unwrap_or_else(|e| panic!("buffered {q}: {e}"));
             prop_assert_eq!(&fast, &want, "buffered {} on {}", q, doc);
         }
     }

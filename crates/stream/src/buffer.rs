@@ -1,5 +1,5 @@
-//! The Budget-driven buffering layer: per-source materialization under a
-//! token cap, with lazy fallback above it.
+//! The buffering layer: per-source materialization under a token cap,
+//! with lazy fallback above it.
 //!
 //! Pure recomputation (Theorem 4.5) is the right *space* story but a
 //! terrible *time* story on small intermediates: re-streaming a
@@ -8,8 +8,8 @@
 //! doubling-family outputs. The fix is a *per-source decision*, not a
 //! separate engine: every `for`/`some`/`every` source gets an
 //! [`ItemBuffer`] that materializes its items **once**, on demand, while
-//! the stream stays under the cap ([`BufferPolicy`], derived from the
-//! caller's `Budget` or set explicitly). A source that overflows the cap
+//! the stream stays under the cap ([`BufferPolicy`], set from
+//! [`StreamConfig::buffer_cap`]). A source that overflows the cap
 //! reverts to the lazy discipline — `item_exists` probing plus lazy
 //! [`Binding`]s — so the Theorem 4.5 space bound degrades by at most
 //! `O(cap)` *per live loop/quantifier scope*.
@@ -20,13 +20,14 @@
 //! buffer is tracked in the high-water mark behind
 //! [`StreamStats::peak_buffered_tokens`].
 //!
+//! [`StreamConfig::buffer_cap`]: crate::StreamConfig::buffer_cap
 //! [`StreamStats::buffered_sources`]: crate::StreamStats::buffered_sources
 //! [`StreamStats::lazy_fallbacks`]: crate::StreamStats::lazy_fallbacks
 //! [`StreamStats::peak_buffered_tokens`]: crate::StreamStats::peak_buffered_tokens
 
 use crate::cursor::{bind, Binding, BoxCursor, Env, Shared};
 use crate::pipeline::{build_query, eval_cond};
-use crate::{StreamError, DEFAULT_BUFFER_LIMIT};
+use crate::StreamError;
 use cv_xtree::Token;
 use std::rc::Rc;
 use xq_core::ast::{Cond, Query, Var};
@@ -47,20 +48,10 @@ impl BufferPolicy {
         BufferPolicy { per_source_cap: 0 }
     }
 
-    /// A fixed per-source cap (what the classic `buffer_limit` argument
-    /// of the entry points configures).
+    /// A fixed per-source cap (what
+    /// [`StreamConfig::buffer_cap`](crate::StreamConfig::buffer_cap)
+    /// configures).
     pub fn fixed(cap: usize) -> BufferPolicy {
-        BufferPolicy {
-            per_source_cap: cap,
-        }
-    }
-
-    /// The Budget-driven decision: buffer up to the smaller of
-    /// [`DEFAULT_BUFFER_LIMIT`] and the budget's item allowance, so a
-    /// caller that can only afford `max_items` materialized items never
-    /// parks more than that many tokens per source.
-    pub fn from_budget(budget: &xq_core::Budget) -> BufferPolicy {
-        let cap = budget.max_items.min(DEFAULT_BUFFER_LIMIT as u64) as usize;
         BufferPolicy {
             per_source_cap: cap,
         }

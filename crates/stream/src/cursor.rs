@@ -1,5 +1,5 @@
 //! The cursor core: one pull-based [`Cursor`] trait and the composable
-//! node cursors every `xq_stream` entry point is built from.
+//! node cursors every `xq_stream` run is built from.
 //!
 //! A cursor is a restartable pull iterator over a token stream. Each node
 //! of the query plan becomes one cursor value — [`SliceCursor`] for raw
@@ -33,7 +33,7 @@ use xq_core::ast::{Cond, Query, Var};
 pub type BoxCursor<'q> = Box<dyn Cursor<'q> + 'q>;
 
 /// A pull-based stream of tokens: the one interface behind every
-/// `xq_stream` entry point.
+/// `xq_stream` run.
 ///
 /// The contract, in the order the engine relies on it:
 ///
@@ -79,7 +79,7 @@ pub trait Cursor<'q> {
 
 /// Counters shared by every cursor of one pipeline run. `Rc<Cell<_>>`
 /// because a pipeline is single-threaded by construction; the parallel
-/// entry point gives each worker its own `Shared` and merges after.
+/// path gives each worker its own `Shared` and merges after.
 #[derive(Clone)]
 pub(crate) struct Shared {
     pulls: Rc<Cell<u64>>,

@@ -20,10 +20,11 @@
 //! E4 experiment contrasts it with the materializing evaluator's allocated
 //! nodes on the Prop 4.2 blowup family.
 //!
-//! # Architecture: one pipeline, four entry points
+//! # Architecture: one pipeline, one entry point
 //!
-//! Every public entry point is a thin configuration wrapper over the same
-//! machinery:
+//! [`stream_query`] runs a query over an [`ArenaDoc`] under a
+//! [`StreamConfig`] — a pull budget, a per-source buffer cap and a thread
+//! count — and every setting selects configuration, not a code path:
 //!
 //! * [`cursor`](self) — the [`Cursor`] trait (`pull`/`size_hint`/`fork`/
 //!   kill) and the node cursors (slice, element construction, sequence,
@@ -44,12 +45,11 @@
 //!   runs, consumed incrementally in chunk order
 //!   ([`StreamStats::peak_buffered_tokens`] proves the bound).
 //!
-//! The `cursor_diff` differential suite locks the whole stack byte- and
-//! counter-identical to the pre-refactor engine over the coverage corpus,
-//! including budget error points.
+//! The `cursor_diff` differential suite checks the engine byte-identical
+//! to the Figure 1 interpreter over the coverage corpus and pins its
+//! counters and budget error points in a golden file.
 
-use cv_xtree::{ArenaDoc, Token, Tree};
-use std::rc::Rc;
+use cv_xtree::{ArenaDoc, Token};
 use xq_core::ast::Query;
 
 mod buffer;
@@ -103,15 +103,15 @@ pub struct StreamStats {
     /// Per-source buffering decisions that engaged and *held* — the
     /// source stayed under the [`BufferPolicy`] cap for its whole life
     /// (fully drained or abandoned early without overflowing). Counted
-    /// identically on the Rc, arena, and parallel paths (a
+    /// identically on the sequential and parallel paths (a
     /// planner-sharded loop counts once: its row set is a
-    /// planner-materialized buffer); always 0 when the cap is 0
-    /// ([`stream_query`]).
+    /// planner-materialized buffer); always 0 when
+    /// [`StreamConfig::buffer_cap`] is 0.
     pub buffered_sources: u64,
-    /// Workers actually spawned by [`stream_query_arena_par`] — the
-    /// maximum over the plan's shard executions, which can be less than
-    /// the requested thread count when a work-list has fewer items than
-    /// threads. 0 on every sequential path.
+    /// Workers actually spawned when [`StreamConfig::threads`] is above 1
+    /// — the maximum over the plan's shard executions, which can be less
+    /// than the requested thread count when a work-list has fewer items
+    /// than threads. 0 on every sequential run.
     pub workers: usize,
     /// Buffering decisions reverted to the lazy discipline because the
     /// source overflowed the per-source cap.
@@ -125,66 +125,60 @@ pub struct StreamStats {
     pub peak_buffered_tokens: u64,
 }
 
-/// Default per-source token cap for [`stream_query_buffered`]: generous
+/// Default per-source token cap of [`StreamConfig::buffered`]: generous
 /// enough for everyday intermediates, small enough that the fast path's
 /// worst-case extra space stays bounded.
 pub const DEFAULT_BUFFER_LIMIT: usize = 1 << 16;
 
-/// Streams `[[q]]($root ↦ input)` into a token vector, reporting stats.
-/// `max_pulls` bounds the (possibly exponential) recomputation time.
+/// The settings of one [`stream_query`] run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamConfig {
+    /// Cursor pulls the run may charge: bounds the (possibly exponential)
+    /// recomputation time. On the parallel path it bounds each worker's
+    /// chunk and each sequential plan leaf independently, so parallel
+    /// never exhausts a budget that sufficed sequentially.
+    pub max_pulls: u64,
+    /// Per-source token cap of the buffered fast path: any `for`/`some`/
+    /// `every` source whose full token stream fits is materialized once
+    /// and iterated as plain slices instead of being re-streamed per item
+    /// and per variable reference. Oversized sources fall back to the
+    /// lazy discipline, so the Theorem 4.5 space bound degrades by at most
+    /// `O(buffer_cap)` *per live loop/quantifier scope*. 0 is the pure
+    /// Theorem 4.5 discipline — every variable reference re-streams
+    /// ([`BufferPolicy::lazy`]).
+    pub buffer_cap: usize,
+    /// Worker threads for planner-shardable loops; `<= 1` streams
+    /// sequentially.
+    pub threads: usize,
+}
+
+impl StreamConfig {
+    /// The pure Theorem 4.5 discipline, sequential: cap 0, one thread.
+    pub const fn lazy(max_pulls: u64) -> StreamConfig {
+        StreamConfig {
+            max_pulls,
+            buffer_cap: 0,
+            threads: 1,
+        }
+    }
+
+    /// The buffered fast path at [`DEFAULT_BUFFER_LIMIT`], sequential.
+    pub const fn buffered(max_pulls: u64) -> StreamConfig {
+        StreamConfig {
+            max_pulls,
+            buffer_cap: DEFAULT_BUFFER_LIMIT,
+            threads: 1,
+        }
+    }
+}
+
+/// Streams `[[q]]($root ↦ doc)` into a token vector, reporting stats.
 ///
-/// This is the pure Theorem 4.5 discipline — every variable reference
-/// re-streams. [`stream_query_buffered`] is the fast path.
-pub fn stream_query(
-    q: &Query,
-    input: &Tree,
-    max_pulls: u64,
-) -> Result<(Vec<Token>, StreamStats), StreamError> {
-    stream_tokens(q, input.tokens().into(), max_pulls, BufferPolicy::lazy())
-}
-
-/// [`stream_query`] with the buffered fast path enabled: any `for`/`some`/
-/// `every` source whose full token stream fits in `buffer_limit` tokens is
-/// materialized once and iterated as plain slices instead of being
-/// re-streamed per item and per variable reference. Oversized sources fall
-/// back to the lazy discipline, so the Theorem 4.5 space bound degrades by
-/// at most `O(buffer_limit)` *per live loop/quantifier scope* (nested live
-/// scopes each hold a buffer).
-pub fn stream_query_buffered(
-    q: &Query,
-    input: &Tree,
-    max_pulls: u64,
-    buffer_limit: usize,
-) -> Result<(Vec<Token>, StreamStats), StreamError> {
-    stream_tokens(
-        q,
-        input.tokens().into(),
-        max_pulls,
-        BufferPolicy::fixed(buffer_limit),
-    )
-}
-
-/// [`stream_query_buffered`] over an arena-backed document: the `$root`
-/// binding is tokenized straight out of the [`ArenaDoc`]'s parallel
-/// vectors — no `Rc` tree is materialized, and per-item bindings are
-/// plain token slices. This is the arena fast path of the streaming
-/// engine; output is byte-identical to streaming `doc.to_tree()`.
-pub fn stream_query_arena(
-    q: &Query,
-    doc: &ArenaDoc,
-    max_pulls: u64,
-    buffer_limit: usize,
-) -> Result<(Vec<Token>, StreamStats), StreamError> {
-    stream_tokens(
-        q,
-        doc.tokens().into(),
-        max_pulls,
-        BufferPolicy::fixed(buffer_limit),
-    )
-}
-
-/// [`stream_query_arena`] with every planner-shardable loop distributed
-/// over `threads` workers: the query is analyzed by the parallel planner
+/// The `$root` binding is tokenized straight out of the [`ArenaDoc`]'s
+/// parallel vectors, and per-item bindings are plain token slices.
+///
+/// With `cfg.threads > 1`, every planner-shardable loop is distributed
+/// over that many workers: the query is analyzed by the parallel planner
 /// (`ParPlan`, `xq_core::plan`) — `Seq` branches stream independently
 /// and concatenate in branch order, nested `for`s flatten into one
 /// work-list of node rows, `let`-bound singleton sources hoist, and
@@ -194,79 +188,24 @@ pub fn stream_query_arena(
 /// shared arena — exactly the binding the buffered fast path would
 /// produce. Per-chunk output crosses back as bounded interned-token runs
 /// that the merger consumes *incrementally* in chunk (= iteration) order,
-/// so the stream is byte-identical to [`stream_query_arena`]'s while peak
+/// so the stream is byte-identical to the sequential one while peak
 /// in-flight memory stays bounded ([`StreamStats::peak_buffered_tokens`]).
-/// Queries the planner cannot shard (and `threads <= 1`) take the
-/// sequential path.
-///
-/// The `$root` token stream, when some body needs it, is tokenized from
-/// the arena **once** before the thread split; each worker re-wraps the
-/// shared slice (a flat copy, not a re-walk of the document).
-///
-/// `max_pulls` bounds each worker's chunk (and each sequential plan leaf)
-/// independently: parallel never exhausts a budget that sufficed
-/// sequentially. Merged stats sum `pulls`/`recomputations`/
-/// `buffered_sources`/`lazy_fallbacks`, take the maximum for
-/// `peak_live_cursors`/`peak_buffered_tokens`, and report
-/// actually-spawned `workers`.
-pub fn stream_query_arena_par(
+/// Queries the planner cannot shard take the sequential path. The
+/// `$root` token stream, when some body needs it, is tokenized once
+/// before the thread split; each worker re-wraps the shared slice.
+/// Merged stats sum `pulls`/`recomputations`/`buffered_sources`/
+/// `lazy_fallbacks`, take the maximum for `peak_live_cursors`/
+/// `peak_buffered_tokens`, and report actually-spawned `workers`.
+pub fn stream_query(
     q: &Query,
     doc: &ArenaDoc,
-    max_pulls: u64,
-    buffer_limit: usize,
-    threads: usize,
+    cfg: StreamConfig,
 ) -> Result<(Vec<Token>, StreamStats), StreamError> {
-    if threads <= 1 {
-        return stream_query_arena(q, doc, max_pulls, buffer_limit);
+    if cfg.threads > 1 {
+        return par::stream_par(q, doc, cfg);
     }
-    par::stream_par(q, doc, max_pulls, buffer_limit, threads)
-}
-
-/// Streams with every knob derived from an evaluation
-/// [`Budget`](xq_core::Budget): the pull cap from `max_steps`, the
-/// per-source buffering cap from [`BufferPolicy::from_budget`] (buffer
-/// under the item allowance, lazy fallback above it).
-pub fn stream_query_budgeted(
-    q: &Query,
-    input: &Tree,
-    budget: &xq_core::Budget,
-) -> Result<(Vec<Token>, StreamStats), StreamError> {
-    stream_tokens(
-        q,
-        input.tokens().into(),
-        budget.max_steps,
-        BufferPolicy::from_budget(budget),
-    )
-}
-
-/// [`stream_query_budgeted`] over an arena document, additionally taking
-/// the worker count from the budget's `threads` knob (the parallel path
-/// engages exactly as in [`stream_query_arena_par`]).
-pub fn stream_query_arena_budgeted(
-    q: &Query,
-    doc: &ArenaDoc,
-    budget: &xq_core::Budget,
-) -> Result<(Vec<Token>, StreamStats), StreamError> {
-    let policy = BufferPolicy::from_budget(budget);
-    stream_query_arena_par(
-        q,
-        doc,
-        budget.max_steps,
-        policy.per_source_cap,
-        budget.threads.count(),
-    )
-}
-
-/// The one sequential driver behind every non-parallel entry point: a
-/// [`Pipeline`] configured with the caller's knobs, drained to a vector.
-fn stream_tokens(
-    q: &Query,
-    tokens: Rc<[Token]>,
-    max_pulls: u64,
-    policy: BufferPolicy,
-) -> Result<(Vec<Token>, StreamStats), StreamError> {
-    let pipe = Pipeline::new(max_pulls, policy);
-    let mut cursor = pipe.build(q, tokens)?;
+    let pipe = Pipeline::new(cfg.max_pulls, BufferPolicy::fixed(cfg.buffer_cap));
+    let mut cursor = pipe.build(q, doc.tokens())?;
     let mut out = Vec::new();
     while let Some(t) = cursor.pull()? {
         out.push(t);
@@ -280,10 +219,9 @@ fn stream_tokens(
 /// Pulls only until the Boolean verdict is known: for `⟨a⟩α⟨/a⟩`, whether
 /// the root element has a child (§7.1 convention); otherwise whether the
 /// stream is nonempty. Never materializes the result.
-pub fn stream_boolean(q: &Query, input: &Tree, max_pulls: u64) -> Result<bool, StreamError> {
+pub fn stream_boolean(q: &Query, doc: &ArenaDoc, max_pulls: u64) -> Result<bool, StreamError> {
     let pipe = Pipeline::new(max_pulls, BufferPolicy::lazy());
-    let tokens: Rc<[Token]> = input.tokens().into();
-    let mut cursor = pipe.build(q, tokens)?;
+    let mut cursor = pipe.build(q, doc.tokens())?;
     match q {
         Query::Elem(_, _) => {
             let _open = cursor.pull()?;
@@ -299,16 +237,41 @@ pub fn stream_boolean(q: &Query, input: &Tree, max_pulls: u64) -> Result<bool, S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cv_xtree::parse_tree;
+    use cv_xtree::{parse_tree, DoublingFamily, Tree};
     use xq_core::parse_query;
 
     const FUEL: u64 = 10_000_000;
 
+    fn arena(doc: &str) -> ArenaDoc {
+        ArenaDoc::from_tree(&parse_tree(doc).unwrap())
+    }
+
+    fn random_arena(seed: u64, nodes: usize, labels: &[&str]) -> ArenaDoc {
+        let mut g = cv_xtree::TreeGen::new(seed);
+        ArenaDoc::from_tree(&cv_xtree::random_tree(&mut g, nodes, labels))
+    }
+
+    /// A sequential run under [`FUEL`] with a per-source cap of `cap`.
+    fn capped(cap: usize) -> StreamConfig {
+        StreamConfig {
+            buffer_cap: cap,
+            ..StreamConfig::lazy(FUEL)
+        }
+    }
+
+    /// The buffered default under [`FUEL`] on `threads` workers.
+    fn par(threads: usize) -> StreamConfig {
+        StreamConfig {
+            threads,
+            ..StreamConfig::buffered(FUEL)
+        }
+    }
+
     fn agree(src: &str, doc: &str) -> StreamStats {
         let q = parse_query(src).unwrap();
         let t = parse_tree(doc).unwrap();
-        let (got, stats) =
-            stream_query(&q, &t, FUEL).unwrap_or_else(|e| panic!("stream failed for {src}: {e}"));
+        let (got, stats) = stream_query(&q, &ArenaDoc::from_tree(&t), StreamConfig::lazy(FUEL))
+            .unwrap_or_else(|e| panic!("stream failed for {src}: {e}"));
         let want: Vec<Token> = xq_core::eval_query(&q, &t)
             .unwrap()
             .iter()
@@ -384,10 +347,10 @@ mod tests {
     #[test]
     fn boolean_short_circuits() {
         let q = parse_query("<out>{ for $x in $root/* return <w/> }</out>").unwrap();
-        let t = parse_tree("<r><a/><b/><c/></r>").unwrap();
-        assert!(stream_boolean(&q, &t, FUEL).unwrap());
+        let doc = arena("<r><a/><b/><c/></r>");
+        assert!(stream_boolean(&q, &doc, FUEL).unwrap());
         let q = parse_query("<out>{ $root/zzz }</out>").unwrap();
-        assert!(!stream_boolean(&q, &t, FUEL).unwrap());
+        assert!(!stream_boolean(&q, &doc, FUEL).unwrap());
     }
 
     #[test]
@@ -400,14 +363,14 @@ mod tests {
             }
             q
         }
-        let t = parse_tree("<r/>").unwrap();
+        let doc = arena("<r/>");
         let mut peaks = Vec::new();
         // Streaming trades time for space: the recomputation cost on this
         // family is super-exponential in n (the EXPSPACE/2EXPTIME story),
         // so the unit test stays at small n; the bench sweeps further.
         for n in [1usize, 2, 3, 4] {
             let q = parse_query(&doubling(n)).unwrap();
-            let (out, stats) = stream_query(&q, &t, FUEL).unwrap();
+            let (out, stats) = stream_query(&q, &doc, StreamConfig::lazy(FUEL)).unwrap();
             assert_eq!(out.len() as u64, 2 * (1 << n), "n = {n}");
             peaks.push(stats.peak_live_cursors);
         }
@@ -431,10 +394,9 @@ mod tests {
              for $c in $root//* return <t/>",
         )
         .unwrap();
-        let mut g = cv_xtree::TreeGen::new(5);
-        let t = cv_xtree::random_tree(&mut g, 60, &["a"]);
+        let doc = random_arena(5, 60, &["a"]);
         assert_eq!(
-            stream_query(&q, &t, 10_000).unwrap_err(),
+            stream_query(&q, &doc, StreamConfig::lazy(10_000)).unwrap_err(),
             StreamError::Budget
         );
     }
@@ -442,9 +404,8 @@ mod tests {
     #[test]
     fn unbound_variable_reported() {
         let q = parse_query("$nope").unwrap();
-        let t = parse_tree("<r/>").unwrap();
         assert!(matches!(
-            stream_query(&q, &t, FUEL),
+            stream_query(&q, &arena("<r/>"), StreamConfig::lazy(FUEL)),
             Err(StreamError::UnboundVariable(_))
         ));
     }
@@ -484,12 +445,12 @@ mod tests {
         ];
         for (src, doc) in corpus {
             let q = parse_query(src).unwrap();
-            let t = parse_tree(doc).unwrap();
-            let (want, _) = stream_query(&q, &t, FUEL).unwrap();
-            let (got, _stats) = stream_query_buffered(&q, &t, FUEL, DEFAULT_BUFFER_LIMIT).unwrap();
+            let d = arena(doc);
+            let (want, _) = stream_query(&q, &d, StreamConfig::lazy(FUEL)).unwrap();
+            let (got, _stats) = stream_query(&q, &d, StreamConfig::buffered(FUEL)).unwrap();
             assert_eq!(got, want, "query {src} on {doc}");
             // A tiny cap forces the lazy fallback — still correct.
-            let (fallback, _) = stream_query_buffered(&q, &t, FUEL, 1).unwrap();
+            let (fallback, _) = stream_query(&q, &d, capped(1)).unwrap();
             assert_eq!(fallback, want, "fallback for {src} on {doc}");
         }
     }
@@ -503,10 +464,10 @@ mod tests {
             }
             q
         }
-        let t = parse_tree("<r/>").unwrap();
+        let doc = arena("<r/>");
         let q = parse_query(&doubling(4)).unwrap();
-        let (want, lazy) = stream_query(&q, &t, FUEL).unwrap();
-        let (got, fast) = stream_query_buffered(&q, &t, FUEL, DEFAULT_BUFFER_LIMIT).unwrap();
+        let (want, lazy) = stream_query(&q, &doc, StreamConfig::lazy(FUEL)).unwrap();
+        let (got, fast) = stream_query(&q, &doc, StreamConfig::buffered(FUEL)).unwrap();
         assert_eq!(got, want);
         assert!(fast.buffered_sources > 0, "{fast:?}");
         assert!(
@@ -526,11 +487,10 @@ mod tests {
             doc.push_str("<b><c><d/><d/></c></b>");
         }
         doc.push_str("</r>");
-        let t = parse_tree(&doc).unwrap();
         let q = parse_query("if (some $x in $root/* satisfies $x =atomic <a/>) then <y/>").unwrap();
         // Tight budget: far below the document's token count, ample for a
         // short-circuiting probe.
-        let (out, stats) = stream_query_buffered(&q, &t, 500, DEFAULT_BUFFER_LIMIT)
+        let (out, stats) = stream_query(&q, &arena(&doc), StreamConfig::buffered(500))
             .expect("short-circuit must not buffer the whole source");
         assert_eq!(out.len(), 2, "{out:?}");
         assert!(stats.pulls < 500, "{stats:?}");
@@ -543,32 +503,11 @@ mod tests {
              for $c in $root//* return <t/>",
         )
         .unwrap();
-        let mut g = cv_xtree::TreeGen::new(5);
-        let t = cv_xtree::random_tree(&mut g, 60, &["a"]);
+        let doc = random_arena(5, 60, &["a"]);
         assert_eq!(
-            stream_query_buffered(&q, &t, 2_000, DEFAULT_BUFFER_LIMIT).unwrap_err(),
+            stream_query(&q, &doc, StreamConfig::buffered(2_000)).unwrap_err(),
             StreamError::Budget
         );
-    }
-
-    #[test]
-    fn arena_source_agrees_with_tree_source() {
-        let queries = [
-            "$root//b",
-            "for $x in $root/* return <w>{ $x/* }</w>",
-            "if (some $x in $root/* satisfies $x =atomic <a/>) then <y/>",
-        ];
-        for seed in 0..4u64 {
-            let mut g = cv_xtree::TreeGen::new(seed);
-            let t = cv_xtree::random_tree(&mut g, 25, &["a", "b", "c"]);
-            let doc = ArenaDoc::from_tree(&t);
-            for src in &queries {
-                let q = parse_query(src).unwrap();
-                let (want, _) = stream_query_buffered(&q, &t, FUEL, DEFAULT_BUFFER_LIMIT).unwrap();
-                let (got, _) = stream_query_arena(&q, &doc, FUEL, DEFAULT_BUFFER_LIMIT).unwrap();
-                assert_eq!(got, want, "query {src} seed {seed}");
-            }
-        }
     }
 
     #[test]
@@ -580,22 +519,22 @@ mod tests {
             "$root//b", // no outer for: sequential fallback
         ];
         for seed in 0..4u64 {
-            let mut g = cv_xtree::TreeGen::new(seed);
-            let t = cv_xtree::random_tree(&mut g, 30, &["a", "b", "c"]);
-            let doc = ArenaDoc::from_tree(&t);
+            let doc = random_arena(seed, 30, &["a", "b", "c"]);
             for src in &queries {
                 let q = parse_query(src).unwrap();
-                let (want, _) = stream_query_arena(&q, &doc, FUEL, DEFAULT_BUFFER_LIMIT).unwrap();
+                let (want, _) = stream_query(&q, &doc, StreamConfig::buffered(FUEL)).unwrap();
                 for threads in [1usize, 2, 4] {
-                    let (got, _) =
-                        stream_query_arena_par(&q, &doc, FUEL, DEFAULT_BUFFER_LIMIT, threads)
-                            .unwrap();
+                    let (got, _) = stream_query(&q, &doc, par(threads)).unwrap();
                     assert_eq!(got, want, "query {src} seed {seed} threads {threads}");
                 }
                 // A tiny buffer cap (lazy discipline in the workers) must
                 // not change the bytes either.
-                let (got, _) = stream_query_arena_par(&q, &doc, FUEL, 1, 4).unwrap();
-                let (lazy_want, _) = stream_query_arena(&q, &doc, FUEL, 1).unwrap();
+                let tiny = StreamConfig {
+                    threads: 4,
+                    ..capped(1)
+                };
+                let (got, _) = stream_query(&q, &doc, tiny).unwrap();
+                let (lazy_want, _) = stream_query(&q, &doc, capped(1)).unwrap();
                 assert_eq!(got, lazy_want, "lazy query {src} seed {seed}");
             }
         }
@@ -614,9 +553,10 @@ mod tests {
         for seed in 0..5u64 {
             let mut g = cv_xtree::TreeGen::new(seed);
             let t = cv_xtree::random_tree(&mut g, 20, &["a", "b", "c"]);
+            let doc = ArenaDoc::from_tree(&t);
             for src in &queries {
                 let q = parse_query(src).unwrap();
-                let (got, _) = stream_query(&q, &t, FUEL).unwrap();
+                let (got, _) = stream_query(&q, &doc, StreamConfig::lazy(FUEL)).unwrap();
                 let want: Vec<Token> = xq_core::eval_query(&q, &t)
                     .unwrap()
                     .iter()
@@ -628,46 +568,34 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // Regression tests for the refactor's new counters and entry points.
+    // Regression tests for the buffering and parallel counters.
     // -----------------------------------------------------------------
 
-    /// `buffered_sources` counts held per-source decisions, identically
-    /// on the Rc and arena paths, and never under the lazy discipline.
+    /// `buffered_sources` counts held per-source decisions, and never
+    /// under the lazy discipline.
     #[test]
     fn buffered_sources_counted_consistently() {
-        let src = "for $v in $root/a return <w>{$v}</w>";
-        let doc = "<r><a><x/></a><a><y/></a></r>";
-        let q = parse_query(src).unwrap();
-        let t = parse_tree(doc).unwrap();
-        let arena = ArenaDoc::from_tree(&t);
+        let q = parse_query("for $v in $root/a return <w>{$v}</w>").unwrap();
+        let doc = arena("<r><a><x/></a><a><y/></a></r>");
 
-        let (_, lazy) = stream_query(&q, &t, FUEL).unwrap();
+        let (_, lazy) = stream_query(&q, &doc, StreamConfig::lazy(FUEL)).unwrap();
         assert_eq!(lazy.buffered_sources, 0, "lazy path must not buffer");
         assert_eq!(lazy.lazy_fallbacks, 0);
         assert_eq!(lazy.peak_buffered_tokens, 0);
 
-        let (_, rc) = stream_query_buffered(&q, &t, FUEL, DEFAULT_BUFFER_LIMIT).unwrap();
-        assert_eq!(rc.buffered_sources, 1, "one for-source, one decision");
-        assert_eq!(rc.lazy_fallbacks, 0);
-        assert!(rc.peak_buffered_tokens > 0, "{rc:?}");
-
-        let (_, ar) = stream_query_arena(&q, &arena, FUEL, DEFAULT_BUFFER_LIMIT).unwrap();
-        assert_eq!(
-            ar.buffered_sources, rc.buffered_sources,
-            "arena and Rc paths must report the same decisions"
-        );
-        assert_eq!(ar.lazy_fallbacks, rc.lazy_fallbacks);
+        let (_, buffered) = stream_query(&q, &doc, StreamConfig::buffered(FUEL)).unwrap();
+        assert_eq!(buffered.buffered_sources, 1, "one for-source, one decision");
+        assert_eq!(buffered.lazy_fallbacks, 0);
+        assert!(buffered.peak_buffered_tokens > 0, "{buffered:?}");
     }
 
     /// Overflow reverts to lazy and is reported as a fallback, not a
     /// buffered source.
     #[test]
     fn overflow_counts_as_lazy_fallback() {
-        let src = "for $v in $root/a return $v";
-        let q = parse_query(src).unwrap();
-        let t = parse_tree("<r><a><x/><y/></a></r>").unwrap();
+        let q = parse_query("for $v in $root/a return $v").unwrap();
         // Cap of 1: the 6-token source overflows immediately.
-        let (_, stats) = stream_query_buffered(&q, &t, FUEL, 1).unwrap();
+        let (_, stats) = stream_query(&q, &arena("<r><a><x/><y/></a></r>"), capped(1)).unwrap();
         assert_eq!(stats.buffered_sources, 0, "{stats:?}");
         assert!(stats.lazy_fallbacks >= 1, "{stats:?}");
     }
@@ -677,90 +605,56 @@ mod tests {
     #[test]
     fn par_path_reports_buffering_decisions() {
         let q = parse_query("for $x in $root/* return <w>{ $x/* }</w>").unwrap();
-        let mut g = cv_xtree::TreeGen::new(7);
-        let t = cv_xtree::random_tree(&mut g, 30, &["a", "b"]);
-        let doc = ArenaDoc::from_tree(&t);
-        let (_, s2) = stream_query_arena_par(&q, &doc, FUEL, DEFAULT_BUFFER_LIMIT, 2).unwrap();
-        let (_, s2b) = stream_query_arena_par(&q, &doc, FUEL, DEFAULT_BUFFER_LIMIT, 2).unwrap();
+        let doc = random_arena(7, 30, &["a", "b"]);
+        let (_, s2) = stream_query(&q, &doc, par(2)).unwrap();
+        let (_, s2b) = stream_query(&q, &doc, par(2)).unwrap();
         assert!(s2.buffered_sources >= 1, "sharded loop counts: {s2:?}");
         assert_eq!(s2.buffered_sources, s2b.buffered_sources, "deterministic");
     }
 
-    /// The incremental merge keeps in-flight tokens bounded: on a query
+    /// The incremental merge keeps in-flight tokens bounded: on queries
     /// whose parallel output is large, `peak_buffered_tokens` stays far
     /// below `tokens_out`.
     #[test]
     fn par_merge_peak_is_bounded() {
         // Each of the ~hundreds of rows emits its whole subtree three
-        // times: a large output from a planner-sharded loop.
+        // times: a large output from a planner-sharded loop, lazy inside
+        // the workers.
         let q = parse_query("for $x in $root//* return ($x, $x, $x)").unwrap();
-        let mut g = cv_xtree::TreeGen::new(11);
-        let t = cv_xtree::random_tree(&mut g, 400, &["a", "b"]);
-        let doc = ArenaDoc::from_tree(&t);
-        let (out, stats) = stream_query_arena_par(&q, &doc, FUEL, 0, 4).unwrap();
-        assert!(stats.workers > 1, "{stats:?}");
-        assert!(out.len() > 4 * par::QUEUE_CAP_TOKENS, "not large enough");
-        // Bound: the queues can hold at most workers × cap plus one
-        // in-flight run per worker.
-        let bound = (stats.workers * (par::QUEUE_CAP_TOKENS + par::RUN_TOKENS)) as u64;
-        assert!(
-            stats.peak_buffered_tokens <= bound,
-            "peak {} exceeds bound {bound}",
-            stats.peak_buffered_tokens
-        );
-    }
-
-    /// The Budget-driven entry point derives its knobs from the budget.
-    #[test]
-    fn budgeted_entry_derives_knobs() {
-        let q = parse_query("for $v in $root/a return <w>{$v}</w>").unwrap();
-        let t = parse_tree("<r><a><x/></a><a><y/></a></r>").unwrap();
-        let budget = xq_core::Budget {
-            max_steps: FUEL,
-            max_items: FUEL,
-            ..xq_core::Budget::default()
+        let doc = random_arena(11, 400, &["a", "b"]);
+        let lazy = StreamConfig {
+            threads: 4,
+            ..StreamConfig::lazy(FUEL)
         };
-        let (got, stats) = stream_query_budgeted(&q, &t, &budget).unwrap();
-        let (want, wstats) = stream_query_buffered(&q, &t, FUEL, DEFAULT_BUFFER_LIMIT).unwrap();
-        assert_eq!(got, want);
-        assert_eq!(stats, wstats);
-        // A tiny item allowance shrinks the buffering cap (lazy fallback)
-        // without changing bytes.
-        let tight = xq_core::Budget {
-            max_steps: FUEL,
-            max_items: 1,
-            ..xq_core::Budget::default()
-        };
-        let (got, stats) = stream_query_budgeted(&q, &t, &tight).unwrap();
-        assert_eq!(got, want);
-        assert!(stats.lazy_fallbacks >= 1, "{stats:?}");
-        // An exhausted step budget errors deterministically.
-        let none = xq_core::Budget {
-            max_steps: 0,
-            ..xq_core::Budget::default()
-        };
-        assert_eq!(
-            stream_query_budgeted(&q, &t, &none).unwrap_err(),
-            StreamError::Budget
-        );
-    }
-
-    /// The arena budgeted entry agrees with the explicit-knob par entry.
-    #[test]
-    fn arena_budgeted_entry_agrees() {
-        let q = parse_query("for $x in $root//a return <w>{ $x/* }</w>").unwrap();
-        let mut g = cv_xtree::TreeGen::new(3);
-        let t = cv_xtree::random_tree(&mut g, 30, &["a", "b"]);
-        let doc = ArenaDoc::from_tree(&t);
-        let budget = xq_core::Budget {
-            max_steps: FUEL,
-            max_items: FUEL,
-            threads: xq_core::Threads::N(4),
-            ..xq_core::Budget::default()
-        };
-        let (got, _) = stream_query_arena_budgeted(&q, &doc, &budget).unwrap();
-        let (want, _) = stream_query_arena_par(&q, &doc, FUEL, DEFAULT_BUFFER_LIMIT, 4).unwrap();
-        assert_eq!(got, want);
+        let mut cases = vec![("random 400".to_string(), q, doc, lazy)];
+        // The streaming workloads of the three doubling families at the
+        // buffered default, each sized just past four queue caps of
+        // output so a debug run stays fast.
+        for (family, n) in [
+            (DoublingFamily::Binary, 10u32),
+            (DoublingFamily::Wide, 15),
+            (DoublingFamily::Comb, 14),
+        ] {
+            let q = xq_bench::stream_workload(family);
+            cases.push((family.to_string(), q, family.arena(n), par(4)));
+        }
+        for (name, q, doc, cfg) in cases {
+            let (out, stats) = stream_query(&q, &doc, cfg).unwrap();
+            assert!(stats.workers > 1, "{name}: {stats:?}");
+            assert!(
+                out.len() > 4 * par::QUEUE_CAP_TOKENS,
+                "{name}: {} tokens out is not large enough",
+                out.len()
+            );
+            // Bound: the queues can hold at most workers × cap plus one
+            // in-flight run per worker.
+            let bound = (stats.workers * (par::QUEUE_CAP_TOKENS + par::RUN_TOKENS)) as u64;
+            assert!(
+                stats.peak_buffered_tokens <= bound,
+                "{name}: peak {} exceeds bound {bound}",
+                stats.peak_buffered_tokens
+            );
+        }
     }
 
     /// Hand-composed pipelines: fork replays from the fork point, kill

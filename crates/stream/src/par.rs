@@ -18,7 +18,7 @@
 
 use crate::cursor::{bind, Binding, Env, Shared};
 use crate::pipeline::build_query;
-use crate::{StreamError, StreamStats};
+use crate::{StreamConfig, StreamError, StreamStats};
 use cv_xtree::{ArenaDoc, IToken, NodeId, Token};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -34,16 +34,18 @@ pub const RUN_TOKENS: usize = 512;
 /// blocks until the merger catches up.
 pub const QUEUE_CAP_TOKENS: usize = 8 * 1024;
 
-/// The parallel entry point's engine (see
-/// [`stream_query_arena_par`](crate::stream_query_arena_par); `threads <=
-/// 1` short-circuits before reaching here).
+/// The parallel path of [`stream_query`](crate::stream_query)
+/// (`cfg.threads <= 1` short-circuits before reaching here).
 pub(crate) fn stream_par(
     q: &Query,
     doc: &ArenaDoc,
-    max_pulls: u64,
-    buffer_limit: usize,
-    threads: usize,
+    cfg: StreamConfig,
 ) -> Result<(Vec<Token>, StreamStats), StreamError> {
+    let StreamConfig {
+        max_pulls,
+        buffer_cap: buffer_limit,
+        threads,
+    } = cfg;
     // The planner's filter predicates evaluate under the Figure 1
     // semantics; the agreement suites prove both engines semantically
     // identical, so a planner-filtered node set is exactly the item set
@@ -61,7 +63,7 @@ pub(crate) fn stream_par(
     };
     let plan = ParPlan::of(q, doc, plan_budget);
     if !plan.engages() {
-        return crate::stream_query_arena(q, doc, max_pulls, buffer_limit);
+        return crate::stream_query(q, doc, StreamConfig { threads: 1, ..cfg });
     }
     let root: Option<Vec<Token>> = plan.needs_root().then(|| doc.tokens());
     let mut exec = StreamExec {

@@ -1,18 +1,18 @@
-//! The one pipeline builder behind every `xq_stream` entry point: AST →
-//! composed [`Cursor`] pipeline, plus the stream-level condition
+//! The one pipeline builder behind [`stream_query`](crate::stream_query):
+//! AST → composed [`Cursor`] pipeline, plus the stream-level condition
 //! evaluator.
 //!
 //! [`build_query`] maps each query node to exactly one node cursor from
 //! [`crate::cursor`] (allocation order is part of the accounting contract:
 //! children register in the live-cursor gauge before their parent, and a
 //! lazy variable reference charges its re-streaming *before* the defining
-//! expression is rebuilt — the same order as the pre-refactor engine, so
-//! `peak_live_cursors` and `recomputations` carried over unchanged).
+//! expression is rebuilt — the order behind the `peak_live_cursors` and
+//! `recomputations` figures that `cursor_diff`'s golden file pins).
 //! [`eval_cond`] evaluates conditions by probing freshly built pipelines
 //! against the same shared budget.
 //!
-//! The public face is [`Pipeline`]: entry points configure one (pull
-//! budget + [`BufferPolicy`]) and call [`Pipeline::build`]; external
+//! The public face is [`Pipeline`]: `stream_query` configures one (pull
+//! budget + [`BufferPolicy`]) and calls [`Pipeline::build`]; external
 //! consumers can also compose cursors by hand (see the example on
 //! [`Pipeline`]).
 
@@ -145,9 +145,10 @@ pub(crate) fn eval_cond<'q>(
 }
 
 /// The pipeline builder: one pull budget + one [`BufferPolicy`], shared by
-/// every cursor built from it. All four `stream_query*` entry points are
-/// thin wrappers over `Pipeline::new(..).build(..)`; external consumers
-/// can also compose node cursors by hand.
+/// every cursor built from it. [`stream_query`](crate::stream_query) and
+/// [`stream_boolean`](crate::stream_boolean) drive
+/// `Pipeline::new(..).build(..)`; external consumers can also compose
+/// node cursors by hand.
 ///
 /// # Example: a two-step pipeline composed by hand
 ///
@@ -187,15 +188,8 @@ impl Pipeline {
         }
     }
 
-    /// Derives both knobs from an evaluation [`Budget`](xq_core::Budget):
-    /// the pull cap from `max_steps`, the buffering cap from
-    /// [`BufferPolicy::from_budget`].
-    pub fn from_budget(budget: &xq_core::Budget) -> Pipeline {
-        Pipeline::new(budget.max_steps, BufferPolicy::from_budget(budget))
-    }
-
     /// Builds the full pipeline for `q` with `$root` bound to `input` —
-    /// the engine path every entry point takes.
+    /// the engine path of every streaming run.
     pub fn build<'q>(
         &self,
         q: &'q Query,
@@ -234,7 +228,7 @@ impl Pipeline {
     }
 
     /// Snapshot of this pipeline's counters. `tokens_out` and `workers`
-    /// are the entry points' to fill in (a pipeline doesn't know what the
+    /// are the driver's to fill in (a pipeline doesn't know what the
     /// caller collected).
     pub fn stats(&self) -> StreamStats {
         self.shared.snapshot()

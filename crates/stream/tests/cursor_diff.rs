@@ -1,62 +1,62 @@
-//! The cursor-core differential suite: the refactored streaming engine
-//! (one `Pipeline` behind every entry point) is locked against **two**
-//! oracles over the seeded T17 coverage corpus
-//! (`xq_bench::coverage_corpus`):
+//! The cursor-core suite: `xq_stream::stream_query` over the seeded T17
+//! coverage corpus (`xq_bench::coverage_corpus`), checked three ways:
 //!
-//! * the **pre-refactor engine**, frozen verbatim in
-//!   `xq_bench::legacy_stream` (recovered from git history, tests
-//!   stripped) — compared
-//!   for result bytes *and* `StreamStats` counters (`pulls`,
-//!   `recomputations`, `peak_live_cursors`, `tokens_out`, `workers`) on
-//!   all four entry points, plus identical errors at identical points
-//!   under a pull-budget sweep (0 / 1 / half / full−1 of the query's own
-//!   pull count) and under tight buffer caps;
-//! * the **Figure 1 interpreter** (`xq_core::eval_query`) — compared for
-//!   bytes, so counter-compatibility can never drift away from semantic
-//!   correctness.
+//! * **Figure 1 first.** On success every configuration's bytes must match
+//!   the interpreter (`xq_core::eval_query`), so the pinned counters can
+//!   never drift away from semantic correctness.
+//! * **Pinned counters.** One line per (query, document seed,
+//!   configuration) in `tests/golden/cursor_counters.golden` records the
+//!   outcome — `pulls recomputations peak_live_cursors tokens_out workers
+//!   buffered_sources`, or the error — for the lazy discipline, the
+//!   buffered default, a cap of 1 (every source overflows), 2 and 4
+//!   threads, and the 4-thread run under the pull-budget sweep (0 / 1 /
+//!   half / full−1 of the lazy run's pulls).
+//! * **Budget exactness.** Every sequential configuration returns
+//!   `Err(Budget)` at each swept cap below its own full `pulls`, and the
+//!   identical `Ok` at cap = `pulls`.
 //!
-//! `buffered_sources` is the one counter allowed to move, monotonically:
-//! the refactor *fixed* it to count held per-source decisions on every
-//! path (the legacy engine missed decisions abandoned before the full
-//! drain and counted nothing for planner-sharded loops), so the suite
-//! asserts `new >= legacy` instead of equality. The new
-//! `lazy_fallbacks`/`peak_buffered_tokens` counters have no legacy
-//! counterpart and are regression-tested in the crate's unit suite.
+//! Regenerate the golden files after an intentional engine change with
 //!
-//! `XQ_RANDOM_CASES` scales the corpus (CI pins 16; local default 48);
-//! CI runs the suite plain and under `XQ_ARENA=1 XQ_THREADS=4`
-//! (`XQ_THREADS` adds a thread count to the parallel sweep). The
-//! `#[ignore]`d full-size variant (weekly `scheduled.yml` run) sweeps a
-//! 256-query corpus, bigger documents, and the doubling family.
-
-use xq_bench::legacy_stream as legacy;
+//! ```text
+//! XQ_UPDATE_GOLDEN=1 cargo test --release -p xq_stream --test cursor_diff -- --include-ignored
+//! ```
+//!
+//! and review the diff like any other code change.
+//!
+//! `XQ_RANDOM_CASES` sizes the corpus (CI pins 16; local default 48, the
+//! size the golden file pins; a smaller corpus is a prefix of it, and
+//! queries past it run every check except the pinned counters). CI runs
+//! the suite plain and under `XQ_ARENA=1 XQ_THREADS=4`: `XQ_ARENA=1`
+//! round-trips each document through the arena store, and an
+//! `XQ_THREADS` count other than 2 and 4 is checked for bytes against
+//! the sequential run, plus `workers <= threads`. The `#[ignore]`d
+//! full-size variant (weekly `scheduled.yml` run) sweeps a 256-query
+//! corpus over bigger documents and the doubling family, pinning one
+//! digest per (query, document) in `tests/golden/cursor_digests.golden`.
 
 use cv_xtree::{random_tree, ArenaDoc, Token, Tree, TreeGen};
 use xq_core::ast::Query;
 use xq_core::Threads;
 use xq_stream::{
-    stream_query, stream_query_arena, stream_query_arena_par, stream_query_buffered,
-    DEFAULT_BUFFER_LIMIT,
+    stream_boolean, stream_query, StreamConfig, StreamError, StreamStats, DEFAULT_BUFFER_LIMIT,
 };
 
 const FUEL: u64 = 10_000_000;
 
-/// Cases per property: `XQ_RANDOM_CASES` if set (CI uses 16), else 48.
+/// The corpus size the golden file pins.
+const GOLDEN_CASES: usize = 48;
+
+/// Cases per property: `XQ_RANDOM_CASES` if set (CI uses 16), else
+/// [`GOLDEN_CASES`].
 fn cases() -> usize {
     std::env::var("XQ_RANDOM_CASES")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(48)
-}
-
-/// The seeded coverage corpus (deterministic across runs and PRs).
-fn corpus() -> Vec<Query> {
-    xq_bench::coverage_corpus(cases())
+        .unwrap_or(GOLDEN_CASES)
 }
 
 /// Small random documents over the corpus grammar's label alphabet. With
-/// `XQ_ARENA=1` each document round-trips through the arena store, so
-/// CI's arena pass covers arena-loaded documents on every entry point.
+/// `XQ_ARENA=1` each document round-trips through the arena store.
 fn docs(nodes: usize) -> Vec<Tree> {
     let repr = xq_core::DocRepr::from_env();
     (0..3u64)
@@ -67,154 +67,225 @@ fn docs(nodes: usize) -> Vec<Tree> {
         .collect()
 }
 
-/// Thread counts for the parallel sweep: 2/4 always, plus whatever
-/// `XQ_THREADS` resolves to (CI's parallel pass sets 4).
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![2, 4];
-    let env = Threads::from_env().count();
-    if env > 1 && !counts.contains(&env) {
-        counts.push(env);
-    }
-    counts
+/// The pinned sequential configurations: name and per-source cap.
+const SEQUENTIAL: [(&str, usize); 3] =
+    [("lazy", 0), ("cap65536", DEFAULT_BUFFER_LIMIT), ("cap1", 1)];
+
+/// The pinned thread counts (at the buffered default).
+const PARALLEL: [usize; 2] = [2, 4];
+
+/// `XQ_THREADS`, when it resolves to a count the pinned sweep lacks.
+fn extra_threads() -> Option<usize> {
+    let n = Threads::from_env().count();
+    (n > 1 && !PARALLEL.contains(&n)).then_some(n)
 }
 
-type NewOut = Result<(Vec<Token>, xq_stream::StreamStats), xq_stream::StreamError>;
-type OldOut = Result<(Vec<Token>, legacy::StreamStats), legacy::StreamError>;
+type Outcome = Result<(Vec<Token>, StreamStats), StreamError>;
 
-/// Demands the refactored engine and the embedded pre-refactor engine
-/// produced the *same outcome*: identical bytes and counters on success
-/// (with `buffered_sources` allowed to grow, never shrink), or the same
-/// error — which, combined with identical `pulls` charging, means the
-/// same error at the same point.
-fn assert_identical(new: &NewOut, old: &OldOut, ctx: &str) {
-    match (new, old) {
-        (Ok((nt, ns)), Ok((ot, os))) => {
-            assert_eq!(nt, ot, "{ctx}: token stream");
-            assert_eq!(ns.tokens_out, os.tokens_out, "{ctx}: tokens_out");
-            assert_eq!(ns.pulls, os.pulls, "{ctx}: pulls");
-            assert_eq!(
-                ns.recomputations, os.recomputations,
-                "{ctx}: recomputations"
-            );
-            assert_eq!(
-                ns.peak_live_cursors, os.peak_live_cursors,
-                "{ctx}: peak_live_cursors"
-            );
-            assert_eq!(ns.workers, os.workers, "{ctx}: workers");
-            assert!(
-                ns.buffered_sources >= os.buffered_sources,
-                "{ctx}: buffered_sources regressed: new {} < legacy {}",
-                ns.buffered_sources,
-                os.buffered_sources
-            );
-        }
-        // The two engines' error enums are distinct types with identical
-        // variants; Debug form is the common currency.
-        (Err(ne), Err(oe)) => assert_eq!(format!("{ne:?}"), format!("{oe:?}"), "{ctx}: error"),
-        _ => panic!("{ctx}: outcomes diverge: new {new:?} vs legacy {old:?}"),
+/// The pinned form of an outcome: the counters on success, else the error.
+fn pin(out: &Outcome) -> String {
+    match out {
+        Ok((_, s)) => format!(
+            "{} {} {} {} {} {}",
+            s.pulls,
+            s.recomputations,
+            s.peak_live_cursors,
+            s.tokens_out,
+            s.workers,
+            s.buffered_sources
+        ),
+        Err(e) => format!("{e:?}"),
     }
 }
 
-/// The pull budgets to sweep for a query whose full run charged `pulls`:
-/// 0 (error before the first pull), 1, half, and full−1 (error on the
-/// very last charge) — both engines must fail identically at every one.
+/// The pull budgets to sweep for a run that charged `pulls`: 0 (error
+/// before the first pull), 1, half, and full−1 (error on the very last
+/// charge).
 fn budget_sweep(pulls: u64) -> Vec<u64> {
     let mut caps = vec![0, 1, pulls / 2, pulls.saturating_sub(1)];
     caps.sort_unstable();
     caps.dedup();
+    caps.retain(|&c| c < pulls);
     caps
 }
 
-/// The differential body shared by the quick and full-size suites.
-fn assert_cursor_core_identical(q: &Query, doc: &Tree) {
+/// Asserts a successful run produced `want`'s bytes.
+fn assert_bytes(out: &Outcome, want: &[Token], ctx: &str) {
+    if let Ok((tokens, _)) = out {
+        assert_eq!(tokens, want, "{ctx}: bytes differ from Figure 1");
+    }
+}
+
+/// Runs every check on one (query, document) pair and appends its pinned
+/// lines, each prefixed `q{qi} d{seed}`.
+fn check_pair(q: &Query, doc: &Tree, key: &str, lines: &mut Vec<String>) {
     let arena = ArenaDoc::from_tree(doc);
+    let run = |cfg: StreamConfig| stream_query(q, &arena, cfg);
+    let mut pinned =
+        |config: &str, out: &Outcome| lines.push(format!("{key} {config}: {}", pin(out)));
 
-    // Entry point 1: pure lazy streaming.
-    let new = stream_query(q, doc, FUEL);
-    let old = legacy::stream_query(q, doc, FUEL);
-    assert_identical(&new, &old, &format!("lazy {q}"));
+    // Semantic anchor: the Figure 1 interpreter's bytes.
+    let want: Vec<Token> = xq_core::eval_query(q, doc)
+        .expect("interpreter evaluates the corpus")
+        .iter()
+        .flat_map(Tree::tokens)
+        .collect();
+    let mut sequential = Vec::new();
 
-    // Semantic anchor: on success, bytes must also match the Figure 1
-    // interpreter, so counter compatibility can't hide a shared bug.
-    if let Ok((tokens, _)) = &new {
-        let want: Vec<Token> = xq_core::eval_query(q, doc)
-            .expect("interpreter evaluates the corpus")
-            .iter()
-            .flat_map(Tree::tokens)
-            .collect();
-        assert_eq!(tokens, &want, "interpreter disagrees on {q}");
-    }
+    for (name, cap) in SEQUENTIAL {
+        let cfg = StreamConfig {
+            buffer_cap: cap,
+            ..StreamConfig::lazy(FUEL)
+        };
+        let ctx = format!("{key} {name} {q}");
+        let out = run(cfg);
+        assert_bytes(&out, &want, &ctx);
+        pinned(name, &out);
 
-    // Entry point 2: buffered fast path, generous and degenerate caps.
-    for cap in [DEFAULT_BUFFER_LIMIT, 1] {
-        let new = stream_query_buffered(q, doc, FUEL, cap);
-        let old = legacy::stream_query_buffered(q, doc, FUEL, cap);
-        assert_identical(&new, &old, &format!("buffered cap {cap} {q}"));
-    }
-
-    // Entry point 3: arena source.
-    let new = stream_query_arena(q, &arena, FUEL, DEFAULT_BUFFER_LIMIT);
-    let old = legacy::stream_query_arena(q, &arena, FUEL, DEFAULT_BUFFER_LIMIT);
-    assert_identical(&new, &old, &format!("arena {q}"));
-
-    // Entry point 4: planner-sharded parallel streaming, incremental
-    // merge vs the legacy materialized merge.
-    for threads in thread_counts() {
-        let new = stream_query_arena_par(q, &arena, FUEL, DEFAULT_BUFFER_LIMIT, threads);
-        let old = legacy::stream_query_arena_par(q, &arena, FUEL, DEFAULT_BUFFER_LIMIT, threads);
-        assert_identical(&new, &old, &format!("par t{threads} {q}"));
-    }
-
-    // Budget sweep: tighten max_pulls to bite before, at the start of,
-    // midway through, and on the last charge of the run — the engines
-    // must produce the same outcome (usually `Budget` at the same
-    // point) on every entry point.
-    if let Ok((_, stats)) = &old {
-        for cap in budget_sweep(stats.pulls) {
-            let new = stream_query(q, doc, cap);
-            let old = legacy::stream_query(q, doc, cap);
-            assert_identical(&new, &old, &format!("lazy budget {cap} {q}"));
-
-            let new = stream_query_buffered(q, doc, cap, DEFAULT_BUFFER_LIMIT);
-            let old = legacy::stream_query_buffered(q, doc, cap, DEFAULT_BUFFER_LIMIT);
-            assert_identical(&new, &old, &format!("buffered budget {cap} {q}"));
-
-            let new = stream_query_arena_par(q, &arena, cap, DEFAULT_BUFFER_LIMIT, 4);
-            let old = legacy::stream_query_arena_par(q, &arena, cap, DEFAULT_BUFFER_LIMIT, 4);
-            assert_identical(&new, &old, &format!("par budget {cap} {q}"));
-        }
-    }
-}
-
-#[test]
-fn cursor_core_matches_legacy_engine_on_the_coverage_corpus() {
-    let docs = docs(10);
-    for q in corpus() {
-        for doc in &docs {
-            assert_cursor_core_identical(&q, doc);
-        }
-    }
-}
-
-/// `stream_boolean` has no stats to compare, but its short-circuit
-/// behaviour (including the `⟨a⟩α⟨/a⟩` §7.1 special case) must agree
-/// with the legacy engine verdict-for-verdict, errors included.
-#[test]
-fn boolean_probe_matches_legacy_engine() {
-    let docs = docs(10);
-    for q in corpus() {
-        for doc in &docs {
-            let new = xq_stream::stream_boolean(&q, doc, FUEL);
-            let old = legacy::stream_boolean(&q, doc, FUEL);
-            match (&new, &old) {
-                (Ok(n), Ok(o)) => assert_eq!(n, o, "verdict for {q}"),
-                (Err(ne), Err(oe)) => {
-                    assert_eq!(format!("{ne:?}"), format!("{oe:?}"), "error for {q}")
-                }
-                _ => panic!("boolean outcomes diverge on {q}: {new:?} vs {old:?}"),
+        // Budget exactness: `Budget` below the run's own pulls, the
+        // identical outcome at exactly its pulls.
+        if let Ok((_, stats)) = &out {
+            for max_pulls in budget_sweep(stats.pulls) {
+                let capped = run(StreamConfig { max_pulls, ..cfg });
+                assert_eq!(capped, Err(StreamError::Budget), "{ctx}: cap {max_pulls}");
             }
+            let exact = run(StreamConfig {
+                max_pulls: stats.pulls,
+                ..cfg
+            });
+            assert_eq!(exact, out, "{ctx}: cap = pulls");
+        }
+        sequential.push(out);
+    }
+    let [lazy, buffered, _] = &sequential[..] else {
+        unreachable!("three sequential configurations")
+    };
+
+    for threads in PARALLEL {
+        let cfg = StreamConfig {
+            threads,
+            ..StreamConfig::buffered(FUEL)
+        };
+        let ctx = format!("{key} t{threads} {q}");
+        let out = run(cfg);
+        assert_bytes(&out, &want, &ctx);
+        pinned(&format!("t{threads}"), &out);
+    }
+
+    // The parallel budget sweep, pinned: each worker's chunk is bounded
+    // on its own, so these outcomes need not be `Budget`.
+    if let Ok((_, stats)) = &lazy {
+        for max_pulls in budget_sweep(stats.pulls) {
+            let out = run(StreamConfig {
+                max_pulls,
+                threads: 4,
+                ..StreamConfig::buffered(FUEL)
+            });
+            let ctx = format!("{key} t4 budget {max_pulls} {q}");
+            assert_bytes(&out, &want, &ctx);
+            pinned(&format!("t4 budget {max_pulls}"), &out);
         }
     }
+
+    // A thread count outside the pinned sweep: bytes only.
+    if let Some(threads) = extra_threads() {
+        let out = run(StreamConfig {
+            threads,
+            ..StreamConfig::buffered(FUEL)
+        });
+        let ctx = format!("{key} t{threads} {q}");
+        // Each worker's chunk is bounded on its own, so a parallel run
+        // never fails where the sequential one succeeded.
+        assert!(out.is_ok() || buffered.is_err(), "{ctx}: {out:?}");
+        assert_bytes(&out, &want, &ctx);
+        if let Ok((_, stats)) = &out {
+            assert!(stats.workers <= threads, "{ctx}: {stats:?}");
+        }
+    }
+}
+
+/// Compares `lines` with the golden file `name` (or rewrites it under
+/// `XQ_UPDATE_GOLDEN`). Lines past the golden's end belong to queries
+/// beyond the pinned corpus and are left unpinned.
+fn check_golden(name: &str, header: &str, lines: &[String]) {
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("XQ_UPDATE_GOLDEN").is_some() {
+        let mut text = header.to_string();
+        for l in lines {
+            text.push_str(l);
+            text.push('\n');
+        }
+        std::fs::write(&path, text).expect("write golden file");
+        return;
+    }
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|_| panic!("{name} missing — run with XQ_UPDATE_GOLDEN=1 to create it"));
+    let want: Vec<&str> = text.lines().filter(|l| !l.starts_with('#')).collect();
+    for (i, (got, want)) in lines.iter().zip(&want).enumerate() {
+        assert_eq!(
+            got, want,
+            "pinned line {i} of {name} drifted; if intentional, regenerate with XQ_UPDATE_GOLDEN=1"
+        );
+    }
+    if lines.len() > want.len() {
+        eprintln!(
+            "{} lines past the end of {name} are unpinned",
+            lines.len() - want.len()
+        );
+    }
+}
+
+#[test]
+fn cursor_core_matches_figure_1_and_the_pinned_counters() {
+    let cases = cases();
+    assert!(
+        std::env::var_os("XQ_UPDATE_GOLDEN").is_none() || cases == GOLDEN_CASES,
+        "regenerate the golden file with the default {GOLDEN_CASES}-query corpus"
+    );
+    let docs = docs(10);
+    let mut lines = Vec::new();
+    for (qi, q) in xq_bench::coverage_corpus(cases).iter().enumerate() {
+        for (seed, doc) in docs.iter().enumerate() {
+            check_pair(q, doc, &format!("q{qi} d{seed}"), &mut lines);
+        }
+    }
+    check_golden(
+        "cursor_counters.golden",
+        "# cursor_diff: xq_stream counters over coverage_corpus(48) x docs(10).\n\
+         # <query> <doc seed> <config>: pulls recomputations peak_live_cursors tokens_out workers buffered_sources\n\
+         # Regenerate with XQ_UPDATE_GOLDEN=1 after intentional engine changes.\n",
+        &lines,
+    );
+}
+
+/// `stream_boolean` short-circuits, but its verdict is the Figure 1
+/// one: for `⟨a⟩α⟨/a⟩`, whether the root element has a child (§7.1
+/// convention); otherwise, whether the result is nonempty.
+#[test]
+fn boolean_probe_matches_figure_1() {
+    let docs = docs(10);
+    for q in xq_bench::coverage_corpus(cases()) {
+        for doc in &docs {
+            let result = xq_core::eval_query(&q, doc).expect("interpreter evaluates the corpus");
+            let want = match &q {
+                Query::Elem(_, _) => !result[0].children().is_empty(),
+                _ => !result.is_empty(),
+            };
+            let got = stream_boolean(&q, &ArenaDoc::from_tree(doc), FUEL)
+                .unwrap_or_else(|e| panic!("boolean probe failed on {q}: {e}"));
+            assert_eq!(got, want, "verdict for {q} on {doc}");
+        }
+    }
+}
+
+/// 64-bit FNV-1a, the digest the full-size golden pins per pair.
+fn fnv1a(lines: &[String]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in lines.iter().flat_map(|l| l.bytes().chain([b'\n'])) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
 }
 
 /// Full-size variant for the weekly scheduled run: a 256-query corpus,
@@ -222,12 +293,16 @@ fn boolean_probe_matches_legacy_engine() {
 /// recomputation cost explodes and the buffered path's decisions all
 /// engage).
 #[test]
-#[ignore = "full-size differential sweep; run by scheduled.yml"]
-fn cursor_core_matches_legacy_engine_full_size() {
+#[ignore = "full-size sweep; run by scheduled.yml"]
+fn cursor_core_full_size() {
     let docs = docs(40);
-    for q in xq_bench::coverage_corpus(256) {
-        for doc in &docs {
-            assert_cursor_core_identical(&q, doc);
+    let mut digests = Vec::new();
+    for (qi, q) in xq_bench::coverage_corpus(256).iter().enumerate() {
+        for (seed, doc) in docs.iter().enumerate() {
+            let key = format!("q{qi} d{seed}");
+            let mut lines = Vec::new();
+            check_pair(q, doc, &key, &mut lines);
+            digests.push(format!("{key}: {:016x}", fnv1a(&lines)));
         }
     }
     // The doubling family on the empty document: the streaming worst case.
@@ -239,13 +314,28 @@ fn cursor_core_matches_legacy_engine_full_size() {
         q
     }
     let t = cv_xtree::parse_tree("<r/>").unwrap();
+    let doc = ArenaDoc::from_tree(&t);
     for n in [2usize, 4, 6] {
         let q = xq_core::parse_query(&doubling(n)).unwrap();
-        let new = stream_query(&q, &t, FUEL);
-        let old = legacy::stream_query(&q, &t, FUEL);
-        assert_identical(&new, &old, &format!("doubling lazy n={n}"));
-        let new = stream_query_buffered(&q, &t, FUEL, DEFAULT_BUFFER_LIMIT);
-        let old = legacy::stream_query_buffered(&q, &t, FUEL, DEFAULT_BUFFER_LIMIT);
-        assert_identical(&new, &old, &format!("doubling buffered n={n}"));
+        let want: Vec<Token> = xq_core::eval_query(&q, &t)
+            .unwrap()
+            .iter()
+            .flat_map(Tree::tokens)
+            .collect();
+        for (name, cfg) in [
+            ("lazy", StreamConfig::lazy(FUEL)),
+            ("cap65536", StreamConfig::buffered(FUEL)),
+        ] {
+            let out = stream_query(&q, &doc, cfg);
+            assert_bytes(&out, &want, &format!("doubling n={n} {name}"));
+            digests.push(format!("doubling n={n} {name}: {}", pin(&out)));
+        }
     }
+    check_golden(
+        "cursor_digests.golden",
+        "# cursor_diff full size: coverage_corpus(256) x docs(40), one FNV-1a digest of each\n\
+         # pair's cursor_counters lines, then the doubling family's counters.\n\
+         # Regenerate with XQ_UPDATE_GOLDEN=1 after intentional engine changes.\n",
+        &digests,
+    );
 }

@@ -6,8 +6,10 @@
 //! * the Figure 1 reference semantics on the `Rc` tree vs the same tree
 //!   routed `Tree → ArenaDoc → Tree` (the `XQ_ARENA` load path), and vs
 //!   the parse route `to_xml → ArenaDoc::parse → to_tree`;
-//! * the streaming engine on the `Rc` tree vs `stream_query_arena` pulling
-//!   tokens straight out of the arena vectors.
+//! * the streaming engine pulling tokens straight out of the arena
+//!   vectors vs the reference bytes. (It has no `Rc`-tree source to
+//!   compare against: `arena_prop` asserts the two stores tokenize
+//!   identically.)
 //!
 //! The per-thread `docs()` corpus is cached exactly like the
 //! `random_queries.rs` one, and the case count honours `XQ_RANDOM_CASES`
@@ -165,18 +167,12 @@ fn assert_arena_agrees(q: &Query, doc: &Tree) -> Result<(), TestCaseError> {
         doc
     );
 
-    // Streaming: Rc-tree source vs arena source, token-for-token.
-    const FUEL: u64 = 50_000_000;
-    let (stream_want, _) =
-        xq_stream::stream_query_buffered(q, doc, FUEL, xq_stream::DEFAULT_BUFFER_LIMIT)
-            .unwrap_or_else(|e| panic!("{q}: {e}"));
+    // Streaming over the arena: the streamed tokens match the reference
+    // bytes once serialized (through the tested `Tree` serializer — no
+    // hand-rolled renderer).
+    let cfg = xq_stream::StreamConfig::buffered(50_000_000);
     let (stream_got, _) =
-        xq_stream::stream_query_arena(q, &arena, FUEL, xq_stream::DEFAULT_BUFFER_LIMIT)
-            .unwrap_or_else(|e| panic!("arena {q}: {e}"));
-    prop_assert_eq!(&stream_got, &stream_want, "streaming: {} on {}", q, doc);
-
-    // And the streamed tokens match the reference bytes once serialized
-    // (through the tested `Tree` serializer — no hand-rolled renderer).
+        xq_stream::stream_query(q, &arena, cfg).unwrap_or_else(|e| panic!("arena {q}: {e}"));
     let stream_xml: Vec<u8> = Tree::forest_from_tokens(&stream_got)
         .unwrap()
         .iter()

@@ -6,7 +6,7 @@
 use xq_complexity::core::parse_query;
 use xq_complexity::monad::Budget;
 use xq_complexity::reductions::{self as red, measure_blowup, EqFlavor, NtmReduction};
-use xq_complexity::stream::stream_query;
+use xq_complexity::stream::{stream_query, StreamConfig};
 
 fn main() {
     println!("Prop 4.2 — values of size 2^(2^m) from queries of size O(m):");
@@ -45,13 +45,14 @@ fn main() {
 
     println!("\nThm 4.5 — streaming keeps live state small while output doubles:");
     let t = xq_complexity::xtree::parse_tree("<r/>").unwrap();
+    let doc = xq_complexity::xtree::ArenaDoc::from_tree(&t);
     for n in [2usize, 4, 6] {
         let mut src = String::from("<z/>");
         for i in 0..n {
             src = format!("for $v{i} in ({src}, {src}) return <z/>");
         }
         let q = parse_query(&src).unwrap();
-        let (tokens, stats) = stream_query(&q, &t, u64::MAX).unwrap();
+        let (tokens, stats) = stream_query(&q, &doc, StreamConfig::lazy(u64::MAX)).unwrap();
         println!(
             "  n={n}: {} output tokens, {} peak live cursors",
             tokens.len(),

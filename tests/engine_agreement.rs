@@ -53,9 +53,11 @@ fn fleet_docs() -> Vec<Tree> {
 #[test]
 fn streaming_agrees_with_reference() {
     for doc in fleet_docs() {
+        let arena = ArenaDoc::from_tree(&doc);
         for src in COMPOSITION_FREE.iter().chain(COMPOSITIONAL) {
             let q = parse_query(src).unwrap();
-            let (got, _) = xq_complexity::stream::stream_query(&q, &doc, 50_000_000)
+            let lazy = xq_complexity::stream::StreamConfig::lazy(50_000_000);
+            let (got, _) = xq_complexity::stream::stream_query(&q, &arena, lazy)
                 .unwrap_or_else(|e| panic!("{src}: {e}"));
             assert_eq!(got, reference_tokens(&q, &doc), "query {src} on {doc}");
         }
