@@ -6,11 +6,10 @@ set -euo pipefail
 
 step() { printf '\n=== %s\n' "$*"; }
 
-# Most differential suites run twice: as is, then with XQ_ARENA=1 +
-# XQ_THREADS=4 so the arena document store and a >1 thread knob are
-# exercised together. Each `for e in "${TWICE[@]}"` loop below is one
-# such pair; `env $e` expands to no assignment on the first pass.
-TWICE=("" "XQ_ARENA=1 XQ_THREADS=4")
+# Most differential suites run twice: as is, then with XQ_THREADS=4 so a
+# >1 thread knob is exercised. Each `for e in "${TWICE[@]}"` loop below
+# is one such pair; `env $e` expands to no assignment on the first pass.
+TWICE=("" "XQ_THREADS=4")
 
 step "cargo build --release"
 cargo build --release
@@ -21,26 +20,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 step "cargo test -q --workspace"
 cargo test -q --workspace
 
-# The arena-vs-Rc differential surface beyond the workspace pass (which
-# already runs arena_diff with XQ_ARENA unset): XQ_ARENA=1 reroutes the
-# agreement suites' document loading through the arena store (see
-# xq_core::doc). CI sets XQ_RANDOM_CASES=16; default to it here so local
-# runs stay quick too.
-step "agreement suites with XQ_ARENA=1"
-XQ_ARENA=1 XQ_RANDOM_CASES="${XQ_RANDOM_CASES:-16}" \
-    cargo test -q -p xq_core --test random_queries
-XQ_ARENA=1 cargo test -q -p xq_complexity --test engine_agreement
-
 # The data-parallel surface: par_diff sweeps 1/2/4/8 worker threads (plus
 # whatever XQ_THREADS resolves to) on both parallel engines — including
 # the planner suites (Seq-of-fors, nested fors, let-hoisted and
 # where-filtered sources, and the parallelized⇒byte-identical property) —
 # and the interner concurrency smoke test hammers the sharded global
-# table from 8 threads. Run once more with XQ_ARENA=1 + XQ_THREADS=4 so
-# the arena document store and a >1 thread knob are exercised together
-# (par_diff's corpus documents route through DocRepr, so XQ_ARENA=1
-# re-runs every planner shape on arena-loaded documents).
-step "parallel + planner suites (par_diff, plan, interner_threads; XQ_ARENA=1 XQ_THREADS=4)"
+# table from 8 threads. Run once more with XQ_THREADS=4 so the sweep
+# covers that thread count explicitly. CI sets XQ_RANDOM_CASES=16;
+# default to it here so local runs stay quick too.
+step "parallel + planner suites (par_diff, plan, interner_threads; XQ_THREADS=4)"
 for e in "${TWICE[@]}"; do
     env $e XQ_RANDOM_CASES="${XQ_RANDOM_CASES:-16}" cargo test -q -p xq_core --test par_diff
 done
@@ -53,11 +41,10 @@ cargo test -q -p cv_xtree --test interner_threads
 # hammers the lock-striped plan store from 8 threads; vm_alloc is the
 # allocation guard (a counting global allocator: after a warm run, a
 # constructor loop and the heavy-eval text allocate as often on a
-# 400-node document as on a 40-node one, on both entry points), run in
-# debug and release. Run again with XQ_ARENA=1 + XQ_THREADS=4 so arena
-# documents and the parallel entry points are exercised through
-# compiled plans too.
-step "bytecode VM suites (vm_diff, vm_golden, vm_alloc, plan_cache_threads; XQ_ARENA=1 XQ_THREADS=4)"
+# 400-node document as on a 40-node one), run in debug and release.
+# Run again with XQ_THREADS=4 so the parallel entry points are exercised
+# through compiled plans too.
+step "bytecode VM suites (vm_diff, vm_golden, vm_alloc, plan_cache_threads; XQ_THREADS=4)"
 for e in "${TWICE[@]}"; do
     env $e XQ_RANDOM_CASES="${XQ_RANDOM_CASES:-16}" cargo test -q -p xq_core --test vm_diff
     env $e cargo test -q -p xq_core --test vm_golden
@@ -73,10 +60,9 @@ cargo test -q --release -p xq_core --test vm_alloc
 # tests/golden/cursor_counters.golden, asserts every sequential
 # configuration fails with Budget below its own pull count and succeeds
 # identically at it, and checks stream_boolean's verdicts against
-# Figure 1. Run again with XQ_ARENA=1 + XQ_THREADS=4 so the corpus
-# documents route through the arena store (the golden file is the same
-# for both passes).
-step "streaming cursor suites (cursor_diff; XQ_ARENA=1 XQ_THREADS=4)"
+# Figure 1. Run again with XQ_THREADS=4 (the golden file is the same for
+# both passes).
+step "streaming cursor suites (cursor_diff; XQ_THREADS=4)"
 for e in "${TWICE[@]}"; do
     env $e XQ_RANDOM_CASES="${XQ_RANDOM_CASES:-16}" cargo test -q -p xq_stream --test cursor_diff
 done
@@ -101,10 +87,9 @@ done
 # flag in the service and compile unit tests, all run by the workspace
 # test step above.) The supervision suite drives the unwind fence, restart
 # budget, and RAII gauge contracts on the pool directly. Run again with
-# XQ_ARENA=1 + XQ_THREADS=4 so cancellation, the socket path, and the
-# chaos soak are exercised over arena documents and the parallel entry
-# points.
-step "serving suites (cancel_diff, supervision, xq_server; XQ_ARENA=1 XQ_THREADS=4)"
+# XQ_THREADS=4 so cancellation, the socket path, and the chaos soak are
+# exercised through the parallel entry points.
+step "serving suites (cancel_diff, supervision, xq_server; XQ_THREADS=4)"
 for e in "${TWICE[@]}"; do
     env $e XQ_RANDOM_CASES="${XQ_RANDOM_CASES:-16}" cargo test -q -p xq_core --test cancel_diff
     env $e cargo test -q -p xq_core --test supervision

@@ -11,12 +11,14 @@
 //! * the serving benchmark's `heavy-eval` cross-join
 //!   (`<r>{ par_workload(Binary) }</r>` on Binary depth 8), where
 //!   evaluation is nearly the whole request and the VM's borrowed axis
-//!   scans and fused quantifier loop do the work — over the tree
-//!   environment and over the arena document (the served route).
+//!   scans and fused quantifier loop do the work.
+//!
+//! The VM runs over the arena document (the served route); the
+//! interpreter over the same document as a tree.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use cv_xtree::{random_tree, DoublingFamily, TreeGen};
-use xq_core::vm::{compile_query, exec_doc, exec_with, PlanCache};
+use cv_xtree::{random_tree, ArenaDoc, DoublingFamily, TreeGen};
+use xq_core::vm::{compile_query, exec_doc, PlanCache};
 use xq_core::{eval_with, parse_query, Budget, Env, Query};
 
 const QUERY: &str = "for $x in $root//a return <w>{ $x/* }</w>";
@@ -26,6 +28,7 @@ fn bench_engines(c: &mut Criterion) {
     let plan = compile_query(&q);
     let mut g = TreeGen::new(7);
     let doc = random_tree(&mut g, 200, &["a", "b", "k"]);
+    let arena = ArenaDoc::from_tree(&doc);
     let env = Env::with_root(doc);
     let budget = Budget::default();
 
@@ -35,7 +38,7 @@ fn bench_engines(c: &mut Criterion) {
         b.iter(|| eval_with(&q, &env, budget.clone()).unwrap())
     });
     group.bench_function("vm_exec", |b| {
-        b.iter(|| exec_with(&plan, &env, budget.clone()).unwrap())
+        b.iter(|| exec_doc(&plan, &arena, budget.clone()).unwrap())
     });
     group.bench_function("interp_parse_then_eval", |b| {
         b.iter(|| {
@@ -48,7 +51,7 @@ fn bench_engines(c: &mut Criterion) {
     group.bench_function("vm_warm_cache_then_exec", |b| {
         b.iter(|| {
             let plan = cache.get_or_compile(QUERY).unwrap();
-            exec_with(&plan, &env, budget.clone()).unwrap()
+            exec_doc(&plan, &arena, budget.clone()).unwrap()
         })
     });
     group.bench_function("parse", |b| b.iter(|| parse_query(QUERY).unwrap()));
@@ -70,9 +73,6 @@ fn bench_heavy_eval(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("interp_eval", |b| {
         b.iter(|| eval_with(&q, &env, budget.clone()).unwrap())
-    });
-    group.bench_function("vm_exec", |b| {
-        b.iter(|| exec_with(&plan, &env, budget.clone()).unwrap())
     });
     group.bench_function("vm_exec_arena", |b| {
         b.iter(|| exec_doc(&plan, &arena, budget.clone()).unwrap())

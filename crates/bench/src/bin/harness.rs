@@ -522,7 +522,8 @@ fn t18_vm() -> Vec<T18Row> {
     // Engine micro-comparison: one document, repeated evaluation.
     let mut g = TreeGen::new(7);
     let doc = cv_xtree::random_tree(&mut g, 200, &["a", "b", "k"]);
-    let env = xq_core::Env::with_root(doc.clone());
+    let arena = ArenaDoc::from_tree(&doc);
+    let env = xq_core::Env::with_root(doc);
     let budget = xq_core::Budget::default();
     let evals = 50u32;
     let interp_us = time_us(evals, || {
@@ -530,7 +531,7 @@ fn t18_vm() -> Vec<T18Row> {
     });
     let plan = compile_query(&q);
     let vm_us = time_us(evals, || {
-        xq_core::vm::exec_with(&plan, &env, budget.clone()).unwrap();
+        xq_core::vm::exec_doc(&plan, &arena, budget.clone()).unwrap();
     });
     let reparse_us = time_us(evals, || {
         let q = parse_query(src).unwrap();
@@ -567,38 +568,23 @@ fn t18_vm() -> Vec<T18Row> {
     let heavy_env = xq_core::Env::with_root(cv_xtree::DoublingFamily::Binary.tree(8));
     let (want, want_stats) = xq_core::eval_with(&heavy, &heavy_env, budget.clone()).unwrap();
     let heavy_plan = compile_query(&heavy);
-    let (got, got_stats) = xq_core::vm::exec_with(&heavy_plan, &heavy_env, budget.clone()).unwrap();
-    assert_eq!(
-        got, want,
-        "VM and interpreter diverged on the heavy-eval shape"
-    );
-    assert_eq!(
-        (got_stats.steps, got_stats.items),
-        (want_stats.steps, want_stats.items),
-        "VM must charge the interpreter's steps and items on the heavy-eval shape"
-    );
-    let heavy_evals = 20u32;
-    let heavy_interp_us = time_us(heavy_evals, || {
-        xq_core::eval_with(&heavy, &heavy_env, budget.clone()).unwrap();
-    });
-    let heavy_vm_us = time_us(heavy_evals, || {
-        xq_core::vm::exec_with(&heavy_plan, &heavy_env, budget.clone()).unwrap();
-    });
-    // The served route: the same plan over the arena document (node ids,
-    // preorder-range scans, interned-label compares), with the exact
-    // counts the serving benchmark's traced replay reports.
     let heavy_arena = cv_xtree::DoublingFamily::Binary.arena(8);
     let (got, got_stats) =
         xq_core::vm::exec_doc(&heavy_plan, &heavy_arena, budget.clone()).unwrap();
     assert_eq!(
         got, want,
-        "the arena route diverged on the heavy-eval shape"
+        "VM and interpreter diverged on the heavy-eval shape"
     );
+    // The exact counts the serving benchmark's traced replay reports.
     assert_eq!(
-        (got_stats.steps, got_stats.items),
-        (233_074, 58_482),
-        "the arena route must charge the heavy-eval request's steps and items"
+        [(got_stats.steps, got_stats.items); 2],
+        [(want_stats.steps, want_stats.items), (233_074, 58_482)],
+        "VM must charge the interpreter's steps and items on the heavy-eval request"
     );
+    let heavy_evals = 20u32;
+    let heavy_interp_us = time_us(heavy_evals, || {
+        xq_core::eval_with(&heavy, &heavy_env, budget.clone()).unwrap();
+    });
     let heavy_arena_us = time_us(heavy_evals, || {
         xq_core::vm::exec_doc(&heavy_plan, &heavy_arena, budget.clone()).unwrap();
     });
@@ -611,7 +597,6 @@ fn t18_vm() -> Vec<T18Row> {
     println!("|---|---|---|");
     for (label, us) in [
         ("interpreter (pre-parsed AST)", heavy_interp_us),
-        ("VM (compiled plan)", heavy_vm_us),
         ("VM over the arena (served route)", heavy_arena_us),
     ] {
         println!("| {label} | {us:.1} | {:.2}x |", heavy_interp_us / us);
@@ -621,7 +606,6 @@ fn t18_vm() -> Vec<T18Row> {
         heavy_interp_us,
         heavy_interp_us,
     ));
-    rows.push(T18Row::timing("heavy_vm_exec", heavy_vm_us, heavy_vm_us));
     rows.push(T18Row::timing(
         "heavy_vm_exec_arena",
         heavy_arena_us,

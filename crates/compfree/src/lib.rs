@@ -16,10 +16,9 @@
 //!
 //! Both engines navigate the [`ArenaDoc`] store: axis scans are `u32`
 //! range walks over contiguous spans, label tests and atomic equality are
-//! O(1) interned-id compares, and result emission walks preorder spans —
-//! the `Rc`-per-node `Document` is no longer on this path (ROADMAP
-//! "Scale-out groundwork"). Since `ArenaDoc: Send + Sync`, one loaded
-//! document can also serve nested-loop evaluations from many threads.
+//! O(1) interned-id compares, and result emission walks preorder spans.
+//! Since `ArenaDoc: Send + Sync`, one loaded document can also serve
+//! nested-loop evaluations from many threads.
 
 use cv_xtree::{ArenaDoc, LabelId, NodeId, Token, Tree};
 use xq_core::ast::{Cond, EqMode, Query, Var};

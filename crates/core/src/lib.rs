@@ -3,8 +3,6 @@
 //! lists up to representation issues.
 //!
 //! * [`ast`] — the abstract syntax (core grammar + Prop 3.1 derived forms);
-//! * [`doc`] — document loading for the suites, with the `XQ_ARENA`
-//!   switch between the `Rc` tree and the arena document store;
 //! * [`parser`] — a parser for the surface syntax used in the paper's
 //!   examples, with a nesting cap ([`MAX_QUERY_DEPTH`]) that keeps deep
 //!   texts from overflowing a worker's stack;
@@ -34,7 +32,6 @@
 //!   on lists and the `C`/`C′`/`T` data encodings (Lemmas 3.2 and 3.3).
 
 pub mod ast;
-pub mod doc;
 pub mod fault;
 pub mod fragments;
 pub mod par;
@@ -46,7 +43,6 @@ pub mod translate;
 pub mod vm;
 
 pub use ast::{cond_as_query, Cond, EqMode, Query, Var};
-pub use doc::{load_document, DocRepr};
 pub use fault::{FaultPoint, FaultSpecError, Faults};
 pub use fragments::{
     free_vars, is_composition_free, is_strict_core, is_xq_tilde, to_composition_free, to_xq_tilde,

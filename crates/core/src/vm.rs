@@ -34,5 +34,5 @@ pub use cache::PlanCache;
 pub use compile::{
     compile_query, compile_query_text, par_hint, CompiledPlan, CostRecord, MaInfo, RunCost,
 };
-pub use exec::{exec_doc, exec_query, exec_with};
+pub use exec::{exec_doc, exec_with};
 pub use ir::{InstrSeq, OpCode, VarRef};

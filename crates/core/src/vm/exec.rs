@@ -11,17 +11,14 @@
 //! and quantifiers run as jump-backed loops, so evaluation depth is
 //! heap-bounded rather than call-stack-bounded.
 //!
-//! Two entry points differ only in what free variables resolve against:
-//!
-//! * [`exec_doc`] — the served route — binds `$root` to the root of an
-//!   [`ArenaDoc`]. Document values are then `NodeId`s: axis steps walk
-//!   contiguous child slices and `id+1..subtree_end` preorder ranges,
-//!   node tests and comparisons against constants compare interned
-//!   [`LabelId`]s (query text is resolved with [`LabelId::lookup`], never
-//!   interned), and node-against-node `=deep` is the arena's iterative
-//!   preorder compare.
-//! * [`exec_with`] runs over an [`Env`] of [`Tree`]s (tests, the
-//!   harness, and callers holding trees).
+//! The one entry point, [`exec_doc`], binds `$root` to the root of an
+//! [`ArenaDoc`]. Document values are `NodeId`s: axis steps walk
+//! contiguous child slices and `id+1..subtree_end` preorder ranges, node
+//! tests and comparisons against constants compare interned [`LabelId`]s
+//! (query text is resolved with [`LabelId::lookup`], never interned), and
+//! node-against-node `=deep` is the arena's iterative preorder compare.
+//! A caller holding a [`Tree`] converts it once with
+//! [`ArenaDoc::from_tree`].
 //!
 //! Lists are regions of one value stack, not vectors of their own: a
 //! list runs from its mark to the next one (the top list to the end of
@@ -33,121 +30,97 @@
 //! Each thread keeps the emptied stacks of its last run, so a warm run
 //! allocates no list storage.
 //!
-//! Values on the stacks are `Item`s: a document node (`Node`), a tree
-//! borrowed from the caller's environment for the whole run (`Doc`), or
-//! one the query built (`Built`). The hot loops touch no refcount. A
-//! `Tree` is produced only where Figure 1's result keeps one — the
-//! children of a constructed element and the final output list — and
-//! where a node meets a tree in `=deep`/`=atomic`; a node then borrows or
-//! clones its entry of the document's node table
-//! ([`ArenaDoc::shared_node`]), an `Arc` handle, never a copy. Matches
-//! scanned out of a constructed tree are cloned out of it, as there is
-//! no document to borrow from.
+//! Values on the stacks are `Item`s: a document node (`Node`) or a tree
+//! the query built (`Built`). The hot loops touch no refcount. A `Tree`
+//! is produced only where Figure 1's result keeps one — the children of
+//! a constructed element and the final output list — and where a node
+//! meets a tree in `=deep`/`=atomic`; a node then borrows or clones its
+//! entry of the document's node table ([`ArenaDoc::shared_node`]), an
+//! `Arc` handle, never a copy. Matches scanned out of a constructed tree
+//! are cloned out of it, as there is no document to borrow from.
 //!
 //! Constructors are memoized per run. Values are compared by value and
 //! have no node identity, so an `elem` whose children are the very
-//! values (the same node, the same borrowed tree, the same `Arc`) it was
-//! given the last time it ran returns the tree it built then, at the
-//! cost of one `Arc` clone; a leaf constructor builds once per run. The
-//! memo is charged exactly as a fresh build, lives in the machine, and is
-//! emptied when the run ends.
+//! values (the same node, the same `Arc`) it was given the last time it
+//! ran returns the tree it built then, at the cost of one `Arc` clone; a
+//! leaf constructor builds once per run. The memo is charged exactly as
+//! a fresh build, lives in the machine, and is emptied when the run ends.
 
 use super::compile::CompiledPlan;
 use super::ir::{OpCode, VarRef};
-use crate::ast::EqMode;
+use crate::ast::{EqMode, Var};
 use crate::semantics::{Budget, Env, EvalStats, XqError};
 use cv_xtree::{ArenaDoc, Axis, LabelId, NodeId, NodeTest, Tree};
 use std::cell::Cell;
 
-/// Executes a compiled plan in `env` under `budget` — the VM counterpart
-/// of [`eval_with`](crate::eval_with), byte- and counter-identical to it.
-pub fn exec_with(
-    plan: &CompiledPlan,
-    env: &Env,
-    budget: Budget,
-) -> Result<(Vec<Tree>, EvalStats), XqError> {
-    Machine::new(plan, Input::Env(env), env.depth(), budget).run_plan(plan)
-}
-
 /// Executes a compiled plan with `$root` bound to the root of `doc`
-/// under `budget` — identical to [`exec_with`] over
-/// `Env::with_root(doc.to_tree())` (the bound root is the environment's
-/// one binding), but evaluated over the arena itself.
+/// under `budget` — the VM counterpart of [`eval_with`](crate::eval_with)
+/// over `Env::with_root(doc.to_tree())`, byte- and counter-identical to
+/// it.
 pub fn exec_doc(
     plan: &CompiledPlan,
     doc: &ArenaDoc,
     budget: Budget,
 ) -> Result<(Vec<Tree>, EvalStats), XqError> {
-    Machine::new(plan, Input::Doc(doc), 1, budget).run_plan(plan)
+    Machine::new(plan, doc, budget).run_plan(plan)
 }
 
-/// Executes a compiled plan on input tree `t` (bound to `$root`) under the
-/// default budget — the VM counterpart of [`eval_query`](crate::eval_query).
-pub fn exec_query(plan: &CompiledPlan, t: &Tree) -> Result<Vec<Tree>, XqError> {
-    exec_with(plan, &Env::with_root(t.clone()), Budget::default()).map(|(out, _)| out)
+/// [`exec_doc`] over `env`'s `$root`, converted to an arena on every
+/// call; `UnboundVariable("root")` when `env` binds no `$root`. Its one
+/// caller is `servebench/src/trace.rs`'s replay.
+pub fn exec_with(
+    plan: &CompiledPlan,
+    env: &Env,
+    budget: Budget,
+) -> Result<(Vec<Tree>, EvalStats), XqError> {
+    let root = env.lookup(&Var::root());
+    let root = root.ok_or_else(|| XqError::UnboundVariable("root".into()))?;
+    exec_doc(plan, &ArenaDoc::from_tree(root), budget)
 }
 
-/// What free variables resolve against.
-#[derive(Clone, Copy)]
-enum Input<'e> {
-    /// The caller's environment ([`exec_with`]).
-    Env(&'e Env),
-    /// A document whose root is `$root`, the only free binding
-    /// ([`exec_doc`]).
-    Doc(&'e ArenaDoc),
-}
-
-impl<'e> Input<'e> {
-    /// The input document. Only [`exec_doc`] creates `Node` items, so
-    /// every caller holding one runs on that route.
-    fn doc(self) -> &'e ArenaDoc {
-        match self {
-            Input::Doc(doc) => doc,
-            Input::Env(_) => unreachable!("document nodes exist only over an ArenaDoc"),
-        }
-    }
-
-    /// The value's tree form, borrowed.
-    fn tree<'a>(self, item: &'a Item<'e>) -> &'a Tree
-    where
-        'e: 'a,
-    {
-        match item {
-            Item::Node(n) => self.doc().shared_node(n.id()),
-            Item::Doc(t) => t,
-            Item::Built(t) => t,
-        }
-    }
-
-    fn tree_of(self, item: Item<'e>) -> Tree {
-        match item {
-            Item::Built(t) => t,
-            item => self.tree(&item).clone(),
-        }
-    }
-}
-
-/// A VM value: a node of the input document, a tree borrowed from the
-/// caller's [`Env`] for the whole run, or one the query constructed (an
-/// element, or a match scanned out of one).
+/// A VM value: a node of the input document, or a tree the query
+/// constructed (an element, or a match scanned out of one).
 #[derive(Clone)]
-enum Item<'e> {
+enum Item {
     Node(Node),
-    Doc(&'e Tree),
     Built(Tree),
+}
+
+impl Item {
+    /// The value's tree form, borrowed.
+    fn tree<'a>(&'a self, doc: &'a ArenaDoc) -> &'a Tree {
+        match self {
+            Item::Node(n) => doc.shared_node(n.id()),
+            Item::Built(t) => t,
+        }
+    }
+
+    fn into_tree(self, doc: &ArenaDoc) -> Tree {
+        match self {
+            Item::Node(n) => doc.shared_node(n.id()).clone(),
+            Item::Built(t) => t,
+        }
+    }
+
+    fn view(&self) -> View<'_> {
+        match self {
+            Item::Node(n) => View::Node(n.id()),
+            Item::Built(t) => View::Tree(t),
+        }
+    }
 }
 
 /// Moves a source value out of its stack entry, leaving a copyable
 /// placeholder that is truncated away with the frame.
-fn take<'e>(slot: &mut Item<'e>) -> Item<'e> {
+fn take(slot: &mut Item) -> Item {
     std::mem::replace(slot, Item::Node(Node(0)))
 }
 
 /// A document node's [`NodeId`], held as a full word. With every payload
 /// one word wide, an `Item` is a (tag, word) pair that moves in
 /// registers. A `u32` payload made it a memory aggregate, and the fused
-/// quantifier loop ran about twice as slow per candidate on both entry
-/// points (x86-64, 2-vCPU Xeon VM).
+/// quantifier loop ran about twice as slow per candidate (x86-64,
+/// 2-vCPU Xeon VM).
 #[derive(Clone, Copy)]
 struct Node(u64);
 
@@ -161,7 +134,7 @@ impl Node {
     }
 }
 
-/// An operand of a comparison, borrowed from a slot or the environment.
+/// An operand of a comparison, borrowed from a slot.
 #[derive(Clone, Copy)]
 enum View<'a> {
     Node(NodeId),
@@ -209,21 +182,22 @@ struct Frame {
 /// set, so a warm run grows no buffer that an earlier run on the thread
 /// already grew.
 #[derive(Default)]
-struct Stacks<'e> {
+struct Stacks {
     /// The value stack: every open list, oldest first.
-    vals: Vec<Item<'e>>,
+    vals: Vec<Item>,
     /// Where each open list starts in `vals`; the last is the top list.
     marks: Vec<usize>,
     /// Loop and quantifier sources, and an axis step's bases while it
     /// scans them.
-    srcs: Vec<Item<'e>>,
+    srcs: Vec<Item>,
     frames: Vec<Frame>,
     bools: Vec<bool>,
-    locals: Vec<Option<Item<'e>>>,
+    locals: Vec<Option<Item>>,
     /// Per `elem` instruction, the tree it built last in this run.
     memo: Vec<Option<Tree>>,
-    /// The preorder walk of [`Machine::descend`].
-    walk: Vec<std::slice::Iter<'e, Tree>>,
+    /// The preorder walk of [`Machine::descend`], kept empty between
+    /// walks (see [`recycle`]).
+    walk: Vec<std::slice::Iter<'static, Tree>>,
 }
 
 /// A buffer above this many entries is freed rather than kept for the
@@ -231,7 +205,7 @@ struct Stacks<'e> {
 const SPARE_CAP: usize = 1 << 18;
 
 thread_local! {
-    static SPARE: Cell<Stacks<'static>> = Cell::new(Stacks::default());
+    static SPARE: Cell<Stacks> = Cell::new(Stacks::default());
 }
 
 /// Empties `v` and hands its buffer over at another element type of the
@@ -246,8 +220,8 @@ fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
     v.into_iter().map(|_| unreachable!("emptied")).collect()
 }
 
-impl Stacks<'_> {
-    fn emptied(self) -> Stacks<'static> {
+impl Stacks {
+    fn emptied(self) -> Stacks {
         Stacks {
             vals: recycle(self.vals),
             marks: recycle(self.marks),
@@ -261,14 +235,12 @@ impl Stacks<'_> {
     }
 }
 
-struct Machine<'e> {
+struct Machine<'d> {
     budget: Budget,
     stats: EvalStats,
-    input: Input<'e>,
-    /// The caller's environment depth — static scope depths in `TickQ`
-    /// offset from here, reproducing the interpreter's `max_env_depth`.
-    env_depth: usize,
-    s: Stacks<'e>,
+    /// The input document; `$root` is its root, the only free binding.
+    doc: &'d ArenaDoc,
+    s: Stacks,
 }
 
 impl Drop for Machine<'_> {
@@ -296,16 +268,15 @@ fn fused_quant_body(ops: &[OpCode], pc: usize) -> Option<&OpCode> {
     }
 }
 
-impl<'e> Machine<'e> {
-    fn new(plan: &CompiledPlan, input: Input<'e>, env_depth: usize, budget: Budget) -> Self {
-        let mut s: Stacks<'e> = SPARE.with(Cell::take);
+impl<'d> Machine<'d> {
+    fn new(plan: &CompiledPlan, doc: &'d ArenaDoc, budget: Budget) -> Self {
+        let mut s = SPARE.with(Cell::take);
         s.locals.resize(plan.slots(), None);
         s.memo.resize(plan.instrs().len(), None);
         Machine {
             budget,
             stats: EvalStats::default(),
-            input,
-            env_depth,
+            doc,
             s,
         }
     }
@@ -314,13 +285,9 @@ impl<'e> Machine<'e> {
         self.run(plan.instrs().ops())?;
         debug_assert!(self.s.bools.is_empty() && self.s.frames.is_empty());
         debug_assert!(self.s.marks == [0] && self.s.srcs.is_empty());
-        let input = self.input;
-        let out = self.s.vals.drain(..).map(|t| input.tree_of(t)).collect();
+        let doc = self.doc;
+        let out = self.s.vals.drain(..).map(|t| t.into_tree(doc)).collect();
         Ok((out, self.stats))
-    }
-
-    fn doc(&self) -> &'e ArenaDoc {
-        self.input.doc()
     }
 
     fn step(&mut self) -> Result<(), XqError> {
@@ -339,7 +306,7 @@ impl<'e> Machine<'e> {
     }
 
     /// Charges one item and pushes `t` onto the top list.
-    fn emit(&mut self, t: Item<'e>) -> Result<(), XqError> {
+    fn emit(&mut self, t: Item) -> Result<(), XqError> {
         self.charge_items(1)?;
         self.s.vals.push(t);
         Ok(())
@@ -360,43 +327,33 @@ impl<'e> Machine<'e> {
         self.s.marks.push(self.s.vals.len());
     }
 
-    /// A free variable's value: `$root` is the document's root on the
-    /// [`exec_doc`] route, anything else is looked up in the environment.
-    fn free(&self, v: &crate::ast::Var) -> Result<Item<'e>, XqError> {
-        let found = match self.input {
-            Input::Env(env) => env.lookup(v).map(Item::Doc),
-            Input::Doc(doc) => (v.name() == "root").then(|| Item::Node(Node::new(doc.root()))),
-        };
-        found.ok_or_else(|| XqError::UnboundVariable(v.name().to_string()))
+    /// A free variable's value: `$root` is the document's root; any
+    /// other is unbound.
+    fn free(&self, v: &Var) -> Result<NodeId, XqError> {
+        if v.name() == "root" {
+            Ok(self.doc.root())
+        } else {
+            Err(XqError::UnboundVariable(v.name().to_string()))
+        }
     }
 
     /// The variable's current value, borrowed.
     fn view(&self, r: &VarRef) -> Result<View<'_>, XqError> {
         match r {
-            VarRef::Local(slot, _) => Ok(
-                match self.s.locals[*slot as usize]
-                    .as_ref()
-                    .expect("compiled local is live inside its binder")
-                {
-                    Item::Node(n) => View::Node(n.id()),
-                    Item::Doc(t) => View::Tree(t),
-                    Item::Built(t) => View::Tree(t),
-                },
-            ),
-            VarRef::Free(v) => Ok(match self.free(v)? {
-                Item::Node(n) => View::Node(n.id()),
-                Item::Doc(t) => View::Tree(t),
-                Item::Built(_) => unreachable!("free variables are never constructed"),
-            }),
+            VarRef::Local(slot, _) => Ok(self.s.locals[*slot as usize]
+                .as_ref()
+                .expect("compiled local is live inside its binder")
+                .view()),
+            VarRef::Free(v) => self.free(v).map(View::Node),
         }
     }
 
-    fn load(&self, r: &VarRef) -> Result<Item<'e>, XqError> {
+    fn load(&self, r: &VarRef) -> Result<Item, XqError> {
         match r {
             VarRef::Local(slot, _) => Ok(self.s.locals[*slot as usize]
                 .clone()
                 .expect("compiled local is live inside its binder")),
-            VarRef::Free(v) => self.free(v),
+            VarRef::Free(v) => Ok(Item::Node(Node::new(self.free(v)?))),
         }
     }
 
@@ -438,7 +395,7 @@ impl<'e> Machine<'e> {
     /// values, else a new one.
     fn make_elem(&mut self, pc: usize, a: &cv_xtree::Label) -> Tree {
         let from = self.top();
-        let input = self.input;
+        let doc = self.doc;
         let children = &self.s.vals[from..];
         if let Some(last) = &self.s.memo[pc] {
             let same = last.children().len() == children.len()
@@ -446,7 +403,7 @@ impl<'e> Machine<'e> {
                     .children()
                     .iter()
                     .zip(children)
-                    .all(|(c, t)| c.ptr_eq(input.tree(t)));
+                    .all(|(c, t)| c.ptr_eq(t.tree(doc)));
             if same {
                 let last = last.clone();
                 self.s.vals.truncate(from);
@@ -455,18 +412,18 @@ impl<'e> Machine<'e> {
         }
         let elem = Tree::node(
             a.clone(),
-            self.s.vals.drain(from..).map(|t| input.tree_of(t)),
+            self.s.vals.drain(from..).map(|t| t.into_tree(doc)),
         );
         self.s.memo[pc] = Some(elem.clone());
         elem
     }
 
     /// The interned id of a `cmp.const` constant, resolved once per
-    /// execution of the opcode and only over a document (`None` when no
-    /// document carries the label, or on the [`exec_with`] route).
-    fn const_id(&self, op: &OpCode) -> Option<LabelId> {
-        match (op, self.input) {
-            (OpCode::CmpConst(_, a, _), Input::Doc(_)) => LabelId::lookup(a.as_str()),
+    /// execution of the opcode (`None` when no document carries the
+    /// label).
+    fn const_id(op: &OpCode) -> Option<LabelId> {
+        match op {
+            OpCode::CmpConst(_, a, _) => LabelId::lookup(a.as_str()),
             _ => None,
         }
     }
@@ -489,14 +446,11 @@ impl<'e> Machine<'e> {
                 let vx = self.view(x)?;
                 match mode {
                     EqMode::Deep => Ok(match vx {
-                        View::Node(n) => {
-                            let doc = self.doc();
-                            doc.is_leaf(n) && Some(doc.label_id(n)) == konst
-                        }
+                        View::Node(n) => self.doc.is_leaf(n) && Some(self.doc.label_id(n)) == konst,
                         View::Tree(t) => t.is_leaf() && t.label() == a,
                     }),
                     EqMode::Atomic => Ok(match vx {
-                        View::Node(n) => Some(self.doc().label_id(n)) == konst,
+                        View::Node(n) => Some(self.doc.label_id(n)) == konst,
                         View::Tree(t) => t.label() == a,
                     }),
                     EqMode::Mon => Err(XqError::BadEqualityMode),
@@ -510,9 +464,9 @@ impl<'e> Machine<'e> {
     /// shared subtree against a tree.
     fn deep_eq(&self, x: View<'_>, y: View<'_>) -> bool {
         match (x, y) {
-            (View::Node(a), View::Node(b)) => self.doc().deep_eq(a, b),
+            (View::Node(a), View::Node(b)) => self.doc.deep_eq(a, b),
             (View::Node(n), View::Tree(t)) | (View::Tree(t), View::Node(n)) => {
-                self.doc().shared_node(n) == t
+                self.doc.shared_node(n) == t
             }
             (View::Tree(s), View::Tree(t)) => s == t,
         }
@@ -521,12 +475,9 @@ impl<'e> Machine<'e> {
     /// `=atomic`: Figure 1's root-label equality, on any two values.
     fn atomic_eq(&self, x: View<'_>, y: View<'_>) -> bool {
         match (x, y) {
-            (View::Node(a), View::Node(b)) => {
-                let doc = self.doc();
-                doc.label_id(a) == doc.label_id(b)
-            }
+            (View::Node(a), View::Node(b)) => self.doc.label_id(a) == self.doc.label_id(b),
             (View::Node(n), View::Tree(t)) | (View::Tree(t), View::Node(n)) => {
-                self.doc().shared_node(n).label() == t.label()
+                self.doc.shared_node(n).label() == t.label()
             }
             (View::Tree(s), View::Tree(t)) => s.label() == t.label(),
         }
@@ -538,7 +489,7 @@ impl<'e> Machine<'e> {
     /// the comparison and `quant.check` make one instruction at a time.
     /// Returns the quantifier's verdict.
     fn fused_quant(&mut self, slot: u16, some: bool, cmp: &OpCode) -> Result<bool, XqError> {
-        let konst = self.const_id(cmp);
+        let konst = Self::const_id(cmp);
         let frame = self.s.frames.last().expect("open quantifier frame");
         // Exhausted without a decision: `some` is false, `every`
         // vacuously true.
@@ -556,44 +507,30 @@ impl<'e> Machine<'e> {
         Ok(verdict)
     }
 
-    /// Scans `axis` from `base` in document order, charging one step per
-    /// scanned node and one item per match; `keep` turns a match into a
-    /// value.
-    fn scan<'a>(
-        &mut self,
-        base: &'a Tree,
-        axis: Axis,
-        test: &NodeTest,
-        keep: &impl Fn(&'a Tree) -> Item<'e>,
-    ) -> Result<(), XqError> {
+    /// Scans `axis` from the constructed tree `base` in document order,
+    /// charging one step per scanned node and one item per match; each
+    /// match is cloned out of `base`.
+    fn scan(&mut self, base: &Tree, axis: Axis, test: &NodeTest) -> Result<(), XqError> {
         match axis {
-            Axis::SelfAxis => self.visit(base, test, keep),
-            Axis::Child => base
-                .children()
-                .iter()
-                .try_for_each(|c| self.visit(c, test, keep)),
-            Axis::Descendant => self.descend(base, test, keep),
+            Axis::SelfAxis => self.visit(base, test),
+            Axis::Child => base.children().iter().try_for_each(|c| self.visit(c, test)),
+            Axis::Descendant => self.descend(base, test),
             Axis::DescendantOrSelf => {
-                self.visit(base, test, keep)?;
-                self.descend(base, test, keep)
+                self.visit(base, test)?;
+                self.descend(base, test)
             }
         }
     }
 
     /// Visits the proper descendants of `t` in preorder, on an explicit
     /// stack so a deep document costs heap, not call stack.
-    fn descend<'a>(
-        &mut self,
-        t: &'a Tree,
-        test: &NodeTest,
-        keep: &impl Fn(&'a Tree) -> Item<'e>,
-    ) -> Result<(), XqError> {
-        let mut stack: Vec<std::slice::Iter<'a, Tree>> = recycle(std::mem::take(&mut self.s.walk));
+    fn descend(&mut self, t: &Tree, test: &NodeTest) -> Result<(), XqError> {
+        let mut stack: Vec<std::slice::Iter<'_, Tree>> = recycle(std::mem::take(&mut self.s.walk));
         stack.push(t.children().iter());
         while let Some(it) = stack.last_mut() {
             match it.next() {
                 Some(c) => {
-                    self.visit(c, test, keep)?;
+                    self.visit(c, test)?;
                     if !c.is_leaf() {
                         stack.push(c.children().iter());
                     }
@@ -607,15 +544,10 @@ impl<'e> Machine<'e> {
         Ok(())
     }
 
-    fn visit<'a>(
-        &mut self,
-        s: &'a Tree,
-        test: &NodeTest,
-        keep: &impl Fn(&'a Tree) -> Item<'e>,
-    ) -> Result<(), XqError> {
+    fn visit(&mut self, s: &Tree, test: &NodeTest) -> Result<(), XqError> {
         self.step()?;
         if test.matches(s.label()) {
-            self.emit(keep(s))?;
+            self.emit(Item::Built(s.clone()))?;
         }
         Ok(())
     }
@@ -623,7 +555,7 @@ impl<'e> Machine<'e> {
     /// [`Machine::scan`] from a document node: a child slice or a
     /// preorder id range, in document order, with the same charges.
     fn scan_node(&mut self, base: NodeId, axis: Axis, test: IdTest) -> Result<(), XqError> {
-        let doc = self.doc();
+        let doc = self.doc;
         match axis {
             Axis::SelfAxis => self.visit_node(doc, base, test),
             Axis::Child => doc
@@ -663,8 +595,7 @@ impl<'e> Machine<'e> {
                     let ids = *ids.get_or_insert_with(|| IdTest::of(test));
                     self.scan_node(n.id(), axis, ids)?
                 }
-                Item::Doc(t) => self.scan(t, axis, test, &Item::Doc)?,
-                Item::Built(t) => self.scan(&t, axis, test, &|s| Item::Built(s.clone()))?,
+                Item::Built(t) => self.scan(&t, axis, test)?,
             }
         }
         self.s.srcs.truncate(first);
@@ -677,8 +608,8 @@ impl<'e> Machine<'e> {
             match &ops[pc] {
                 OpCode::TickQ(d) => {
                     self.step()?;
-                    self.stats.max_env_depth =
-                        self.stats.max_env_depth.max(self.env_depth + *d as usize);
+                    // Static scope depths count from `$root`'s scope.
+                    self.stats.max_env_depth = self.stats.max_env_depth.max(1 + *d as usize);
                 }
                 OpCode::TickC => self.step()?,
                 OpCode::PushUnit => self.push_mark(),
@@ -717,7 +648,7 @@ impl<'e> Machine<'e> {
                 }
                 OpCode::PushBool(b) => self.s.bools.push(*b),
                 cmp @ (OpCode::CmpVars(..) | OpCode::CmpConst(..)) => {
-                    let verdict = self.compare(cmp, self.const_id(cmp))?;
+                    let verdict = self.compare(cmp, Self::const_id(cmp))?;
                     self.s.bools.push(verdict);
                 }
                 OpCode::NonEmpty => {
@@ -811,23 +742,21 @@ mod tests {
         r.map(|(out, s)| (out, s.steps, s.items, s.max_env_depth))
     }
 
-    /// Interpreter vs VM — over the tree environment and over the arena
-    /// document — on `q` over `doc`: equal outcomes under the default
-    /// budget, under every step cap and every item cap up to the first
-    /// one that no longer bites (so the error point crosses every
+    /// Interpreter vs VM on `q` over `doc`: equal outcomes under the
+    /// default budget, under every step cap and every item cap up to the
+    /// first one that no longer bites (so the error point crosses every
     /// opcode), and with a cancel flag tripping at every tick up to one
-    /// past the full run — where all three runs must also have polled the
-    /// flag the same number of times.
+    /// past the full run — where both runs must also have polled the flag
+    /// the same number of times.
     fn sweep(q: &Query, doc: &str) {
-        let env = Env::with_root(parse_tree(doc).unwrap());
-        let arena = ArenaDoc::parse(doc).unwrap();
+        let tree = parse_tree(doc).unwrap();
+        let arena = ArenaDoc::from_tree(&tree);
+        let env = Env::with_root(tree);
         let plan = compile_query(q);
         let run = |budget: Budget| {
             let want = outcome(eval_with(q, &env, budget.clone()));
-            let got = outcome(exec_with(&plan, &env, budget.clone()));
-            assert_eq!(got, want, "{q}");
             let got = outcome(exec_doc(&plan, &arena, budget));
-            assert_eq!(got, want, "{q} over the arena");
+            assert_eq!(got, want, "{q}");
             want
         };
         let _ = run(Budget::default());
@@ -852,19 +781,12 @@ mod tests {
         eval_with(q, &env, Budget::default().with_cancel(counting.clone())).ok();
         for k in 1..=counting.polls() + 1 {
             let trip = || Budget::default().with_cancel(CancelFlag::tripping_at(k));
-            let (bi, bv, ba) = (trip(), trip(), trip());
+            let (bi, bv) = (trip(), trip());
             let want = outcome(eval_with(q, &env, bi.clone()));
-            let got = outcome(exec_with(&plan, &env, bv.clone()));
+            let got = outcome(exec_doc(&plan, &arena, bv.clone()));
             assert_eq!(got, want, "{q}: trip at {k}");
-            let got = outcome(exec_doc(&plan, &arena, ba.clone()));
-            assert_eq!(got, want, "{q} over the arena: trip at {k}");
             let polls = |b: &Budget| b.cancel.as_ref().map(CancelFlag::polls);
             assert_eq!(polls(&bv), polls(&bi), "{q}: polls when tripping at {k}");
-            assert_eq!(
-                polls(&ba),
-                polls(&bi),
-                "{q}: arena polls when tripping at {k}"
-            );
         }
     }
 
@@ -975,8 +897,8 @@ mod tests {
             sweep(&q, DOC);
         }
         let q = Query::if_then(eq("root", "root"), Query::leaf("x"));
-        let env = Env::with_root(parse_tree(DOC).unwrap());
-        let got = exec_with(&compile_query(&q), &env, Budget::default()).unwrap_err();
+        let arena = ArenaDoc::parse(DOC).unwrap();
+        let got = exec_doc(&compile_query(&q), &arena, Budget::default()).unwrap_err();
         assert_eq!(got, XqError::BadEqualityMode);
     }
 
@@ -1031,7 +953,7 @@ mod tests {
 
     /// Loops whose lists merge in place on the value stack, and
     /// constructors the per-run memo may answer: each must match the
-    /// interpreter under every cap and trip point, on both entry points.
+    /// interpreter under every cap and trip point.
     const CONSTRUCTOR_LOOPS: [&str; 16] = [
         // Leaf and nested constructors in nested loops: built once per run.
         "for $x in $root//* return for $y in $x/* return <k/>",
@@ -1099,5 +1021,24 @@ mod tests {
         ] {
             sweep_text(src, DOC);
         }
+    }
+
+    #[test]
+    fn exec_with_forwards_its_root_to_exec_doc() {
+        let tree = parse_tree(DOC).unwrap();
+        let arena = ArenaDoc::from_tree(&tree);
+        let env = Env::with_root(tree);
+        for src in ["$root//a", "<a/>", "$nope"]
+            .iter()
+            .chain(&CONSTRUCTOR_LOOPS)
+        {
+            let plan = compile_query_text(src).unwrap();
+            let want = outcome(exec_doc(&plan, &arena, Budget::default()));
+            let got = outcome(exec_with(&plan, &env, Budget::default()));
+            assert_eq!(got, want, "{src}");
+        }
+        let plan = compile_query_text("<a/>").unwrap();
+        let got = exec_with(&plan, &Env::new(), Budget::default()).unwrap_err();
+        assert_eq!(got, XqError::UnboundVariable("root".into()));
     }
 }

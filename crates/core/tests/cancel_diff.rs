@@ -7,8 +7,8 @@
 //! [`CancelFlag`] poll counter: `charge_step` polls the flag exactly
 //! once per tick (before the deadline and the step cap), so `polls()`
 //! after a run names the tick where evaluation stopped. Over the seeded
-//! `coverage_corpus` this suite pins, for the interpreter and both VM
-//! routes (over the tree environment and over the arena) alike:
+//! `coverage_corpus` this suite pins, for the interpreter and the VM
+//! over the arena (the served route) alike:
 //!
 //! * **Cap/trip equivalence** — a run with step cap `k` fails
 //!   `Budget{steps}` at tick `k+1`, and a run with a flag fused to trip
@@ -26,7 +26,7 @@
 
 use cv_xtree::{random_tree, ArenaDoc, Tree, TreeGen};
 use xq_core::ast::Query;
-use xq_core::vm::{compile_query, exec_doc, exec_with};
+use xq_core::vm::{compile_query, exec_doc};
 use xq_core::{eval_with, Budget, CancelFlag, Env, XqError};
 
 /// Cases per property: `XQ_RANDOM_CASES` if set (CI uses 16), else 64.
@@ -42,12 +42,8 @@ fn corpus() -> Vec<Query> {
 }
 
 fn docs() -> Vec<Doc> {
-    let repr = xq_core::DocRepr::from_env();
     (0..2u64)
-        .map(|seed| {
-            let mut g = TreeGen::new(seed);
-            Doc::new(&repr.roundtrip(&random_tree(&mut g, 10, &["a", "b", "k"])))
-        })
+        .map(|seed| Doc::new(&random_tree(&mut TreeGen::new(seed), 10, &["a", "b", "k"])))
         .collect()
 }
 
@@ -62,16 +58,15 @@ fn bytes(trees: &[Tree]) -> Vec<u8> {
 /// A run's outcome: serialized result bytes, steps and items.
 type Outcome = Result<(Vec<u8>, u64, u64), XqError>;
 
-/// The engines under test: the interpreter, and the VM over the tree
-/// environment and over the arena document (the served route).
+/// The engines under test: the interpreter, and the VM over the arena
+/// document (the served route).
 #[derive(Clone, Copy, Debug)]
 enum Engine {
     Interp,
     Vm,
-    VmArena,
 }
 
-const ENGINES: [Engine; 3] = [Engine::Interp, Engine::Vm, Engine::VmArena];
+const ENGINES: [Engine; 2] = [Engine::Interp, Engine::Vm];
 
 /// A document in both forms the engines read.
 struct Doc {
@@ -92,8 +87,7 @@ impl Engine {
     fn run(self, q: &Query, doc: &Doc, budget: Budget) -> Outcome {
         match self {
             Engine::Interp => eval_with(q, &doc.env, budget),
-            Engine::Vm => exec_with(&compile_query(q), &doc.env, budget),
-            Engine::VmArena => exec_doc(&compile_query(q), &doc.arena, budget),
+            Engine::Vm => exec_doc(&compile_query(q), &doc.arena, budget),
         }
         .map(|(out, stats)| (bytes(&out), stats.steps, stats.items))
     }
@@ -169,10 +163,8 @@ fn assert_every_trip_point_agrees(q: &Query, doc: &Doc) {
     let (_, polls) = run_counted(q, doc, Budget::default(), Engine::Interp);
     for k in 1..=polls + 1 {
         let want = run_tripping(q, doc, Budget::default(), k, Engine::Interp);
-        for engine in [Engine::Vm, Engine::VmArena] {
-            let got = run_tripping(q, doc, Budget::default(), k, engine);
-            assert_eq!(got, want, "{engine:?}: trip at {k} on {q}");
-        }
+        let got = run_tripping(q, doc, Budget::default(), k, Engine::Vm);
+        assert_eq!(got, want, "trip at {k} on {q}");
     }
 }
 
@@ -288,12 +280,8 @@ fn deadlines_abort_deterministically_at_the_first_tick() {
 #[test]
 #[ignore = "full-size cancellation differential; runs in the weekly scheduled workflow"]
 fn cancel_diff_full_size() {
-    let repr = xq_core::DocRepr::from_env();
     let full: Vec<Doc> = (0..2u64)
-        .map(|seed| {
-            let mut g = TreeGen::new(seed);
-            Doc::new(&repr.roundtrip(&random_tree(&mut g, 48, &["a", "b", "k"])))
-        })
+        .map(|seed| Doc::new(&random_tree(&mut TreeGen::new(seed), 48, &["a", "b", "k"])))
         .collect();
     for doc in &full {
         for q in xq_bench::coverage_corpus(256) {

@@ -112,8 +112,10 @@ fn deepest_accepted(family: Family) -> usize {
 fn full_pipeline(src: &str) {
     let q = parse_query(src).expect("accepted text parses");
     let plan = compile_query(&q);
-    let env = Env::with_root(cv_xtree::parse_tree("<r><a/></r>").unwrap());
-    let on_vm = vm::exec_with(&plan, &env, Budget::default())
+    let tree = cv_xtree::parse_tree("<r><a/></r>").unwrap();
+    let arena = cv_xtree::ArenaDoc::from_tree(&tree);
+    let env = Env::with_root(tree);
+    let on_vm = vm::exec_doc(&plan, &arena, Budget::default())
         .map(|(out, _)| out.iter().map(|t| t.to_xml()).collect::<String>());
     let interpreted = eval_with(&q, &env, Budget::default())
         .map(|(out, _)| out.iter().map(|t| t.to_xml()).collect::<String>());
@@ -121,7 +123,7 @@ fn full_pipeline(src: &str) {
         on_vm.as_ref().map_err(ToString::to_string),
         interpreted.as_ref().map_err(ToString::to_string)
     );
-    drop((q, plan, env, on_vm, interpreted));
+    drop((q, plan, env, arena, on_vm, interpreted));
 }
 
 #[test]

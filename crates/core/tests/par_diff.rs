@@ -6,7 +6,9 @@
 //!
 //! * `xq_core::par::eval_query_par` vs the Figure 1 reference semantics;
 //! * `xq_stream::stream_query` at each thread count vs its sequential
-//!   run, token-for-token, at the default buffer cap.
+//!   run, token-for-token, at the default buffer cap — and once more on
+//!   4 threads at buffer cap 1, where almost every source streams lazily
+//!   inside the workers.
 //!
 //! Determinism is the whole contract of `xq_core::par` (the chunk merge
 //! preserves document order; errors resolve in chunk order), so the suite
@@ -195,21 +197,12 @@ fn par_query() -> BoxedStrategy<Query> {
     .boxed()
 }
 
-/// The cached per-thread corpus — the `random_queries.rs` documents. With
-/// `XQ_ARENA=1` each document round-trips through the arena store (as in
-/// the agreement suites), so CI's arena pass covers the planner shapes on
-/// arena-loaded documents too.
+/// The cached per-thread corpus — the `random_queries.rs` documents.
 fn docs() -> Vec<Tree> {
     thread_local! {
-        static DOCS: Vec<Tree> = {
-            let repr = xq_core::DocRepr::from_env();
-            (0..3u64)
-                .map(|seed| {
-                    let mut g = TreeGen::new(seed);
-                    repr.roundtrip(&random_tree(&mut g, 10, &["a", "b", "k"]))
-                })
-                .collect()
-        };
+        static DOCS: Vec<Tree> = (0..3u64)
+            .map(|seed| random_tree(&mut TreeGen::new(seed), 10, &["a", "b", "k"]))
+            .collect();
     }
     DOCS.with(|d| d.clone())
 }
@@ -290,9 +283,13 @@ fn assert_par_agrees(q: &Query, doc: &Tree) -> Result<(), TestCaseError> {
     // Streaming engine: sequential arena stream vs the parallel one.
     let sequential = xq_stream::StreamConfig::buffered(FUEL);
     let stream_want = xq_stream::stream_query(q, &arena, sequential).map(|(tokens, _)| tokens);
-    for threads in thread_counts() {
+    let configs = thread_counts()
+        .into_iter()
+        .map(|t| (t, sequential.buffer_cap));
+    for (threads, buffer_cap) in configs.chain([(4, 1)]) {
         let cfg = xq_stream::StreamConfig {
             threads,
+            buffer_cap,
             ..sequential
         };
         let got = xq_stream::stream_query(q, &arena, cfg).map(|(tokens, _)| tokens);
@@ -301,9 +298,10 @@ fn assert_par_agrees(q: &Query, doc: &Tree) -> Result<(), TestCaseError> {
             _ => prop_assert_eq!(
                 &got,
                 &stream_want,
-                "stream {} at {} threads on {}",
+                "stream {} at {} threads, cap {}, on {}",
                 q,
                 threads,
+                buffer_cap,
                 doc
             ),
         }
@@ -360,8 +358,7 @@ proptest! {
 /// Every planner shape, as fixed queries with hand-checkable structure:
 /// `Seq`-of-`for`s, nested `for`s (both groundings), `let`-hoisted
 /// sources, and predicate-filtered sources — byte-identical at every
-/// thread count on both engines. These run under plain and `XQ_ARENA=1`
-/// CI passes (the corpus documents route through `DocRepr`).
+/// thread count on both engines.
 #[test]
 fn planner_shapes_are_byte_identical() {
     let shapes = [

@@ -85,7 +85,7 @@ fn concurrent_parse_errors_stay_uncached_and_plans_stay_executable() {
     // Threads alternate between a broken text and a good one; errors must
     // never poison the cache, and the good plan must stay shared and
     // runnable from every thread.
-    let doc = cv_xtree::Tree::leaf("r");
+    let doc = cv_xtree::ArenaDoc::from_tree(&cv_xtree::Tree::leaf("r"));
     std::thread::scope(|scope| {
         for _ in 0..WORKERS {
             let cache = &cache;
@@ -94,7 +94,8 @@ fn concurrent_parse_errors_stay_uncached_and_plans_stay_executable() {
                 for _ in 0..8 {
                     assert!(cache.get_or_compile("for $x in").is_err());
                     let plan = cache.get_or_compile("<ok/>").expect("parses");
-                    let out = xq_core::vm::exec_query(&plan, doc).expect("evaluates");
+                    let (out, _) = xq_core::vm::exec_doc(&plan, doc, xq_core::Budget::default())
+                        .expect("evaluates");
                     assert_eq!(out.len(), 1);
                 }
             });

@@ -106,21 +106,12 @@ fn eq_mode() -> impl Strategy<Value = EqMode> {
 /// The shared document corpus, built once per test thread and reused
 /// across every generated case (it was rebuilt per case before — the
 /// dominant cost of this suite, see ROADMAP "Slow suite"). `Tree` is
-/// `Rc`-based, so the returned clone is three pointer bumps. With
-/// `XQ_ARENA` set, every corpus document is routed through the arena
-/// store (`Tree → ArenaDoc → Tree`, see `xq_core::doc`), so these suites
-/// double as arena agreement suites.
+/// `Rc`-based, so the returned clone is three pointer bumps.
 fn docs() -> Vec<Tree> {
     thread_local! {
-        static DOCS: Vec<Tree> = {
-            let repr = xq_core::DocRepr::from_env();
-            (0..3u64)
-                .map(|seed| {
-                    let mut g = TreeGen::new(seed);
-                    repr.roundtrip(&random_tree(&mut g, 10, &["a", "b", "k"]))
-                })
-                .collect()
-        };
+        static DOCS: Vec<Tree> = (0..3u64)
+            .map(|seed| random_tree(&mut TreeGen::new(seed), 10, &["a", "b", "k"]))
+            .collect();
     }
     DOCS.with(|d| d.clone())
 }

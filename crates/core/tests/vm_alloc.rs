@@ -3,7 +3,7 @@
 //!
 //! A counting global allocator over [`System`] counts each thread's
 //! allocations (reallocations included). Each text runs on a 40-node and
-//! a 400-node document, on both entry points; the bigger document makes
+//! a 400-node document; the bigger document makes
 //! its loops run many more iterations, and the two counts must be equal.
 //! What a run may allocate is per run, not per iteration: the result
 //! list, the trees the query builds anew (a memoized constructor builds
@@ -13,8 +13,8 @@
 use cv_xtree::{random_arena_document, ArenaDoc, TreeGen};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use xq_core::vm::{compile_query_text, exec_doc, exec_with, CompiledPlan};
-use xq_core::{Budget, Env, EvalStats};
+use xq_core::vm::{compile_query_text, exec_doc};
+use xq_core::Budget;
 
 struct Counting;
 
@@ -73,46 +73,32 @@ fn doc(nodes: usize) -> ArenaDoc {
     random_arena_document(&mut TreeGen::new(1), nodes, &["a", "b", "k"])
 }
 
-type Run = dyn Fn(&CompiledPlan, &ArenaDoc, &Env) -> (Vec<cv_xtree::Tree>, EvalStats);
-
 #[test]
 fn warm_runs_allocate_the_same_on_small_and_big_documents() {
     let docs = [doc(40), doc(400)];
-    let envs = docs.each_ref().map(|d| Env::with_root(d.to_tree()));
-    let entry_points: [(&str, &Run); 2] = [
-        ("exec_doc", &|p, d, _| {
-            exec_doc(p, d, Budget::default()).unwrap()
-        }),
-        ("exec_with", &|p, _, e| {
-            exec_with(p, e, Budget::default()).unwrap()
-        }),
-    ];
     for text in [CTOR_LOOP, HEAVY_EVAL] {
         let plan = compile_query_text(text).unwrap();
-        for (name, run) in entry_points {
-            // Warm: the node tables, the label lookups, and this thread's
-            // machine buffers at the bigger document's size.
-            for (d, e) in docs.iter().zip(&envs) {
-                run(&plan, d, e);
-            }
-            let [(small, (s_out, s_stats)), (big, (b_out, b_stats))] =
-                [0, 1].map(|i| allocations(|| run(&plan, &docs[i], &envs[i])));
-            println!(
-                "{name}: {small} allocations in {} steps, {big} in {} steps: {text}",
-                s_stats.steps, b_stats.steps
-            );
-            assert!(!s_out.is_empty() && !b_out.is_empty(), "{name}: {text}");
-            assert!(
-                b_stats.steps > 8 * s_stats.steps,
-                "{name}: the big document must run many more iterations ({} vs {} steps)",
-                b_stats.steps,
-                s_stats.steps
-            );
-            assert_eq!(
-                big, small,
-                "{name}: {text} allocated {small} times in {} steps but {big} times in {} steps",
-                s_stats.steps, b_stats.steps
-            );
-        }
+        let run = |d: &ArenaDoc| exec_doc(&plan, d, Budget::default()).unwrap();
+        // Warm: the node tables, the label lookups, and this thread's
+        // machine buffers at the bigger document's size.
+        docs.iter().for_each(|d| drop(run(d)));
+        let [(small, (s_out, s_stats)), (big, (b_out, b_stats))] =
+            docs.each_ref().map(|d| allocations(|| run(d)));
+        println!(
+            "{small} allocations in {} steps, {big} in {} steps: {text}",
+            s_stats.steps, b_stats.steps
+        );
+        assert!(!s_out.is_empty() && !b_out.is_empty(), "{text}");
+        assert!(
+            b_stats.steps > 8 * s_stats.steps,
+            "the big document must run many more iterations ({} vs {} steps)",
+            b_stats.steps,
+            s_stats.steps
+        );
+        assert_eq!(
+            big, small,
+            "{text} allocated {small} times in {} steps but {big} times in {} steps",
+            s_stats.steps, b_stats.steps
+        );
     }
 }

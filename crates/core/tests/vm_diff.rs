@@ -3,10 +3,9 @@
 //! from a fixed splitmix64 stream) must evaluate **identically** on
 //!
 //! * the Figure 1 interpreter (`eval_with`),
-//! * a freshly compiled plan on the bytecode VM, over the tree
-//!   environment (`exec_with`) and over the arena document (`exec_doc`,
-//!   the served route), and
-//! * a warm [`PlanCache`] hit (same plan `Arc`, re-executed on both),
+//! * a freshly compiled plan on the bytecode VM over the arena document
+//!   (`exec_doc`, the served route), and
+//! * a warm [`PlanCache`] hit (same plan `Arc`, re-executed),
 //!
 //! down to the bytes of the result, the `EvalStats` counters (`steps`,
 //! `items`, `max_env_depth`), and — under tightened budgets — the exact
@@ -22,17 +21,16 @@
 //! entry points (`eval_compiled_par` vs `eval_query_par`) are compared at
 //! 1/2/4/8 threads on arena documents.
 //!
-//! The corpus documents route through `DocRepr`, so CI's `XQ_ARENA=1`
-//! pass covers the arena store; `XQ_RANDOM_CASES` scales the corpus
-//! (CI pins 16; local default 64). The `#[ignore]`d full-size variant
-//! (weekly `scheduled.yml` run) sweeps bigger documents plus the
-//! doubling families over a 256-query corpus.
+//! `XQ_RANDOM_CASES` scales the corpus (CI pins 16; local default 64).
+//! The `#[ignore]`d full-size variant (weekly `scheduled.yml` run)
+//! sweeps bigger documents plus the doubling families over a 256-query
+//! corpus.
 
 use std::sync::Arc;
 
 use cv_xtree::{random_tree, ArenaDoc, DoublingFamily, Tree, TreeGen};
 use xq_core::ast::Query;
-use xq_core::vm::{compile_query, exec_doc, exec_with, par_hint, CompiledPlan, PlanCache};
+use xq_core::vm::{compile_query, exec_doc, par_hint, PlanCache};
 use xq_core::{
     eval_compiled_par, eval_query_par, eval_with, parse_query, Budget, Env, ParPlan, Threads,
     XqError,
@@ -51,20 +49,12 @@ fn corpus() -> Vec<Query> {
     xq_bench::coverage_corpus(cases())
 }
 
-/// The cached per-thread documents — the `par_diff.rs` corpus. With
-/// `XQ_ARENA=1` each document round-trips through the arena store, so
-/// CI's arena pass covers the VM on arena-loaded documents too.
+/// The cached per-thread documents — the `par_diff.rs` corpus.
 fn docs() -> Vec<Tree> {
     thread_local! {
-        static DOCS: Vec<Tree> = {
-            let repr = xq_core::DocRepr::from_env();
-            (0..3u64)
-                .map(|seed| {
-                    let mut g = TreeGen::new(seed);
-                    repr.roundtrip(&random_tree(&mut g, 10, &["a", "b", "k"]))
-                })
-                .collect()
-        };
+        static DOCS: Vec<Tree> = (0..3u64)
+            .map(|seed| random_tree(&mut TreeGen::new(seed), 10, &["a", "b", "k"]))
+            .collect();
     }
     DOCS.with(|d| d.clone())
 }
@@ -99,33 +89,17 @@ fn assert_identical(want: &Run, got: &Run, q: &Query, ctx: &str) {
     }
 }
 
-/// Runs `plan` over the tree environment and over the arena, each
-/// identical to the interpreter's run `want`.
-fn assert_routes_identical(
-    want: &Run,
-    plan: &CompiledPlan,
-    env: &Env,
-    arena: &ArenaDoc,
-    budget: Budget,
-    q: &Query,
-    ctx: &str,
-) {
-    let got = exec_with(plan, env, budget.clone());
-    assert_identical(want, &got, q, ctx);
-    let got = exec_doc(plan, arena, budget);
-    assert_identical(want, &got, q, &format!("{ctx} (arena)"));
-}
-
 /// Runs both engines under `budget` and demands *identical* outcomes.
 fn assert_engines_identical(q: &Query, env: &Env, arena: &ArenaDoc, budget: Budget, ctx: &str) {
     let want = eval_with(q, env, budget.clone());
-    assert_routes_identical(&want, &compile_query(q), env, arena, budget, q, ctx);
+    let got = exec_doc(&compile_query(q), arena, budget);
+    assert_identical(&want, &got, q, ctx);
 }
 
 /// The differential body shared by the quick and full-size suites: for
 /// each (query, document) pair, interpreter vs fresh VM plan vs a warm
-/// cache hit, on both VM routes, at the default budget and at budgets
-/// tightened to bite mid-evaluation.
+/// cache hit, at the default budget and at budgets tightened to bite
+/// mid-evaluation.
 fn assert_vm_agrees(q: &Query, doc: &Tree, arena: &ArenaDoc, cache: &PlanCache) {
     let env = Env::with_root(doc.clone());
     let budget = Budget::default();
@@ -142,7 +116,7 @@ fn assert_vm_agrees(q: &Query, doc: &Tree, arena: &ArenaDoc, cache: &PlanCache) 
     assert!(Arc::ptr_eq(&p1, &p2), "warm hit must reuse the plan: {src}");
     assert_eq!(p1.query(), q, "cached plan compiles the same query: {src}");
     let want = eval_with(q, &env, budget.clone());
-    assert_routes_identical(&want, &p1, &env, arena, budget.clone(), q, "warm");
+    assert_identical(&want, &exec_doc(&p1, arena, budget.clone()), q, "warm");
 
     // Budget exhaustion at the same point: tighten each cap to fractions
     // of the full run's spend (plus the 0 and 1 edges) and demand the
@@ -265,7 +239,7 @@ fn zero_budgets_refuse_identically() {
         ] {
             let want = eval_with(&q, &env, b.clone());
             let plan = compile_query(&q);
-            assert_routes_identical(&want, &plan, &env, &arena, b, &q, "zero budget");
+            assert_identical(&want, &exec_doc(&plan, &arena, b), &q, "zero budget");
             if let Err(e) = &want {
                 assert!(
                     matches!(e, XqError::Budget { .. }),
@@ -283,12 +257,8 @@ fn zero_budgets_refuse_identically() {
 #[test]
 #[ignore = "full-size VM differential pass; runs in the weekly scheduled workflow"]
 fn vm_matches_interpreter_full_size() {
-    let repr = xq_core::DocRepr::from_env();
     let mut full: Vec<Tree> = (0..2u64)
-        .map(|seed| {
-            let mut g = TreeGen::new(seed);
-            repr.roundtrip(&random_tree(&mut g, 64, &["a", "b", "k"]))
-        })
+        .map(|seed| random_tree(&mut TreeGen::new(seed), 64, &["a", "b", "k"]))
         .collect();
     full.extend(DoublingFamily::ALL.iter().map(|f| f.tree(6)));
     let cache = PlanCache::new();

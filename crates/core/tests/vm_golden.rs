@@ -12,7 +12,7 @@
 //! ```
 //! and review the diff of `tests/golden/disasm.golden` like any other
 //! code change. The listing is independent of documents, budgets, and
-//! `XQ_ARENA`, so both CI passes pin the same bytes.
+//! thread counts, so both CI passes pin the same bytes.
 
 use std::fmt::Write as _;
 

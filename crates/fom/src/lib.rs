@@ -337,7 +337,7 @@ pub fn eval_positional(q: &Query, input: &Tree, fuel: u64) -> Result<TagString, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cv_xtree::{parse_tree, Document, NodeId};
+    use cv_xtree::{parse_tree, ArenaDoc, NodeId};
     use xq_core::parse_query;
 
     const FUEL: u64 = 5_000_000;
@@ -361,7 +361,7 @@ mod tests {
     fn axes_agree_with_the_tree_library() {
         let tree = parse_tree("<r><a><b/><b/></a><c><a/></c></r>").unwrap();
         let s = tree.tokens();
-        let doc = Document::new(&tree);
+        let doc = ArenaDoc::from_tree(&tree);
         // Opening-tag positions in document order correspond to preorder
         // node ids.
         let opens: Vec<usize> = (0..s.len())

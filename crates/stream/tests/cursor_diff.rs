@@ -26,9 +26,8 @@
 //! `XQ_RANDOM_CASES` sizes the corpus (CI pins 16; local default 48, the
 //! size the golden file pins; a smaller corpus is a prefix of it, and
 //! queries past it run every check except the pinned counters). CI runs
-//! the suite plain and under `XQ_ARENA=1 XQ_THREADS=4`: `XQ_ARENA=1`
-//! round-trips each document through the arena store, and an
-//! `XQ_THREADS` count other than 2 and 4 is checked for bytes against
+//! the suite plain and under `XQ_THREADS=4`; an `XQ_THREADS` count
+//! other than 2 and 4 is checked for bytes against
 //! the sequential run, plus `workers <= threads`. The `#[ignore]`d
 //! full-size variant (weekly `scheduled.yml` run) sweeps a 256-query
 //! corpus over bigger documents and the doubling family, pinning one
@@ -55,15 +54,10 @@ fn cases() -> usize {
         .unwrap_or(GOLDEN_CASES)
 }
 
-/// Small random documents over the corpus grammar's label alphabet. With
-/// `XQ_ARENA=1` each document round-trips through the arena store.
+/// Small random documents over the corpus grammar's label alphabet.
 fn docs(nodes: usize) -> Vec<Tree> {
-    let repr = xq_core::DocRepr::from_env();
     (0..3u64)
-        .map(|seed| {
-            let mut g = TreeGen::new(seed);
-            repr.roundtrip(&random_tree(&mut g, nodes, &["a", "b", "k"]))
-        })
+        .map(|seed| random_tree(&mut TreeGen::new(seed), nodes, &["a", "b", "k"]))
         .collect()
 }
 

@@ -10,7 +10,7 @@
 //! label equality a single integer compare.
 //!
 //! Layout of an [`ArenaDoc`] (ids are assigned in preorder, so comparing
-//! ids compares document order, exactly as in [`Document`](crate::Document)):
+//! ids compares document order):
 //!
 //! ```text
 //! labels:       Vec<LabelId>     one per node, resolved via the interner
@@ -38,7 +38,7 @@
 //! ([`LabelId::label`]) goes through a per-thread cache of already-resolved
 //! [`Label`]s, so repeated serialization never touches the shard locks.
 
-use crate::{Axis, Label, NodeId, NodeTest, Token, Tree, XmlError};
+use crate::{Axis, Label, NodeTest, Token, Tree, XmlError};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -370,9 +370,14 @@ pub fn interned_labels() -> usize {
 
 const NO_PARENT: u32 = u32::MAX;
 
+/// Identifier of a node within an [`ArenaDoc`]. Ids are assigned in
+/// preorder (document order), so comparing ids compares document order.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct NodeId(pub u32);
+
 /// An arena-backed document: one tree stored as [`NodeId`]-indexed
 /// parallel vectors with interned labels. See the module docs for the
-/// layout and the [`Document`](crate::Document) comparison.
+/// layout.
 pub struct ArenaDoc {
     labels: Vec<LabelId>,
     parents: Vec<u32>,
@@ -650,7 +655,7 @@ impl ArenaDoc {
     }
 
     /// The nodes reached from `id` via `axis` whose labels pass `test`, in
-    /// document order — mirrors [`Document::axis`](crate::Document::axis).
+    /// document order — the node ids of [`Tree::axis`]'s matches.
     pub fn axis(&self, id: NodeId, axis: Axis, test: &NodeTest) -> Vec<NodeId> {
         // Node tests resolve to one interned-id compare (or none for `*`).
         // Lookup only — querying a foreign tag must not grow the interner,
@@ -716,8 +721,7 @@ impl ArenaDoc {
     /// The tag string of the subtree at `id` (cf. [`Tree::tokens`]).
     pub fn tokens_of(&self, id: NodeId) -> Vec<Token> {
         let mut out = Vec::with_capacity(2 * self.subtree_len(id));
-        self.walk(id, |doc, v, open| {
-            let label = doc.label(v);
+        self.walk(id, |_, label, open| {
             out.push(if open {
                 Token::Open(label)
             } else {
@@ -736,15 +740,14 @@ impl ArenaDoc {
     /// [`Tree::to_xml`] on the converted tree (leaves print as `<a/>`).
     pub fn xml_of(&self, id: NodeId) -> String {
         let mut out = String::new();
-        self.walk(id, |doc, v, open| {
-            let leaf = doc.is_leaf(v);
+        self.walk(id, |leaf, label, open| {
             if open {
                 out.push('<');
-                out.push_str(doc.label(v).as_str());
+                out.push_str(label.as_str());
                 out.push_str(if leaf { "/>" } else { ">" });
             } else if !leaf {
                 out.push_str("</");
-                out.push_str(doc.label(v).as_str());
+                out.push_str(label.as_str());
                 out.push('>');
             }
         });
@@ -820,25 +823,29 @@ impl ArenaDoc {
 
     /// Iterative preorder tag-string walk — the one traversal behind
     /// [`ArenaDoc::tokens_of`] and [`ArenaDoc::xml_of`]: calls
-    /// `f(self, node, true)` at each opening tag and `f(self, node,
+    /// `f(leaf, label, true)` at each opening tag and `f(leaf, label,
     /// false)` at the matching closing tag (leaves get both calls
-    /// back-to-back; serializers may collapse them).
-    fn walk(&self, id: NodeId, mut f: impl FnMut(&ArenaDoc, NodeId, bool)) {
-        enum Ev {
-            Open(NodeId),
-            Close(NodeId),
-        }
-        let mut stack = vec![Ev::Open(id)];
+    /// back-to-back; serializers may collapse them). Each node's label is
+    /// resolved once, at its opening tag, and carried to its closing tag.
+    fn walk(&self, id: NodeId, mut f: impl FnMut(bool, Label, bool)) {
+        // `None` closes the innermost open element, whose label is on top
+        // of `open`.
+        let mut stack = vec![Some(id)];
+        let mut open = Vec::new();
         while let Some(ev) = stack.pop() {
-            match ev {
-                Ev::Open(v) => {
-                    f(self, v, true);
-                    stack.push(Ev::Close(v));
-                    for &c in self.children(v).iter().rev() {
-                        stack.push(Ev::Open(c));
-                    }
-                }
-                Ev::Close(v) => f(self, v, false),
+            let Some(v) = ev else {
+                f(false, open.pop().expect("open element"), false);
+                continue;
+            };
+            let (label, children) = (self.label(v), self.children(v));
+            if children.is_empty() {
+                f(true, label.clone(), true);
+                f(true, label, false);
+            } else {
+                f(false, label.clone(), true);
+                open.push(label);
+                stack.push(None);
+                stack.extend(children.iter().rev().map(|&c| Some(c)));
             }
         }
     }
@@ -862,8 +869,7 @@ mod tests {
     use crate::parse_tree;
 
     fn sample() -> Tree {
-        // <r><a><b/><b/></a><a/><c><a><b/></a></c></r> — the Document
-        // module's example, for cross-representation comparison.
+        // <r><a><b/><b/></a><a/><c><a><b/></a></c></r>
         Tree::node(
             "r",
             [
@@ -996,38 +1002,42 @@ mod tests {
         }
     }
 
+    /// The subtrees of `t` in preorder: entry `i` is node `i`.
+    fn preorder(t: &Tree) -> Vec<Tree> {
+        t.axis(Axis::DescendantOrSelf)
+    }
+
     #[test]
-    fn ids_are_preorder_and_links_match_document() {
+    fn ids_are_preorder_and_links_match_the_tree() {
         let t = sample();
         let a = ArenaDoc::from_tree(&t);
-        let d = crate::Document::new(&t);
-        assert_eq!(a.len(), d.len());
-        for i in 0..a.len() as u32 {
-            let id = NodeId(i);
-            assert_eq!(a.label(id), *d.label(id), "label of {i}");
-            assert_eq!(a.parent(id), d.parent(id), "parent of {i}");
-            assert_eq!(a.children(id), d.children(id), "children of {i}");
-            assert_eq!(a.is_leaf(id), d.is_leaf(id), "leafness of {i}");
-            assert_eq!(
-                a.descendants(id).collect::<Vec<_>>(),
-                d.descendants(id).collect::<Vec<_>>(),
-                "descendants of {i}"
-            );
+        let nodes = preorder(&t);
+        assert_eq!(a.len(), nodes.len());
+        assert_eq!(a.parent(a.root()), None);
+        for (i, node) in nodes.iter().enumerate() {
+            let id = NodeId(i as u32);
+            assert_eq!(a.subtree(id), *node, "subtree of {i}");
+            assert_eq!(a.label(id), *node.label(), "label of {i}");
+            assert_eq!(a.is_leaf(id), node.is_leaf(), "leafness of {i}");
+            let children: Vec<Tree> = a.children(id).iter().map(|&c| a.subtree(c)).collect();
+            assert_eq!(children, node.children(), "children of {i}");
+            assert!(a.children(id).iter().all(|&c| a.parent(c) == Some(id)));
+            let desc: Vec<Tree> = a.descendants(id).map(|d| a.subtree(d)).collect();
+            assert_eq!(desc, node.descendants(), "descendants of {i}");
         }
     }
 
     #[test]
-    fn axes_match_document_on_every_node_and_test() {
+    fn axes_match_the_tree_on_every_node_and_test() {
         let t = sample();
         let a = ArenaDoc::from_tree(&t);
-        let d = crate::Document::new(&t);
         let tests = [
             NodeTest::Wildcard,
             NodeTest::tag("a"),
             NodeTest::tag("b"),
             NodeTest::tag("zzz"),
         ];
-        for i in 0..a.len() as u32 {
+        for (i, node) in preorder(&t).iter().enumerate() {
             for axis in [
                 Axis::Child,
                 Axis::Descendant,
@@ -1035,11 +1045,14 @@ mod tests {
                 Axis::DescendantOrSelf,
             ] {
                 for test in &tests {
-                    assert_eq!(
-                        a.axis(NodeId(i), axis, test),
-                        d.axis(NodeId(i), axis, test),
-                        "axis {axis} test {test} at node {i}"
-                    );
+                    let got: Vec<Tree> = a
+                        .axis(NodeId(i as u32), axis, test)
+                        .into_iter()
+                        .map(|n| a.subtree(n))
+                        .collect();
+                    let mut want = node.axis(axis);
+                    want.retain(|s| test.matches(s.label()));
+                    assert_eq!(got, want, "axis {axis} test {test} at node {i}");
                 }
             }
         }
@@ -1072,19 +1085,16 @@ mod tests {
     }
 
     #[test]
-    fn equalities_match_document() {
+    fn equalities_match_the_tree() {
         let t = sample();
         let a = ArenaDoc::from_tree(&t);
-        let d = crate::Document::new(&t);
-        for x in 0..a.len() as u32 {
-            for y in 0..a.len() as u32 {
-                let (x, y) = (NodeId(x), NodeId(y));
-                assert_eq!(a.deep_eq(x, y), d.deep_eq(x, y), "deep_eq {x:?} {y:?}");
-                assert_eq!(
-                    a.atomic_eq(x, y),
-                    d.atomic_eq(x, y),
-                    "atomic_eq {x:?} {y:?}"
-                );
+        let nodes = preorder(&t);
+        for (x, s) in nodes.iter().enumerate() {
+            for (y, u) in nodes.iter().enumerate() {
+                let (x, y) = (NodeId(x as u32), NodeId(y as u32));
+                assert_eq!(a.deep_eq(x, y), s == u, "deep_eq {x:?} {y:?}");
+                let atoms = (s.is_leaf() && u.is_leaf()).then(|| s.label() == u.label());
+                assert_eq!(a.atomic_eq(x, y), atoms, "atomic_eq {x:?} {y:?}");
             }
         }
     }

@@ -4,7 +4,7 @@
 //! external RNG so that generated workloads are reproducible across crates
 //! without dependency coupling; the bench crate seeds it per experiment.
 
-use crate::{ArenaBuilder, ArenaDoc, Document, Label, LabelId, Tree};
+use crate::{ArenaBuilder, ArenaDoc, Label, LabelId, Tree};
 
 /// A tiny splitmix64-based generator for reproducible workloads.
 #[derive(Clone, Debug)]
@@ -90,11 +90,6 @@ pub fn random_tree(gen: &mut TreeGen, size: usize, labels: &[&str]) -> Tree {
 /// Generates a forest of `count` random trees of `size` nodes each.
 pub fn random_forest(gen: &mut TreeGen, count: usize, size: usize, labels: &[&str]) -> Vec<Tree> {
     (0..count).map(|_| random_tree(gen, size, labels)).collect()
-}
-
-/// Generates a random document (arena form).
-pub fn random_document(gen: &mut TreeGen, size: usize, labels: &[&str]) -> Document {
-    Document::new(&random_tree(gen, size, labels))
 }
 
 /// [`random_tree`], but built directly into an [`ArenaDoc`]: no `Rc` tree
@@ -299,7 +294,7 @@ mod tests {
         let mut g = TreeGen::new(3);
         let f = random_forest(&mut g, 4, 10, &["a"]);
         assert_eq!(f.len(), 4);
-        let d = random_document(&mut g, 25, &["a", "b"]);
+        let d = random_arena_document(&mut g, 25, &["a", "b"]);
         assert_eq!(d.len(), 25);
     }
 

@@ -7,33 +7,28 @@
 //! opening and closing tags only (`<a>...</a>`, abbreviated `<a/>` for
 //! leaves).
 //!
-//! Four representations are provided, with conversions between them:
+//! Three representations are provided, with conversions between them:
 //!
 //! * [`Tree`] — a recursive, immutable, cheaply clonable tree (used by the
 //!   Figure 1 denotational semantics, which passes whole subtrees around);
-//! * [`Document`] — an arena with [`NodeId`]s, parent/child links, and
-//!   preorder numbering (used by the composition-free evaluators, whose
-//!   variables range over *input-tree nodes*, Prop 7.3);
-//! * [`ArenaDoc`] — the production-oriented document store: parallel
-//!   [`NodeId`]-indexed vectors with contiguous child spans and interned
-//!   [`LabelId`] labels (O(1) label equality, no per-node allocation);
+//! * [`ArenaDoc`] — the document store every other engine reads: parallel
+//!   preorder [`NodeId`]-indexed vectors with parent links, contiguous
+//!   child spans and interned [`LabelId`] labels (O(1) label equality, no
+//!   per-node allocation). Composition-free variables range over its
+//!   nodes — *input-tree nodes*, Prop 7.3;
 //! * token streams of [`Token`]s (used by the streaming evaluator of
 //!   Theorem 4.5 and the string-positional semantics of Theorem 6.6).
 
 mod arena;
-mod document;
 mod generate;
 mod parse;
 mod tree;
 
 pub use arena::{
     forest_from_itokens, intern_tokens, interned_labels, resolve_tokens, ArenaBuilder, ArenaDoc,
-    IToken, LabelId, LabelInterner,
+    IToken, LabelId, LabelInterner, NodeId,
 };
-pub use document::{Document, NodeId};
-pub use generate::{
-    random_arena_document, random_document, random_forest, random_tree, DoublingFamily, TreeGen,
-};
+pub use generate::{random_arena_document, random_forest, random_tree, DoublingFamily, TreeGen};
 pub use parse::{parse_forest, parse_tree, XmlError};
 pub use tree::{Label, Token, Tree};
 

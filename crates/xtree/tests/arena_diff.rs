@@ -4,7 +4,7 @@
 //! results, on every engine the arena touches:
 //!
 //! * the Figure 1 reference semantics on the `Rc` tree vs the same tree
-//!   routed `Tree → ArenaDoc → Tree` (the `XQ_ARENA` load path), and vs
+//!   routed `Tree → ArenaDoc → Tree`, and vs
 //!   the parse route `to_xml → ArenaDoc::parse → to_tree`;
 //! * the streaming engine pulling tokens straight out of the arena
 //!   vectors vs the reference bytes. (It has no `Rc`-tree source to

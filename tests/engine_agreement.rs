@@ -4,8 +4,8 @@
 //! engine (Prop 7.6), and the positional string semantics (Remark 6.7) —
 //! plus the Fig 2 monad-algebra translation evaluated on encoded inputs.
 
-use xq_complexity::core::{self as core, parse_query, DocRepr};
-use xq_complexity::xtree::{random_tree, ArenaDoc, Token, Tree, TreeGen};
+use xq_complexity::core::{self as core, parse_query};
+use xq_complexity::xtree::{parse_tree, random_tree, ArenaDoc, Token, Tree, TreeGen};
 
 fn reference_tokens(q: &core::Query, t: &Tree) -> Vec<Token> {
     core::eval_query(q, t)
@@ -32,20 +32,16 @@ const COMPOSITIONAL: &[&str] = &[
     "let $x := <k><a/><b/></k> return ($x/a, $x/b)",
 ];
 
-/// The shared document fleet. Loading honours `XQ_ARENA` (see
-/// `xq_core::doc`): with it set, every document — parsed or generated —
-/// is routed through the arena store, re-running all the agreement suites
-/// below against that representation.
+/// The shared document fleet: three hand-written documents and four
+/// generated ones.
 fn fleet_docs() -> Vec<Tree> {
-    let repr = DocRepr::from_env();
     let mut docs = vec![
-        core::load_document("<r><a><b/></a><a><c/></a><b/></r>").unwrap(),
-        core::load_document("<r/>").unwrap(),
-        core::load_document("<r><a><b/><b/></a></r>").unwrap(),
+        parse_tree("<r><a><b/></a><a><c/></a><b/></r>").unwrap(),
+        parse_tree("<r/>").unwrap(),
+        parse_tree("<r><a><b/><b/></a></r>").unwrap(),
     ];
     for seed in 0..4u64 {
-        let mut g = TreeGen::new(seed);
-        docs.push(repr.roundtrip(&random_tree(&mut g, 15, &["a", "b", "c"])));
+        docs.push(random_tree(&mut TreeGen::new(seed), 15, &["a", "b", "c"]));
     }
     docs
 }
@@ -100,8 +96,8 @@ fn witness_search_agrees_on_booleans() {
 fn positional_agrees_with_reference() {
     // Positional evaluation is deliberately naive — small docs only.
     let docs = [
-        core::load_document("<r><a><b/></a><a><c/></a></r>").unwrap(),
-        core::load_document("<r/>").unwrap(),
+        parse_tree("<r><a><b/></a><a><c/></a></r>").unwrap(),
+        parse_tree("<r/>").unwrap(),
     ];
     for doc in docs {
         for src in COMPOSITION_FREE.iter().chain(COMPOSITIONAL) {
