@@ -21,10 +21,12 @@ step "cargo test -q --workspace"
 cargo test -q --workspace
 
 # The data-parallel surface: par_diff sweeps 1/2/4/8 worker threads (plus
-# whatever XQ_THREADS resolves to) on both parallel engines — including
-# the planner suites (Seq-of-fors, nested fors, let-hoisted and
-# where-filtered sources, and the parallelized⇒byte-identical property) —
-# and the interner concurrency smoke test hammers the sharded global
+# whatever XQ_THREADS resolves to) on both parallel engines — the one
+# materializing engine (eval_compiled_par, every plan piece on the VM)
+# against Figure 1, and stream_query against its sequential run —
+# including the planner suites (Seq-of-fors, nested fors, let-hoisted and
+# where-filtered sources, and the parallelized⇒byte-identical property);
+# the interner concurrency smoke test hammers the sharded global
 # table from 8 threads. Run once more with XQ_THREADS=4 so the sweep
 # covers that thread count explicitly. CI sets XQ_RANDOM_CASES=16;
 # default to it here so local runs stay quick too.
@@ -37,13 +39,14 @@ cargo test -q -p cv_xtree --test interner_threads
 
 # The bytecode-VM surface: vm_diff proves interpreter, fresh plans, and
 # warm cache hits byte- and counter-identical on the seeded coverage
-# corpus; vm_golden pins the disassembly listings; plan_cache_threads
+# corpus, and the sharded VM (eval_compiled_par at 1/2/4/8 threads)
+# byte-identical to Figure 1; vm_golden pins the disassembly listings; plan_cache_threads
 # hammers the lock-striped plan store from 8 threads; vm_alloc is the
 # allocation guard (a counting global allocator: after a warm run, a
 # constructor loop and the heavy-eval text allocate as often on a
 # 400-node document as on a 40-node one), run in debug and release.
-# Run again with XQ_THREADS=4 so the parallel entry points are exercised
-# through compiled plans too.
+# Run again with XQ_THREADS=4 so the parallel entry point is exercised
+# at that thread count too.
 step "bytecode VM suites (vm_diff, vm_golden, vm_alloc, plan_cache_threads; XQ_THREADS=4)"
 for e in "${TWICE[@]}"; do
     env $e XQ_RANDOM_CASES="${XQ_RANDOM_CASES:-16}" cargo test -q -p xq_core --test vm_diff

@@ -121,71 +121,48 @@ fn main() {
     println!("\nAll requested experiment tables regenerated.");
 }
 
-/// One T17 measurement: planner vs PR 4 baseline coverage on one corpus
-/// document.
+/// One T17 measurement: planner coverage on one corpus document.
 struct T17Row {
     doc_seed: u64,
     nodes: usize,
     queries: usize,
-    /// Queries the PR 4 `outer_for_split` path would have parallelized.
-    baseline: usize,
     /// Queries the `xq_core::plan` planner parallelizes.
     planner: usize,
 }
 
-/// The T17 merge-datapoint timings (µs): the retired
-/// `resolve_tokens → forest_from_tokens` merge vs the `IToken` splice.
-struct T17Merge {
-    tokens: usize,
-    reparse_us: f64,
-    splice_us: f64,
-}
-
-struct T17Coverage {
-    rows: Vec<T17Row>,
-    merge: T17Merge,
-}
-
 /// T17 — parallel-path coverage of the random-query corpus: which
 /// fraction of deterministic random queries (the `par_diff` grammar,
-/// fixed seed stream) the parallel layer shards, before (PR 4's
-/// `outer_for_split` + `$root`-chain resolution) vs after (the
-/// `xq_core::plan` planner: `Seq` branches, nested `for`s, hoisted
-/// `let`s, `where`-filtered sources). Every planner-engaged query is
-/// verified byte-identical to sequential at 4 threads as it is counted,
-/// so the coverage number is also a correctness sweep.
-fn t17_coverage() -> T17Coverage {
-    use xq_core::{eval_query_par, outer_for_split, resolve_node_source, ParPlan, Threads};
+/// fixed seed stream) the `xq_core::plan` planner shards (`Seq` branches,
+/// nested `for`s, hoisted `let`s, `where`-filtered sources). Every
+/// planner-engaged query is verified byte-identical to sequential at 4
+/// threads as it is counted, so the coverage number is also a
+/// correctness sweep.
+fn t17_coverage() -> Vec<T17Row> {
+    use xq_core::{compile_query, eval_compiled_par, ParPlan, Threads};
 
-    header("T17  Parallel planner coverage  (xq_core::plan vs PR 4 outer_for_split)");
+    header("T17  Parallel planner coverage  (xq_core::plan)");
     let corpus = xq_bench::coverage_corpus(256);
     println!(
         "Corpus: {} deterministic random queries (seeded stream; \
          regenerated identically every run).\n",
         corpus.len()
     );
-    println!("| doc (seed) | nodes | queries | PR4 outer-for engaged | planner engaged | coverage before → after |");
-    println!("|---|---|---|---|---|---|");
+    println!("| doc (seed) | nodes | queries | planner engaged | coverage |");
+    println!("|---|---|---|---|---|");
     let mut rows = Vec::new();
-    let (mut base_total, mut plan_total) = (0usize, 0usize);
+    let mut plan_total = 0usize;
     for seed in 0..3u64 {
         let mut g = TreeGen::new(seed);
         let tree = cv_xtree::random_tree(&mut g, 30, &["a", "b", "k"]);
         let doc = ArenaDoc::from_tree(&tree);
         let budget = xq_core::Budget::default().with_threads(Threads::N(4));
-        let (mut baseline, mut planner) = (0usize, 0usize);
+        let mut planner = 0usize;
         for q in &corpus {
-            if outer_for_split(q)
-                .and_then(|(_, _, s, _)| resolve_node_source(&doc, s))
-                .is_some_and(|nodes| nodes.len() >= 2)
-            {
-                baseline += 1;
-            }
             if ParPlan::of(q, &doc, budget.clone()).engages() {
                 planner += 1;
                 // Trust, then verify: the counted query must be
                 // byte-identical to sequential on this document.
-                let par = eval_query_par(q, &doc, budget.clone());
+                let par = eval_compiled_par(&compile_query(q), &doc, budget.clone());
                 let seq = xq_core::eval_query(q, &tree);
                 match (par, seq) {
                     (Ok((p, stats)), Ok(s)) => {
@@ -205,89 +182,33 @@ fn t17_coverage() -> T17Coverage {
             }
         }
         println!(
-            "| {seed} | {} | {} | {baseline} | {planner} | {:.0}% → {:.0}% |",
+            "| {seed} | {} | {} | {planner} | {:.0}% |",
             doc.len(),
             corpus.len(),
-            100.0 * baseline as f64 / corpus.len() as f64,
             100.0 * planner as f64 / corpus.len() as f64,
         );
-        base_total += baseline;
         plan_total += planner;
         rows.push(T17Row {
             doc_seed: seed,
             nodes: doc.len(),
             queries: corpus.len(),
-            baseline,
             planner,
         });
     }
     let pairs = corpus.len() * rows.len();
     println!(
-        "\nOverall: {base_total}/{pairs} query-document pairs parallelized before \
-         ({:.0}%), {plan_total}/{pairs} after ({:.0}%).",
-        100.0 * base_total as f64 / pairs as f64,
+        "\nOverall: {plan_total}/{pairs} query-document pairs parallelized ({:.0}%).",
         100.0 * plan_total as f64 / pairs as f64,
     );
-
-    // The merge datapoint: the retired per-chunk `resolve_tokens` →
-    // `forest_from_tokens` rebuild vs the single `forest_from_itokens`
-    // splice pass, on a large worker-shaped result buffer.
-    let forest_doc = cv_xtree::DoublingFamily::Wide.arena(12);
-    let itokens: Vec<cv_xtree::IToken> = {
-        let toks = forest_doc.tokens();
-        let one = cv_xtree::intern_tokens(&toks);
-        // Splice of 4 per-worker buffers, as a 4-thread merge would see.
-        let mut all = Vec::with_capacity(4 * one.len());
-        for _ in 0..4 {
-            all.extend_from_slice(&one);
-        }
-        all
-    };
-    let reparse_us = time_us(10, || {
-        let tokens = cv_xtree::resolve_tokens(&itokens);
-        std::hint::black_box(cv_xtree::Tree::forest_from_tokens(&tokens).unwrap());
-    });
-    let splice_us = time_us(10, || {
-        std::hint::black_box(cv_xtree::forest_from_itokens(&itokens).unwrap());
-    });
-    println!(
-        "\nMerge of a {}-token spliced result: resolve+reparse {reparse_us:.1} µs \
-         vs IToken splice {splice_us:.1} µs — {:.2}x (the intermediate Vec<Token> \
-         is gone from the merge path).",
-        itokens.len(),
-        reparse_us / splice_us
-    );
-
-    // The shared-root datapoint: the full-tree materialization each
-    // worker used to repeat when the body mentioned $root. At W workers
-    // the old path paid W of these per query; the planner builds one.
-    let big = cv_xtree::DoublingFamily::Binary.arena(11);
-    let to_tree_us = time_us(5, || {
-        std::hint::black_box(big.to_tree());
-    });
-    println!(
-        "Shared $root build (binary n=11, {} nodes): {to_tree_us:.1} µs per \
-         materialization — a 4-worker query with a $root-referencing body \
-         previously paid 4x this, now 1x (Tree is Arc-backed; workers clone \
-         the one build).",
-        big.len()
-    );
-    println!("\nShape: the planner strictly widens the parallelizable fraction — every outer-for query still shards, and Seq/nested/let/filtered shapes are new coverage; the per-query verification makes this table a correctness sweep too.");
-    T17Coverage {
-        rows,
-        merge: T17Merge {
-            tokens: itokens.len(),
-            reparse_us,
-            splice_us,
-        },
-    }
+    println!("\nShape: every outer-for query shards, and Seq/nested/let/filtered shapes do too; the per-query verification makes this table a correctness sweep as well.");
+    rows
 }
 
 /// Renders a measurement table as its `--json` payload (hand-rolled: the
 /// workspace is offline, no serde): `table`, `host_threads`, the table's
 /// extra `header` fields, then `rows` — one preformatted object body per
-/// row — and an optional `trailer` field after them (T17's `merge`).
-fn table_json(table: &str, header: &[String], rows: &[String], trailer: Option<String>) -> String {
+/// row.
+fn table_json(table: &str, header: &[String], rows: &[String]) -> String {
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"table\": \"{table}\",\n"));
@@ -300,31 +221,22 @@ fn table_json(table: &str, header: &[String], rows: &[String], trailer: Option<S
         let sep = if i + 1 == rows.len() { "" } else { "," };
         out.push_str(&format!("    {{{r}}}{sep}\n"));
     }
-    match trailer {
-        Some(t) => out.push_str(&format!("  ],\n  {t}\n}}\n")),
-        None => out.push_str("  ]\n}\n"),
-    }
+    out.push_str("  ]\n}\n");
     out
 }
 
 /// T17's `--json` payload.
-fn t17_json(cov: &T17Coverage) -> String {
-    let rows: Vec<String> = cov
-        .rows
+fn t17_json(rows: &[T17Row]) -> String {
+    let rows: Vec<String> = rows
         .iter()
         .map(|r| {
             format!(
-                "\"doc_seed\": {}, \"nodes\": {}, \"queries\": {}, \
-                 \"baseline_engaged\": {}, \"planner_engaged\": {}",
-                r.doc_seed, r.nodes, r.queries, r.baseline, r.planner
+                "\"doc_seed\": {}, \"nodes\": {}, \"queries\": {}, \"planner_engaged\": {}",
+                r.doc_seed, r.nodes, r.queries, r.planner
             )
         })
         .collect();
-    let merge = format!(
-        "\"merge\": {{\"tokens\": {}, \"reparse_us\": {:.1}, \"splice_us\": {:.1}}}",
-        cov.merge.tokens, cov.merge.reparse_us, cov.merge.splice_us
-    );
-    table_json("T17", &[], &rows, Some(merge))
+    table_json("T17", &[], &rows)
 }
 
 /// One T16 measurement: a doubling-family workload at a thread count.
@@ -340,10 +252,15 @@ struct T16Row {
 
 /// T16 — data-parallel evaluation over the arena store (`xq_core::par`,
 /// `xq_stream::stream_query`): the cross-join `for`-nest workloads at
-/// 1/2/4 worker threads, plus the indexed-vs-linear `Env::lookup`
-/// contrast and the `QueryService` batch shape.
+/// 1/2/4 worker threads, plus the `QueryService` batch shape. Each
+/// workload compiles once, outside the timed loop, so every eval row
+/// runs the VM: the 1-thread row is the sequential VM that serves
+/// single-threaded tenants, the others the sharded VM. An eval row is
+/// the median of [`T16_ROUNDS`] runs interleaved across the thread
+/// counts. Self-checking: the 2- and 4-thread rows may take at most 1.2x
+/// the 1-thread row.
 fn t16_parallel() -> Vec<T16Row> {
-    use xq_core::{eval_query_par, Threads};
+    use xq_core::{compile_query, eval_compiled_par, Threads};
 
     header("T16  Data-parallel evaluation  (xq_core::par, xq_stream::stream_query)");
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -355,6 +272,15 @@ fn t16_parallel() -> Vec<T16Row> {
 
     println!("| family (n) | nodes | outer items | threads | eval cross-join (µs) | stream emit (µs) | eval speedup vs 1T | stream speedup vs 1T |");
     println!("|---|---|---|---|---|---|---|---|");
+    // The cross-join runs ~|items|·|doc| steps — far past the default
+    // caps, which exist to stop runaway blowups, not deliberate ones.
+    let unbounded = |threads| xq_core::Budget {
+        max_steps: u64::MAX,
+        max_items: u64::MAX,
+        threads: Threads::N(threads),
+        ..xq_core::Budget::default()
+    };
+    const THREADS: [usize; 3] = [1, 2, 4];
     let mut rows = Vec::new();
     for (family, n) in [
         (cv_xtree::DoublingFamily::Binary, 11u32),
@@ -362,25 +288,16 @@ fn t16_parallel() -> Vec<T16Row> {
         (cv_xtree::DoublingFamily::Comb, 10),
     ] {
         let doc = family.arena(n);
-        let q = xq_bench::par_workload(family);
+        let plan = compile_query(&xq_bench::par_workload(family));
         let qs = xq_bench::stream_workload(family);
-        let outer_items = xq_core::outer_for_split(&q)
-            .and_then(|(_, _, s, _)| xq_core::resolve_node_source(&doc, s))
-            .map_or(0, |nodes| nodes.len());
-        let (mut eval_base, mut stream_base) = (0.0, 0.0);
-        for threads in [1usize, 2, 4] {
-            // The cross-join runs ~|items|·|doc| steps — far past the
-            // default caps, which exist to stop runaway blowups, not
-            // deliberate ones.
-            let budget = xq_core::Budget {
-                max_steps: u64::MAX,
-                max_items: u64::MAX,
-                threads: Threads::N(threads),
-                ..xq_core::Budget::default()
-            };
-            let eval_us = time_us(2, || {
-                eval_query_par(&q, &doc, budget.clone()).unwrap();
-            });
+        let (_, probe) = eval_compiled_par(&plan, &doc, unbounded(2)).unwrap();
+        assert!(probe.parallelized, "{family} ({n}) must shard");
+        let outer_items = probe.outer_items;
+        let eval_us = interleaved_medians_us(T16_ROUNDS, &THREADS, |threads| {
+            eval_compiled_par(&plan, &doc, unbounded(threads)).unwrap();
+        });
+        let (eval_base, mut stream_base) = (eval_us[0], 0.0);
+        for (&threads, &eval_us) in THREADS.iter().zip(&eval_us) {
             let cfg = xq_stream::StreamConfig {
                 threads,
                 ..xq_stream::StreamConfig::buffered(u64::MAX)
@@ -389,7 +306,6 @@ fn t16_parallel() -> Vec<T16Row> {
                 xq_stream::stream_query(&qs, &doc, cfg).unwrap();
             });
             if threads == 1 {
-                eval_base = eval_us;
                 stream_base = stream_us;
             }
             println!(
@@ -397,6 +313,11 @@ fn t16_parallel() -> Vec<T16Row> {
                 family.size(n),
                 eval_base / eval_us,
                 stream_base / stream_us
+            );
+            assert!(
+                eval_us <= 1.2 * eval_base,
+                "{family} ({n}): the sharded VM at {threads} threads ({eval_us:.1} µs) \
+                 is slower than 1.2x the sequential VM ({eval_base:.1} µs)"
             );
             rows.push(T16Row {
                 family: family.to_string(),
@@ -409,32 +330,6 @@ fn t16_parallel() -> Vec<T16Row> {
             });
         }
     }
-
-    // The Env::lookup satellite: indexed vs linear on the deep-nest
-    // environment (ENV_NEST_DEPTH live bindings, outermost var probed).
-    let depth = xq_bench::ENV_NEST_DEPTH;
-    let mut env = xq_core::Env::new();
-    env.bind(Var::root(), cv_xtree::Tree::leaf("doc"));
-    for i in 0..depth {
-        env.bind(Var::new(format!("v{i}")), cv_xtree::Tree::leaf("x"));
-    }
-    let root = Var::root();
-    let probes = 1000;
-    let indexed_us = time_us(200, || {
-        for _ in 0..probes {
-            std::hint::black_box(env.lookup(&root).is_some());
-        }
-    });
-    let linear_us = time_us(200, || {
-        for _ in 0..probes {
-            std::hint::black_box(env.lookup_linear(&root).is_some());
-        }
-    });
-    println!(
-        "\nEnv::lookup at nest depth {depth} ({probes} probes): indexed {indexed_us:.1} µs \
-         vs linear scan {linear_us:.1} µs — {:.1}x",
-        linear_us / indexed_us
-    );
 
     // The QueryService batch shape: one pool, a mixed batch, results in
     // submission order.
@@ -480,7 +375,7 @@ fn t16_json(rows: &[T16Row]) -> String {
             )
         })
         .collect();
-    table_json("T16", &[], &rows, None)
+    table_json("T16", &[], &rows)
 }
 
 /// One T18 measurement: a configuration's total and per-unit latency,
@@ -1072,7 +967,7 @@ fn t19_json(rows: &[T19Row]) -> String {
         "\"workers\": 2".to_string(),
         "\"queue_capacity\": 4".to_string(),
     ];
-    table_json("T19", &header, &rows, None)
+    table_json("T19", &header, &rows)
 }
 
 /// One T20 measurement: a concurrent-connection count served by the
@@ -1202,7 +1097,7 @@ fn t20_json(rows: &[T20Row]) -> String {
         "\"workers\": 2".to_string(),
         "\"server_threads\": 3".to_string(),
     ];
-    table_json("T20", &header, &rows, None)
+    table_json("T20", &header, &rows)
 }
 
 /// One T21 measurement: a soak under one fault spec (or none, for the
@@ -1443,7 +1338,7 @@ fn t21_json(rows: &[T21Row]) -> String {
         })
         .collect();
     let header = ["\"workers\": 2".to_string(), format!("\"seed\": {seed}")];
-    table_json("T21", &header, &rows, None)
+    table_json("T21", &header, &rows)
 }
 
 /// T18's `--json` payload.
@@ -1457,13 +1352,39 @@ fn t18_json(rows: &[T18Row]) -> String {
             )
         })
         .collect();
-    table_json("T18", &[], &rows, None)
+    table_json("T18", &[], &rows)
 }
 
 /// Runs of the T18 service batch its median is taken over.
 const T18_BATCH_RUNS: usize = 31;
 
 /// Median wall time of `runs` calls of `f` (after one warm-up), in µs.
+/// Rounds of T16's interleaved eval timing.
+const T16_ROUNDS: usize = 7;
+
+/// The median time of `f(k)` for each `k` of `ks`, measured in `rounds`
+/// rounds that each run every `k` once, after one warm-up round. On a
+/// shared host the CPU speed drifts over seconds, and interleaving makes
+/// the drift hit every `k` alike.
+fn interleaved_medians_us(rounds: usize, ks: &[usize], mut f: impl FnMut(usize)) -> Vec<f64> {
+    ks.iter().for_each(|&k| f(k));
+    let mut times = vec![Vec::with_capacity(rounds); ks.len()];
+    for _ in 0..rounds {
+        for (i, &k) in ks.iter().enumerate() {
+            let start = Instant::now();
+            f(k);
+            times[i].push(start.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+    times
+        .into_iter()
+        .map(|mut t| {
+            t.sort_by(f64::total_cmp);
+            t[rounds / 2]
+        })
+        .collect()
+}
+
 fn median_us(runs: usize, mut f: impl FnMut()) -> f64 {
     f();
     let mut times: Vec<f64> = (0..runs)

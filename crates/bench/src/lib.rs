@@ -120,15 +120,11 @@ pub fn stream_workload(family: DoublingFamily) -> Query {
     parse_query(src).expect("static query parses")
 }
 
-/// Depth of the deep-`for`-nest environment in the `Env::lookup` contrast
-/// (T16 row and `par_scaling/env-lookup` bench).
-pub const ENV_NEST_DEPTH: usize = 64;
-
-/// T17/`par_scaling` planner-shape workloads: each exercises one shape
-/// the `xq_core::plan` planner shards that the PR 4 `outer_for_split`
-/// could not — a `Seq` of two loops, a nested `for` flattened to (node,
-/// node) rows, and a loop whose body mentions `$root` (the shared
-/// root-tree build). Returns `(name, query)` pairs.
+/// `par_scaling` planner-shape workloads: each exercises one shape the
+/// `xq_core::plan` planner shards beyond a lone outer `for` — a `Seq` of
+/// two loops, a nested `for` flattened to (node, node) rows, and a loop
+/// whose body mentions `$root` beside its loop variable. Returns
+/// `(name, query)` pairs.
 pub fn planner_workloads(family: DoublingFamily) -> Vec<(&'static str, Query)> {
     let (x_src, y_src) = match family {
         DoublingFamily::Binary => ("$root//a", "$root//b"),

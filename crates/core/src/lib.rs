@@ -12,8 +12,9 @@
 //!   [`ParPlan`] of shardable loops (`Seq` branches, flattened `for`-nests,
 //!   hoisted `let` sources, predicate-filtered sources);
 //! * [`par`] — data-parallel evaluation over the arena store: every loop
-//!   the planner proves shardable split across threads with an
-//!   order-preserving interned-token splice merge;
+//!   the planner proves shardable split across threads, each chunk run on
+//!   the VM with its loop variables bound to node ids, and the workers'
+//!   result trees concatenated in chunk order;
 //! * [`service`] — a supervised worker pool batching many (query,
 //!   document) pairs, the serve-heavy-traffic shape, with per-request
 //!   panic containment, evaluating over each document's tree
@@ -48,7 +49,7 @@ pub use fragments::{
     free_vars, is_composition_free, is_strict_core, is_xq_tilde, to_composition_free, to_xq_tilde,
     Features,
 };
-pub use par::{eval_compiled_par, eval_query_par, outer_for_split, resolve_node_source, ParStats};
+pub use par::{eval_compiled_par, ParStats};
 pub use parser::{parse_query, QueryParseError, MAX_QUERY_DEPTH};
 pub use plan::{ParPlan, ShardPlan};
 pub use semantics::{

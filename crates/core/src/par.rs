@@ -4,7 +4,7 @@
 //! documents: loops range over thousands of input nodes, and the body's
 //! work per node is independent of every other node's. With the label
 //! interner global and sharded, [`ArenaDoc`] is `Send + Sync`, so those
-//! loops split across threads: [`eval_query_par`] asks the planner
+//! loops split across threads: [`eval_compiled_par`] asks the planner
 //! ([`ParPlan`], see [`crate::plan`]) which parts of the query shard —
 //! `Seq` branches, flattened `for`-nests, hoisted `let` sources,
 //! predicate-filtered loops — carves each shardable work-list into one
@@ -12,23 +12,25 @@
 //! under [`std::thread::scope`] (no thread pool, no external runtime — the
 //! registry is offline).
 //!
-//! **Determinism is the contract.** Workers return their chunk's result as
-//! interned token buffers ([`IToken`], `Copy + Send`); the merging thread
-//! splices the per-worker buffers *in chunk order* and rebuilds trees in
-//! one pass with [`forest_from_itokens`] — no intermediate
-//! [`Token`](cv_xtree::Token) list, no per-chunk rebuild. Because each
-//! body evaluation is exactly the Figure 1 sequential semantics on the
-//! same subtree values, and every plan node concatenates partial results
-//! in iteration/branch order, the merged result is byte-identical to
-//! [`eval_query`](crate::eval_query) — the `par_diff` differential suite
-//! asserts this at 1/2/4/8 threads over the random-query corpus.
+//! **One evaluator.** Every piece of a plan runs on the bytecode VM. Each
+//! shard body and each opaque leaf is compiled once per request, before
+//! the thread split, and the workers share that plan by reference. Its
+//! loop and hoisted variables are free in the piece, so they compile to
+//! [`VarRef::Free`](crate::vm::VarRef::Free) and each row runs through
+//! [`exec_bound`] with them bound to the row's nodes: binding a variable
+//! is writing a [`NodeId`], and no worker materializes a tree to read
+//! the document. This is Koch05 Prop 7.3's evaluation of a
+//! composition-free loop body with its variables ranging over node ids.
 //!
-//! **Shared values are built once.** Shard bodies and opaque leaves run
-//! the Figure 1 interpreter over [`Tree`]s taken from the document's node
-//! table ([`ArenaDoc::shared_node`]) — materialized once per document,
-//! not per query or per worker — so binding `$root`, a hoisted `let` or
-//! a row's loop variables is an `Arc` pointer bump (`Tree` is
-//! `Arc`-backed), never a subtree copy.
+//! **Determinism is the contract.** [`Tree`] is `Arc`-backed and `Send`,
+//! so each worker returns its chunk's result trees and the merging thread
+//! concatenates them *in chunk order*. Because each row runs exactly the
+//! sequential semantics on the same node values (the VM is byte- and
+//! counter-identical to Figure 1), and every plan node concatenates
+//! partial results in iteration/branch order, the merged result is
+//! byte-identical to [`eval_query`](crate::eval_query) — the `par_diff`
+//! and `vm_diff` suites assert this at 1/2/4/8 threads over random query
+//! corpora.
 //!
 //! **Budget semantics.** Each worker draws on the step/item caps of the
 //! [`Budget`] independently for its chunk (a shared atomic counter would
@@ -41,16 +43,16 @@
 //! [`Budget::max_steps`]), so the next item fails deterministically.
 //!
 //! Queries with no shardable loop of at least two items (or `threads <=
-//! 1`) fall back to the sequential evaluator — the interpreter on the
-//! shared tree, or the VM over the arena for compiled plans —
+//! 1`) run the whole plan on the VM over the arena, sequentially;
 //! [`ParStats::parallelized`] reports which path ran.
 
-use crate::ast::{Query, Var};
+use crate::ast::Var;
 use crate::plan::{ParPlan, ShardPlan};
-use crate::semantics::{eval_with, Budget, Env, EvalStats, XqError};
-use cv_xtree::{forest_from_itokens, intern_tokens, ArenaDoc, IToken, Label, NodeId, Tree};
+use crate::semantics::{Budget, EvalStats, XqError};
+use crate::vm::{compile_query, exec_bound, exec_doc, CompiledPlan};
+use cv_xtree::{ArenaDoc, NodeId, Tree};
 
-/// Counters reported by [`eval_query_par`].
+/// Counters reported by [`eval_compiled_par`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ParStats {
     /// Worker threads the budget's [`Threads`](crate::Threads) knob
@@ -74,50 +76,6 @@ pub struct ParStats {
     pub items: u64,
 }
 
-/// Splits `q` into its element-constructor wrappers and the outermost
-/// `for`, if that is its shape: `⟨a⟩…⟨b⟩ for $v in σ return β ⟨/b⟩…⟨/a⟩`
-/// returns `([a, …, b], $v, σ, β)`.
-///
-/// This was the *entire* analysis of the PR 4 parallel layer; the planner
-/// ([`ParPlan`]) subsumes it. It remains public as the baseline the T17
-/// coverage harness measures the planner against.
-pub fn outer_for_split(q: &Query) -> Option<(Vec<Label>, &Var, &Query, &Query)> {
-    let mut wrappers = Vec::new();
-    let mut cur = q;
-    loop {
-        match cur {
-            Query::Elem(a, body) => {
-                wrappers.push(a.clone());
-                cur = body;
-            }
-            Query::For(v, source, body) => return Some((wrappers, v, source, body)),
-            _ => return None,
-        }
-    }
-}
-
-/// Resolves a `for`-source that is a chain of axis steps grounded at
-/// `$root` to the arena nodes it selects, in document order with
-/// multiplicity. Returns `None` for any other source shape.
-///
-/// The planner's source resolution (which additionally handles pinned
-/// variables and filter predicates) supersedes this; like
-/// [`outer_for_split`] it is kept as the T17 baseline.
-pub fn resolve_node_source(doc: &ArenaDoc, source: &Query) -> Option<Vec<NodeId>> {
-    match source {
-        Query::Var(v) if *v == Var::root() => Some(vec![doc.root()]),
-        Query::Step(base, axis, test) => {
-            let bases = resolve_node_source(doc, base)?;
-            let mut out = Vec::new();
-            for b in bases {
-                out.extend(doc.axis(b, *axis, test));
-            }
-            Some(out)
-        }
-        _ => None,
-    }
-}
-
 /// Carves `items` into at most `parts` contiguous chunks of near-equal
 /// length (never empty; fewer chunks than `parts` when items are scarce).
 /// Public so every parallel engine shards identically
@@ -139,72 +97,39 @@ pub fn chunks<T>(items: &[T], parts: usize) -> Vec<&[T]> {
     out
 }
 
-/// The row loop shared by the worker and inline shard paths: evaluates
-/// `body` with the loop variables bound row-wise to the rows' subtrees
-/// (plus the shared `$root` tree and hoisted bindings when present),
-/// under one draining slice of the budget, feeding every result tree to
-/// `emit` in iteration order.
-#[allow(clippy::too_many_arguments)]
-fn eval_rows(
+/// One chunk of a sharded loop: runs `body` once per row, with `bound`
+/// (the hoisted bindings) plus `vars` bound row-wise to the row's nodes,
+/// under one draining slice of the budget. Result trees come back in
+/// iteration order.
+fn run_rows(
     doc: &ArenaDoc,
+    body: &CompiledPlan,
+    bound: &[(Var, NodeId)],
     vars: &[Var],
-    body: &Query,
     rows: &[&[NodeId]],
     budget: Budget,
-    root: Option<&Tree>,
-    hoisted: &[(Var, Tree)],
-    mut emit: impl FnMut(Tree),
-) -> Result<EvalStats, XqError> {
-    let mut env = Env::new();
-    if let Some(rt) = root {
-        // One shared build: binding is an Arc pointer bump per worker.
-        env.bind(Var::root(), rt.clone());
-    }
-    for (v, t) in hoisted {
-        env.bind(v.clone(), t.clone());
-    }
+) -> Result<(Vec<Tree>, EvalStats), XqError> {
+    // One binding slice for the whole chunk: each row overwrites the
+    // loop variables' nodes in place.
+    let mut env: Vec<(Var, NodeId)> = bound.to_vec();
+    let depth = env.len();
+    env.extend(vars.iter().map(|v| (v.clone(), doc.root())));
     let mut remaining = budget;
     let mut total = EvalStats::default();
+    let mut out = Vec::new();
     for &row in rows {
-        // One env reused across the loop: bind/pop around each row
-        // (eval_with clones internally, so the bindings stay per-item).
-        for (v, &n) in vars.iter().zip(row) {
-            env.bind(v.clone(), doc.shared_node(n).clone());
+        for (binding, &n) in env[depth..].iter_mut().zip(row) {
+            binding.1 = n;
         }
-        let result = eval_with(body, &env, remaining.clone());
-        for _ in vars {
-            env.pop();
-        }
-        let (out, stats) = result?;
+        let (trees, stats) = exec_bound(body, doc, &env, remaining.clone())?;
         total.steps += stats.steps;
         total.items += stats.items;
         total.max_env_depth = total.max_env_depth.max(stats.max_env_depth);
         remaining.max_steps = remaining.max_steps.saturating_sub(stats.steps);
         remaining.max_items = remaining.max_items.saturating_sub(stats.items);
-        for t in out {
-            emit(t);
-        }
+        out.extend(trees);
     }
-    Ok(total)
-}
-
-/// One worker's share of a sharded loop ([`eval_rows`] with the result
-/// crossing back to the merger as an interned token buffer).
-#[allow(clippy::too_many_arguments)]
-fn eval_chunk(
-    doc: &ArenaDoc,
-    vars: &[Var],
-    body: &Query,
-    rows: &[&[NodeId]],
-    budget: Budget,
-    root: Option<&Tree>,
-    hoisted: &[(Var, Tree)],
-) -> Result<(Vec<IToken>, EvalStats), XqError> {
-    let mut itokens = Vec::new();
-    let stats = eval_rows(doc, vars, body, rows, budget, root, hoisted, |t| {
-        itokens.extend(intern_tokens(&t.tokens()))
-    })?;
-    Ok((itokens, stats))
+    Ok((out, total))
 }
 
 /// Plan executor state shared down the plan walk.
@@ -212,11 +137,8 @@ struct Exec<'d> {
     doc: &'d ArenaDoc,
     budget: Budget,
     threads: usize,
-    /// The root tree, materialized once iff the plan needs it.
-    root: Option<Tree>,
-    /// Hoisted `let` bindings in scope (each subtree built once, shared
-    /// with workers by clone).
-    hoisted: Vec<(Var, Tree)>,
+    /// Hoisted `let` bindings in scope, innermost last.
+    bound: Vec<(Var, NodeId)>,
     stats: ParStats,
 }
 
@@ -237,22 +159,15 @@ impl Exec<'_> {
                 Ok(out)
             }
             ParPlan::Hoist(v, node, inner) => {
-                let t = self.doc.shared_node(*node).clone();
-                self.hoisted.push((v.clone(), t));
+                self.bound.push((v.clone(), *node));
                 let result = self.run(inner);
-                self.hoisted.pop();
+                self.bound.pop();
                 result
             }
             ParPlan::Shard(sp) => self.run_shard(sp),
             ParPlan::Opaque(q) => {
-                let mut env = Env::new();
-                if let Some(rt) = &self.root {
-                    env.bind(Var::root(), rt.clone());
-                }
-                for (v, t) in &self.hoisted {
-                    env.bind(v.clone(), t.clone());
-                }
-                let (out, stats) = eval_with(q, &env, self.budget.clone())?;
+                let leaf = compile_query(q);
+                let (out, stats) = exec_bound(&leaf, self.doc, &self.bound, self.budget.clone())?;
                 self.stats.steps += stats.steps;
                 self.stats.items += stats.items;
                 Ok(out)
@@ -261,83 +176,58 @@ impl Exec<'_> {
     }
 
     fn run_shard(&mut self, sp: &ShardPlan<'_>) -> Result<Vec<Tree>, XqError> {
+        let body = compile_query(sp.body());
         let rows: Vec<&[NodeId]> = sp.rows().collect();
         let parts = chunks(&rows, self.threads);
         self.stats.workers = self.stats.workers.max(parts.len());
-        let (doc, budget) = (self.doc, self.budget.clone());
-        let (vars, body) = (sp.vars(), sp.body());
-        let (root, hoisted) = (self.root.as_ref(), self.hoisted.as_slice());
-        if parts.len() <= 1 {
-            // One chunk: evaluate inline — no thread to pay for, and no
-            // reason to round-trip the result trees through tokens.
+        let (doc, budget, vars) = (self.doc, self.budget.clone(), sp.vars());
+        let (body, bound) = (&body, self.bound.as_slice());
+        let results: Vec<Result<(Vec<Tree>, EvalStats), XqError>> = if parts.len() <= 1 {
+            // One chunk: evaluate inline — no thread to pay for.
             let chunk = parts.first().copied().unwrap_or(&[]);
-            let mut out = Vec::new();
-            let stats = eval_rows(doc, vars, body, chunk, budget, root, hoisted, |t| {
-                out.push(t)
-            })?;
-            self.stats.steps += stats.steps;
-            self.stats.items += stats.items;
-            return Ok(out);
-        }
-        let results: Vec<Result<(Vec<IToken>, EvalStats), XqError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .iter()
-                .map(|chunk| {
-                    // Clones share the cancel flag: one cancellation (or
-                    // deadline) aborts every worker of this request.
-                    let budget = budget.clone();
-                    scope.spawn(move || eval_chunk(doc, vars, body, chunk, budget, root, hoisted))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("evaluation worker panicked"))
-                .collect()
-        });
-        // Chunk order is iteration order, so splicing the per-worker
-        // buffers in order preserves it; the first error in chunk order
+            vec![run_rows(doc, body, bound, vars, chunk, budget)]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = parts
+                    .iter()
+                    .map(|chunk| {
+                        // Clones share the cancel flag: one cancellation
+                        // (or deadline) aborts every worker of this
+                        // request.
+                        let budget = budget.clone();
+                        scope.spawn(move || run_rows(doc, body, bound, vars, chunk, budget))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("evaluation worker panicked"))
+                    .collect()
+            })
+        };
+        // Chunk order is iteration order, so concatenating the per-worker
+        // results in order preserves it; the first error in chunk order
         // wins, making failures deterministic for a fixed thread count.
-        let mut spliced: Vec<IToken> = Vec::new();
+        let mut out = Vec::new();
         for r in results {
-            let (itokens, chunk_stats) = r?;
+            let (trees, chunk_stats) = r?;
             self.stats.steps += chunk_stats.steps;
             self.stats.items += chunk_stats.items;
-            spliced.extend_from_slice(&itokens);
+            out.extend(trees);
         }
-        Ok(forest_from_itokens(&spliced).expect("workers emit well-formed tag strings"))
+        Ok(out)
     }
 }
 
-/// Evaluates `q` over an arena-backed document, sharding every loop the
-/// planner proves splittable across `budget.threads` workers. Results are
-/// byte-identical to [`eval_query`](crate::eval_query) on `doc.to_tree()`;
-/// see the module docs for the merge and budget contracts.
-pub fn eval_query_par(
-    q: &Query,
-    doc: &ArenaDoc,
-    budget: Budget,
-) -> Result<(Vec<Tree>, ParStats), XqError> {
-    let threads = budget.threads.count();
-    if threads <= 1 {
-        return eval_seq(q, doc, budget, threads);
-    }
-    let plan = ParPlan::of(q, doc, budget.clone());
-    if !plan.engages() {
-        return eval_seq(q, doc, budget, threads);
-    }
-    eval_plan(&plan, doc, budget, threads)
-}
-
-/// [`eval_query_par`] for a compiled plan: the data-parallel entry point
-/// of the bytecode VM. The baked [`par_hint`](crate::vm::CompiledPlan::par_hint)
+/// Evaluates a compiled plan over an arena-backed document, sharding every
+/// loop the planner proves splittable across `budget.threads` workers.
+/// Results are byte-identical to [`eval_query`](crate::eval_query) on
+/// `doc.to_tree()`; see the module docs for the merge and budget
+/// contracts. The baked [`par_hint`](crate::vm::CompiledPlan::par_hint)
 /// short-circuits planning for queries that can never shard (hint `false`
-/// proves `ParPlan` would not engage on any document), and both the
-/// non-engaging and single-thread routes run on the VM executor instead
-/// of the tree-walking interpreter. Output is byte-identical to
-/// [`eval_query_par`] — the compiled-vs-interpreted differential suite
-/// (`vm_diff`) pins this across the corpus at 1/2/4 threads.
+/// proves `ParPlan` would not engage on any document); those, and every
+/// single-thread request, run the whole plan on the VM sequentially.
 pub fn eval_compiled_par(
-    plan: &crate::vm::CompiledPlan,
+    plan: &CompiledPlan,
     doc: &ArenaDoc,
     budget: Budget,
 ) -> Result<(Vec<Tree>, ParStats), XqError> {
@@ -349,68 +239,30 @@ pub fn eval_compiled_par(
     if !par_plan.engages() {
         return exec_seq(plan, doc, budget, threads);
     }
-    eval_plan(&par_plan, doc, budget, threads)
-}
-
-/// The compiled sequential fallback: run the VM executor over the
-/// arena document.
-fn exec_seq(
-    plan: &crate::vm::CompiledPlan,
-    doc: &ArenaDoc,
-    budget: Budget,
-    threads: usize,
-) -> Result<(Vec<Tree>, ParStats), XqError> {
-    let (out, stats) = crate::vm::exec_doc(plan, doc, budget)?;
-    Ok((
-        out,
-        ParStats {
-            threads,
-            workers: 0,
-            outer_items: 0,
-            parallelized: false,
-            steps: stats.steps,
-            items: stats.items,
-        },
-    ))
-}
-
-/// Executes an already-built, engaging plan. A plan that reads `$root`
-/// binds the document's [`shared_tree`](ArenaDoc::shared_tree), so
-/// planner, executor and every worker share one materialization (the
-/// node table).
-fn eval_plan(
-    plan: &ParPlan<'_>,
-    doc: &ArenaDoc,
-    budget: Budget,
-    threads: usize,
-) -> Result<(Vec<Tree>, ParStats), XqError> {
-    let root = plan.needs_root().then(|| doc.shared_tree().clone());
     let mut exec = Exec {
         doc,
         budget,
         threads,
-        root,
-        hoisted: Vec::new(),
+        bound: Vec::new(),
         stats: ParStats {
             threads,
-            outer_items: plan.sharded_items(),
+            outer_items: par_plan.sharded_items(),
             parallelized: true,
             ..ParStats::default()
         },
     };
-    let out = exec.run(plan)?;
+    let out = exec.run(&par_plan)?;
     Ok((out, exec.stats))
 }
 
-/// The sequential fallback: run Figure 1 over the document's shared tree.
-fn eval_seq(
-    q: &Query,
+/// The sequential fallback: run the VM executor over the arena document.
+fn exec_seq(
+    plan: &CompiledPlan,
     doc: &ArenaDoc,
     budget: Budget,
     threads: usize,
 ) -> Result<(Vec<Tree>, ParStats), XqError> {
-    let env = Env::with_root(doc.shared_tree().clone());
-    let (out, stats) = eval_with(q, &env, budget)?;
+    let (out, stats) = exec_doc(plan, doc, budget)?;
     Ok((
         out,
         ParStats {
@@ -430,10 +282,9 @@ fn eval_seq(
 // uses these so workers hand their output to the merger in small runs
 // instead of one fully-materialized per-chunk buffer — peak queued
 // tokens is bounded by `parts × cap` regardless of result size. The
-// eval-side merge above stays materialized on purpose:
-// `forest_from_itokens` needs each chunk's full token slice to rebuild
-// trees in one pass, and its output is materialized trees anyway, so an
-// incremental hand-off would bound nothing.
+// eval-side merge above hands over whole result vectors on purpose: its
+// output is materialized trees anyway, so an incremental hand-off would
+// bound nothing.
 // ---------------------------------------------------------------------
 
 use std::collections::VecDeque;
@@ -640,7 +491,7 @@ mod tests {
     use super::*;
     use crate::semantics::Threads;
     use crate::{eval_query, parse_query};
-    use cv_xtree::{random_tree, TreeGen};
+    use cv_xtree::{random_tree, DoublingFamily, TreeGen};
 
     fn arena(src: &str) -> ArenaDoc {
         ArenaDoc::parse(src).unwrap()
@@ -650,28 +501,9 @@ mod tests {
         trees.iter().map(Tree::to_xml).collect()
     }
 
-    #[test]
-    fn outer_for_split_recognizes_wrapped_loops() {
-        let q = parse_query("<out>{ for $x in $root/a return $x }</out>").unwrap();
-        let (wrappers, v, _, _) = outer_for_split(&q).unwrap();
-        assert_eq!(wrappers, vec![Label::from("out")]);
-        assert_eq!(v.name(), "x");
-        assert!(outer_for_split(&parse_query("$root/a").unwrap()).is_none());
-    }
-
-    #[test]
-    fn node_source_matches_sequential_step_semantics() {
-        let doc = arena("<r><a><b/><a/></a><c/><a/></r>");
-        let q = parse_query("$root//a").unwrap();
-        let nodes = resolve_node_source(&doc, &q).unwrap();
-        let seq = eval_query(&q, &doc.to_tree()).unwrap();
-        assert_eq!(nodes.len(), seq.len());
-        for (n, t) in nodes.iter().zip(&seq) {
-            assert_eq!(&doc.subtree(*n), t);
-        }
-        // Constructed sources are not node sources.
-        let q = parse_query("(<w><a/></w>)/a").unwrap();
-        assert!(resolve_node_source(&doc, &q).is_none());
+    /// [`eval_compiled_par`] on the text `src`.
+    fn par(src: &str, doc: &ArenaDoc, budget: Budget) -> Result<(Vec<Tree>, ParStats), XqError> {
+        eval_compiled_par(&compile_query(&parse_query(src).unwrap()), doc, budget)
     }
 
     #[test]
@@ -699,6 +531,10 @@ mod tests {
             "for $x in $root/* return for $y in $x/* return <p>{ $y }</p>",
             "let $z := $root return for $x in $z/* return <w>{ $x }</w>",
             "for $x in (for $w in $root/* where $w/b return $w) return <f>{ $x }</f>",
+            // Shard variables shadowing `$root`, in the body and a filter.
+            "for $root in $root/* return <w>{ $root/* }</w>",
+            "let $z := $root return for $root in $z/a return ($root, $z/b)",
+            "for $x in (for $root in $root/* where $root/b return $root) return $x",
             "$root/a", // no shardable loop: fallback
             "<solo/>", // constant: fallback
         ];
@@ -707,11 +543,10 @@ mod tests {
             let t = random_tree(&mut g, 30, &["a", "b", "c"]);
             let doc = ArenaDoc::from_tree(&t);
             for src in queries {
-                let q = parse_query(src).unwrap();
-                let want = xml(&eval_query(&q, &t).unwrap());
+                let want = xml(&eval_query(&parse_query(src).unwrap(), &t).unwrap());
                 for threads in [1usize, 2, 4] {
                     let budget = Budget::default().with_threads(Threads::N(threads));
-                    let (got, _) = eval_query_par(&q, &doc, budget).unwrap();
+                    let (got, _) = par(src, &doc, budget).unwrap();
                     assert_eq!(xml(&got), want, "{src} at {threads} threads, seed {seed}");
                 }
             }
@@ -721,17 +556,39 @@ mod tests {
     #[test]
     fn parallel_path_actually_engages() {
         let doc = arena("<r><a/><a/><a/><a/><a/><a/></r>");
-        let q = parse_query("for $x in $root/a return <w>{ $x }</w>").unwrap();
+        let src = "for $x in $root/a return <w>{ $x }</w>";
         let budget = Budget::default().with_threads(Threads::N(3));
-        let (_, stats) = eval_query_par(&q, &doc, budget).unwrap();
+        let (_, stats) = par(src, &doc, budget).unwrap();
         assert!(stats.parallelized);
         assert_eq!(stats.outer_items, 6);
         assert_eq!(stats.threads, 3);
         assert_eq!(stats.workers, 3);
         // Threads::One falls back by construction.
-        let (_, stats) = eval_query_par(&q, &doc, Budget::default()).unwrap();
+        let (_, stats) = par(src, &doc, Budget::default()).unwrap();
         assert!(!stats.parallelized);
         assert_eq!(stats.workers, 0);
+    }
+
+    /// `heavy-eval`'s text (the serving benchmark's cross-join) on the
+    /// depth-8 binary doubling document: the sharded VM charges what the
+    /// sharded Figure 1 interpreter charged, at every thread count.
+    #[test]
+    fn heavy_eval_counters_are_pinned() {
+        let src = "<r>{ for $x in $root//a return \
+                   if (some $y in $root//b satisfies $x =atomic $y) then <hit/> }</r>";
+        let doc = DoublingFamily::Binary.arena(8);
+        let want = par(src, &doc, Budget::default()).unwrap().0;
+        for threads in [2usize, 4, 8] {
+            let budget = Budget::default().with_threads(Threads::N(threads));
+            let (got, stats) = par(src, &doc, budget).unwrap();
+            assert_eq!(xml(&got), xml(&want), "{threads} threads");
+            assert!(stats.parallelized, "{threads} threads");
+            assert_eq!(
+                (stats.steps, stats.items, stats.outer_items, stats.workers),
+                (232_560, 58_140, 340, threads),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]
@@ -739,9 +596,8 @@ mod tests {
         // Regression (satellite): with fewer outer items than threads,
         // `chunks` produces fewer parts — the stats must say so.
         let doc = arena("<r><a/><a/></r>");
-        let q = parse_query("for $x in $root/a return <w>{ $x }</w>").unwrap();
         let budget = Budget::default().with_threads(Threads::N(8));
-        let (_, stats) = eval_query_par(&q, &doc, budget).unwrap();
+        let (_, stats) = par("for $x in $root/a return <w>{ $x }</w>", &doc, budget).unwrap();
         assert!(stats.parallelized);
         assert_eq!(stats.threads, 8, "requested parallelism");
         assert_eq!(stats.workers, 2, "actual workers = chunks = items");
@@ -751,26 +607,25 @@ mod tests {
     fn errors_are_deterministic_and_budget_is_monotone() {
         let doc = arena("<r><a/><a/><a/><a/></r>");
         // Unbound variable in the body: every worker fails identically.
-        let q = parse_query("for $x in $root/a return $nope").unwrap();
         for threads in [1usize, 2, 4] {
             let budget = Budget::default().with_threads(Threads::N(threads));
-            let got = eval_query_par(&q, &doc, budget);
+            let got = par("for $x in $root/a return $nope", &doc, budget);
             assert!(
                 matches!(got, Err(XqError::UnboundVariable(ref v)) if v == "nope"),
                 "{got:?} at {threads} threads"
             );
         }
         // A budget ample for the sequential run stays ample in parallel.
-        let q = parse_query("for $x in $root/a return ($x, $x)").unwrap();
+        let src = "for $x in $root/a return ($x, $x)";
         let tight = Budget {
             max_steps: 10_000,
             max_items: 10_000,
             ..Budget::default()
         };
-        assert!(eval_with(&q, &Env::with_root(doc.to_tree()), tight.clone()).is_ok());
+        assert!(par(src, &doc, tight.clone()).is_ok());
         for threads in [2usize, 4] {
             let b = tight.clone().with_threads(Threads::N(threads));
-            assert!(eval_query_par(&q, &doc, b).is_ok());
+            assert!(par(src, &doc, b).is_ok());
         }
     }
 
@@ -782,11 +637,10 @@ mod tests {
         // were treated as unlimited anywhere, the second item of each
         // chunk would silently evaluate with no cap instead of erroring.
         let doc = arena("<r><a/><a/><a/><a/></r>");
-        let q = parse_query("for $x in $root/a return <w>{ $x }</w>").unwrap();
-        let body = parse_query("<w>{ $x }</w>").unwrap();
-        let mut env = Env::new();
-        env.bind(Var::new("x"), Tree::leaf("a"));
-        let (_, per_item) = eval_with(&body, &env, Budget::default()).unwrap();
+        let body = compile_query(&parse_query("<w>{ $x }</w>").unwrap());
+        let a = doc.children(doc.root())[0];
+        let bound = [(Var::new("x"), a)];
+        let (_, per_item) = exec_bound(&body, &doc, &bound, Budget::default()).unwrap();
         // Two items per chunk at 2 threads; cap = exactly one item's steps.
         let exact = Budget {
             max_steps: per_item.steps,
@@ -795,7 +649,11 @@ mod tests {
             ..Budget::default()
         };
         for _ in 0..3 {
-            let got = eval_query_par(&q, &doc, exact.clone());
+            let got = par(
+                "for $x in $root/a return <w>{ $x }</w>",
+                &doc,
+                exact.clone(),
+            );
             assert!(
                 matches!(got, Err(XqError::Budget { which: "steps" })),
                 "exact exhaustion must error deterministically, got {got:?}"

@@ -1,12 +1,10 @@
 //! The parallel planner: which parts of a query shard across threads.
 //!
-//! PR 4's data-parallel layer recognized exactly one shape — an
-//! element-wrapped outer `for` over a `$root` step chain — via the ad-hoc
-//! [`outer_for_split`](crate::par::outer_for_split). This module replaces
-//! that with a recursive analysis producing a [`ParPlan`], so the thread
-//! split reaches the shapes that dominate the paper's combined-complexity
+//! A recursive analysis produces a [`ParPlan`], so the thread split
+//! reaches the shapes that dominate the paper's combined-complexity
 //! workloads (`for`-nests, `Seq`s of loops, `let`-prefixed pipelines,
-//! `where`-filtered sources):
+//! `where`-filtered sources), not only an outer `for` over a `$root` step
+//! chain:
 //!
 //! * **`Seq` branches** plan independently: each branch shards on its own
 //!   and the executor concatenates branch results in branch order, which
@@ -26,25 +24,26 @@
 //!   see [`Query::Let`] — and shards as a loop.)
 //! * **Predicate-filtered sources** resolve: a source of the shape
 //!   `for $w in σ where φ return $w` (the parser desugars `where` to
-//!   `if φ then $w`) resolves σ to nodes and evaluates φ per candidate —
-//!   via the Figure 1 condition semantics, all candidates drawing on one
-//!   shared instance of the caller's budget — keeping the passing nodes.
+//!   `if φ then $w`) resolves σ to nodes and runs that `if φ then $w`
+//!   body per candidate on the bytecode VM, with `$w` and the pinned
+//!   nodes bound (all candidates drawing on one shared instance of the
+//!   caller's budget), keeping the candidates it returns.
 //!   Filtered loops therefore still shard. Any evaluation error during
 //!   filtering (including exhausting that shared allowance) aborts
 //!   resolution, and the query falls back to the sequential engine, which
 //!   reproduces the error (or the result) exactly.
 //!
 //! Anything the analysis cannot prove shardable becomes an
-//! [`ParPlan::Opaque`] leaf and runs on the ordinary sequential evaluator
-//! with the full environment — so a plan is *always* executable, and the
+//! [`ParPlan::Opaque`] leaf and runs on the VM sequentially with the
+//! hoisted bindings in scope — so a plan is *always* executable, and the
 //! executors' byte-identical-to-sequential contract (see
 //! [`crate::par`]) holds for every shape, not just the recognized ones.
 //! The `par_diff` differential suite asserts this at 1/2/4/8 threads over
 //! random queries biased toward every planner shape.
 
-use crate::ast::{cond_as_query, Query, Var};
-use crate::fragments::free_vars;
-use crate::semantics::{eval_cond_with_stats, Budget, Env};
+use crate::ast::{Query, Var};
+use crate::semantics::Budget;
+use crate::vm::{compile_query, exec_bound, CompiledPlan};
 use cv_xtree::{ArenaDoc, Label, NodeId};
 
 /// Ceiling on the number of `NodeId` slots a flattened work-list may
@@ -65,15 +64,15 @@ pub enum ParPlan<'q> {
     /// order (Figure 1 `Seq`).
     Seq(Vec<ParPlan<'q>>),
     /// A `for`/`let` binding whose source resolved to exactly one arena
-    /// node: the executor binds the variable to that node's subtree once
-    /// (materialized once, shared with every worker) and runs the inner
-    /// plan — the "hoisted `let` source" of the module docs.
+    /// node: the executor binds the variable to that node for the inner
+    /// plan (every worker reads it by id) — the "hoisted `let` source" of
+    /// the module docs.
     Hoist(Var, NodeId, Box<ParPlan<'q>>),
     /// A shardable loop (possibly a flattened nest): the work-list rows
     /// split across workers.
     Shard(ShardPlan<'q>),
-    /// Not provably shardable: run this subquery on the sequential
-    /// evaluator under the ambient environment.
+    /// Not provably shardable: run this subquery sequentially, with the
+    /// hoisted bindings in scope.
     Opaque(&'q Query),
 }
 
@@ -116,7 +115,7 @@ impl<'q> ShardPlan<'q> {
     }
 
     /// The loop body, evaluated once per row with [`ShardPlan::vars`]
-    /// bound to the row's node subtrees.
+    /// bound to the row's nodes.
     pub fn body(&self) -> &'q Query {
         self.body
     }
@@ -128,15 +127,16 @@ impl<'q> ParPlan<'q> {
     /// evaluation across the whole planning session draws on one shared
     /// instance of it, so planner work never exceeds one sequential
     /// evaluation's allowance. Exhaustion aborts the affected resolution
-    /// and that loop falls back to the sequential path. Predicates read
-    /// `$root` and the pinned nodes from the document's node table
-    /// ([`ArenaDoc::shared_node`]) — materialized once per document and
-    /// shared with the executors — so planning never builds a tree of
-    /// its own.
+    /// and that loop falls back to the sequential path. Each filter's
+    /// `if φ then $w` body is compiled once per planning session and run
+    /// on the VM, so the allowance is drawn in VM steps and items, and
+    /// predicates read `$root`, `$w` and the pinned variables as node
+    /// ids.
     pub fn of(q: &'q Query, doc: &ArenaDoc, budget: Budget) -> ParPlan<'q> {
         let mut planner = Planner {
             doc,
             remaining: budget,
+            filters: Vec::new(),
         };
         planner.plan(q, &mut Vec::new())
     }
@@ -163,27 +163,16 @@ impl<'q> ParPlan<'q> {
             ParPlan::Opaque(_) => 0,
         }
     }
-
-    /// Whether any evaluated part (shard body or opaque leaf) references
-    /// `$root` — i.e. whether the executor must materialize the root tree
-    /// (once, before the thread split) at all.
-    pub fn needs_root(&self) -> bool {
-        match self {
-            ParPlan::Wrap(_, p) | ParPlan::Hoist(_, _, p) => p.needs_root(),
-            ParPlan::Seq(ps) => ps.iter().any(ParPlan::needs_root),
-            ParPlan::Shard(sp) => free_vars(sp.body).contains(&Var::root()),
-            ParPlan::Opaque(q) => free_vars(q).contains(&Var::root()),
-        }
-    }
 }
 
-/// Planner state: the document and the shared predicate allowance (the
-/// caller's budget, drawn down by every filter verdict). A filter
-/// predicate binds `$root` and pinned nodes to entries of the document's
-/// node table ([`ArenaDoc::shared_node`]), the trees the executors use.
+/// Planner state: the document, the shared predicate allowance (the
+/// caller's budget, drawn down by every filter verdict), and each filter
+/// body compiled so far, keyed by its address in the query (the planning
+/// session borrows the query, so addresses are stable).
 struct Planner<'d> {
     doc: &'d ArenaDoc,
     remaining: Budget,
+    filters: Vec<(*const Query, CompiledPlan)>,
 }
 
 /// Bindings the planner has pinned to arena nodes (hoisted `let`s and,
@@ -314,8 +303,8 @@ impl<'d> Planner<'d> {
                     // Identity loop: `for $w in σ return $w` ≡ σ.
                     Query::Var(v) if v == w => Some(candidates),
                     // Filter loop: `for $w in σ where φ return $w`.
-                    Query::If(cond, then) if matches!(&**then, Query::Var(v) if v == w) => {
-                        self.filter(w, candidates, cond, env)
+                    Query::If(_, then) if matches!(&**then, Query::Var(v) if v == w) => {
+                        self.filter(w, candidates, body, env)
                     }
                     _ => None,
                 }
@@ -324,44 +313,44 @@ impl<'d> Planner<'d> {
         }
     }
 
-    /// Keeps the candidates satisfying `cond` (with `w` bound to the
-    /// candidate's subtree), evaluating the predicate with the Figure 1
-    /// condition semantics. **All** predicate evaluations of the whole
-    /// planning session draw on *one* instance of the caller's budget
-    /// (`self.remaining`, decremented by the resources each verdict
-    /// consumed), so planner work is bounded by a single sequential
-    /// evaluation's allowance — never candidates × budget. Any evaluation
-    /// error, including exhausting that shared allowance, aborts
-    /// resolution (→ sequential fallback, which reproduces the error or
-    /// the result exactly — predicates run *before* any loop body in
-    /// Figure 1's `For`, so error order is preserved).
+    /// Keeps the candidates for which the filter body `if φ then $w`
+    /// returns its item, running it on the VM with the pinned nodes and
+    /// `w` (the candidate, innermost) bound. The body compiles once per
+    /// planning session. **All** predicate evaluations of the session
+    /// draw on *one* instance of the caller's budget (`self.remaining`,
+    /// decremented by the resources each run consumed), so planner work
+    /// is bounded by a single sequential evaluation's allowance — never
+    /// candidates × budget. Any evaluation error, including exhausting
+    /// that shared allowance, aborts resolution (→ sequential fallback,
+    /// which reproduces the error or the result exactly — predicates run
+    /// *before* any loop body in Figure 1's `For`, so error order is
+    /// preserved).
     fn filter(
         &mut self,
         w: &Var,
         candidates: Vec<NodeId>,
-        cond: &crate::ast::Cond,
+        body: &Query,
         env: &NodeEnv,
     ) -> Option<Vec<NodeId>> {
-        let fv = free_vars(&cond_as_query(cond));
-        let mut tree_env = Env::new();
-        if fv.contains(&Var::root()) {
-            tree_env.bind(Var::root(), self.doc.shared_tree().clone());
-        }
-        for (v, n) in env {
-            if fv.contains(v) {
-                tree_env.bind(v.clone(), self.doc.shared_node(*n).clone());
+        let key: *const Query = body;
+        let i = match self.filters.iter().position(|(k, _)| *k == key) {
+            Some(i) => i,
+            None => {
+                self.filters.push((key, compile_query(body)));
+                self.filters.len() - 1
             }
-        }
+        };
+        let plan = &self.filters[i].1;
+        let mut bound = env.clone();
+        bound.push((w.clone(), self.doc.root()));
         let mut out = Vec::new();
         for n in candidates {
-            tree_env.bind(w.clone(), self.doc.shared_node(n).clone());
-            let verdict = eval_cond_with_stats(cond, &tree_env, self.remaining.clone());
-            tree_env.pop();
-            match verdict {
-                Ok((pass, stats)) => {
+            bound.last_mut().expect("the candidate's binding").1 = n;
+            match exec_bound(plan, self.doc, &bound, self.remaining.clone()) {
+                Ok((kept, stats)) => {
                     self.remaining.max_steps = self.remaining.max_steps.saturating_sub(stats.steps);
                     self.remaining.max_items = self.remaining.max_items.saturating_sub(stats.items);
-                    if pass {
+                    if !kept.is_empty() {
                         out.push(n);
                     }
                 }
@@ -401,7 +390,6 @@ mod tests {
         };
         assert_eq!(sp.width(), 1);
         assert_eq!(sp.len(), 3);
-        assert!(!p.needs_root());
     }
 
     #[test]
@@ -523,17 +511,6 @@ mod tests {
             let q = parse_query(src).unwrap();
             assert!(!plan(&q, &doc).engages(), "{src} must not engage");
         }
-    }
-
-    #[test]
-    fn needs_root_tracks_shard_bodies_and_opaque_leaves() {
-        let doc = arena("<r><a/><a/></r>");
-        let q = parse_query("for $x in $root/a return <w>{ $x }</w>").unwrap();
-        assert!(!plan(&q, &doc).needs_root());
-        let q = parse_query("for $x in $root/a return ($x, $root)").unwrap();
-        assert!(plan(&q, &doc).needs_root());
-        let q = parse_query("(for $x in $root/a return <w/>, $root/a)").unwrap();
-        assert!(plan(&q, &doc).needs_root(), "opaque branch mentions $root");
     }
 
     #[test]

@@ -17,9 +17,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How many worker threads the data-parallel entry points
-/// ([`crate::par::eval_query_par`] and friends) may use. The sequential
-/// evaluator ignores this knob.
+/// How many worker threads the data-parallel entry point
+/// ([`crate::par::eval_compiled_par`]) may use. The sequential evaluator
+/// ignores this knob.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Threads {
     /// Single-threaded (the default — identical to the sequential path).
@@ -330,7 +330,7 @@ impl std::error::Error for XqError {}
 /// side map indexes each name to its binding positions, so
 /// [`Env::lookup`] is one hash probe instead of a linear scan over the
 /// live bindings — on a deep `for`-nest the scan is O(nesting depth)
-/// *per variable reference*, which the T16 harness row measures.
+/// *per variable reference*.
 #[derive(Clone, Debug, Default)]
 pub struct Env {
     bindings: Vec<(Var, Tree)>,
@@ -372,19 +372,6 @@ impl Env {
     pub fn lookup(&self, v: &Var) -> Option<&Tree> {
         let &slot = self.index.get(v)?.last()?;
         Some(&self.bindings[slot as usize].1)
-    }
-
-    /// The pre-index lookup: a reverse linear scan over the binding stack.
-    /// Kept as the reference implementation — property tests assert it
-    /// agrees with [`Env::lookup`], and the `par_scaling` bench contrasts
-    /// their costs on deep `for`-nests.
-    #[doc(hidden)]
-    pub fn lookup_linear(&self, v: &Var) -> Option<&Tree> {
-        self.bindings
-            .iter()
-            .rev()
-            .find(|(name, _)| name == v)
-            .map(|(_, t)| t)
     }
 
     /// Number of bindings.

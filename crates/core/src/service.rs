@@ -94,11 +94,12 @@
 //!
 //! The VM runs over the [`ArenaDoc`] itself
 //! ([`exec_doc`](crate::vm::exec_doc)): node ids, preorder-range axis
-//! scans and interned-label compares. Results and sharded plans borrow
-//! from the document's [`shared_tree`](ArenaDoc::shared_tree), built once
-//! per document and shared by every worker, so a document is converted
-//! to trees at most once per process, not once per request or per
-//! worker. Workers hold no per-worker state.
+//! scans and interned-label compares; threaded requests shard the same
+//! VM ([`eval_compiled_par`](crate::eval_compiled_par)). Results borrow
+//! from the document's node table ([`ArenaDoc::shared_node`]), built
+//! once per document and shared by every worker, so a document is
+//! converted to trees at most once per process, not once per request or
+//! per worker. Workers hold no per-worker state.
 
 use crate::fault::{FaultPoint, Faults, INJECTED_PANIC_PREFIX};
 use crate::semantics::{Budget, XqError};

@@ -11,14 +11,19 @@
 //! and quantifiers run as jump-backed loops, so evaluation depth is
 //! heap-bounded rather than call-stack-bounded.
 //!
-//! The one entry point, [`exec_doc`], binds `$root` to the root of an
-//! [`ArenaDoc`]. Document values are `NodeId`s: axis steps walk
-//! contiguous child slices and `id+1..subtree_end` preorder ranges, node
-//! tests and comparisons against constants compare interned [`LabelId`]s
-//! (query text is resolved with [`LabelId::lookup`], never interned), and
-//! node-against-node `=deep` is the arena's iterative preorder compare.
-//! A caller holding a [`Tree`] converts it once with
-//! [`ArenaDoc::from_tree`].
+//! The entry point, [`exec_bound`], runs a plan over an [`ArenaDoc`]
+//! with some of its free variables bound to document nodes: a free name
+//! resolves to its innermost binding in that slice, and `$root`, unless
+//! a binding shadows it, to the document's root. [`exec_doc`] is the
+//! case with no bindings; the parallel executor ([`crate::par`]) runs
+//! shard bodies, opaque plan leaves and planner filters with their loop
+//! and hoisted variables bound. Document values are `NodeId`s: axis
+//! steps walk contiguous child slices and `id+1..subtree_end` preorder
+//! ranges, node tests and comparisons against constants compare
+//! interned [`LabelId`]s (query text is resolved with
+//! [`LabelId::lookup`], never interned), and node-against-node `=deep`
+//! is the arena's iterative preorder compare. A caller holding a
+//! [`Tree`] converts it once with [`ArenaDoc::from_tree`].
 //!
 //! Lists are regions of one value stack, not vectors of their own: a
 //! list runs from its mark to the next one (the top list to the end of
@@ -62,7 +67,22 @@ pub fn exec_doc(
     doc: &ArenaDoc,
     budget: Budget,
 ) -> Result<(Vec<Tree>, EvalStats), XqError> {
-    Machine::new(plan, doc, budget).run_plan(plan)
+    exec_bound(plan, doc, &[], budget)
+}
+
+/// [`exec_doc`] with the plan's free variables `bound` to nodes of `doc`,
+/// innermost binding last; a name bound nowhere falls back to `$root`,
+/// then fails as unbound. The outcome is [`eval_with`](crate::eval_with)'s
+/// over an environment binding `$root` and then each pair to its node's
+/// subtree — trees, `steps`, `items` and errors alike; `max_env_depth`
+/// counts scopes from the plan's own, as if only `$root` were bound.
+pub fn exec_bound(
+    plan: &CompiledPlan,
+    doc: &ArenaDoc,
+    bound: &[(Var, NodeId)],
+    budget: Budget,
+) -> Result<(Vec<Tree>, EvalStats), XqError> {
+    Machine::new(plan, doc, bound, budget).run_plan(plan)
 }
 
 /// [`exec_doc`] over `env`'s `$root`, converted to an arena on every
@@ -238,8 +258,15 @@ impl Stacks {
 struct Machine<'d> {
     budget: Budget,
     stats: EvalStats,
-    /// The input document; `$root` is its root, the only free binding.
+    /// The input document; `$root` is its root unless `bound` shadows it.
     doc: &'d ArenaDoc,
+    /// Free variables bound to document nodes, innermost last.
+    bound: &'d [(Var, NodeId)],
+    /// The free variable resolved last, by the address of its name, and
+    /// its node: a run's bindings never change, so a reference that
+    /// resolved once (a comparison in a fused loop, say) is one pointer
+    /// compare from then on.
+    last_free: Cell<(*const u8, NodeId)>,
     s: Stacks,
 }
 
@@ -269,7 +296,12 @@ fn fused_quant_body(ops: &[OpCode], pc: usize) -> Option<&OpCode> {
 }
 
 impl<'d> Machine<'d> {
-    fn new(plan: &CompiledPlan, doc: &'d ArenaDoc, budget: Budget) -> Self {
+    fn new(
+        plan: &CompiledPlan,
+        doc: &'d ArenaDoc,
+        bound: &'d [(Var, NodeId)],
+        budget: Budget,
+    ) -> Self {
         let mut s = SPARE.with(Cell::take);
         s.locals.resize(plan.slots(), None);
         s.memo.resize(plan.instrs().len(), None);
@@ -277,6 +309,8 @@ impl<'d> Machine<'d> {
             budget,
             stats: EvalStats::default(),
             doc,
+            bound,
+            last_free: Cell::new((std::ptr::null(), doc.root())),
             s,
         }
     }
@@ -327,14 +361,22 @@ impl<'d> Machine<'d> {
         self.s.marks.push(self.s.vals.len());
     }
 
-    /// A free variable's value: `$root` is the document's root; any
-    /// other is unbound.
+    /// A free variable's value: its innermost binding, else `$root` is
+    /// the document's root; any other is unbound.
     fn free(&self, v: &Var) -> Result<NodeId, XqError> {
-        if v.name() == "root" {
-            Ok(self.doc.root())
-        } else {
-            Err(XqError::UnboundVariable(v.name().to_string()))
+        let (last, node) = self.last_free.get();
+        if last == v.name().as_ptr() {
+            return Ok(node);
         }
+        let node = if let Some(&(_, n)) = self.bound.iter().rev().find(|(name, _)| name == v) {
+            n
+        } else if v.name() == "root" {
+            self.doc.root()
+        } else {
+            return Err(XqError::UnboundVariable(v.name().to_string()));
+        };
+        self.last_free.set((v.name().as_ptr(), node));
+        Ok(node)
     }
 
     /// The variable's current value, borrowed.
@@ -1020,6 +1062,56 @@ mod tests {
              if (some $v in $w//* satisfies $v = $y) then $y//*",
         ] {
             sweep_text(src, DOC);
+        }
+    }
+
+    #[test]
+    fn bound_free_variables_match_the_interpreter() {
+        let tree = parse_tree(DOC).unwrap();
+        let arena = ArenaDoc::from_tree(&tree);
+        let kids = arena.children(arena.root());
+        let (a, k) = (kids[0], kids[3]);
+        let sets: [&[(&str, NodeId)]; 5] = [
+            &[],
+            &[("x", a)],
+            &[("x", a), ("y", k)],
+            // The innermost binding of a name wins.
+            &[("x", a), ("x", k)],
+            // A binding named `root` shadows the document's root.
+            &[("root", k), ("x", a)],
+        ];
+        for src in [
+            "($x, $y, $root)",
+            "$x//*",
+            "for $z in $root//* return if ($z =atomic $x) then <w>{ ($z, $x/*) }</w>",
+            "if (some $z in $root//* satisfies $z = $x) then <hit>{ $x }</hit>",
+            "for $x in $root/* return ($x, $y)",
+        ] {
+            let plan = compile_query_text(src).unwrap();
+            let q = parse_query(src).unwrap();
+            for set in sets {
+                let bound: Vec<(Var, NodeId)> =
+                    set.iter().map(|&(v, n)| (Var::new(v), n)).collect();
+                let mut env = Env::with_root(tree.clone());
+                for (v, n) in &bound {
+                    env.bind(v.clone(), arena.subtree(*n));
+                }
+                let counted = |r: Result<(Vec<Tree>, EvalStats), XqError>| {
+                    r.map(|(out, s)| (out, s.steps, s.items))
+                };
+                for cap in 0.. {
+                    let budget = Budget {
+                        max_steps: cap,
+                        ..Budget::default()
+                    };
+                    let want = counted(eval_with(&q, &env, budget.clone()));
+                    let got = counted(exec_bound(&plan, &arena, &bound, budget));
+                    assert_eq!(got, want, "{src} with {set:?} at step cap {cap}");
+                    if want != Err(XqError::Budget { which: "steps" }) {
+                        break;
+                    }
+                }
+            }
         }
     }
 

@@ -25,9 +25,10 @@ use std::fmt;
 /// Binders (`for`/`let`/`some`/`every`) are lexically scoped and the
 /// language is nonrecursive, so every bound reference resolves statically
 /// to a slot indexed by scope depth. References the query does not bind
-/// ([`VarRef::Free`] — `$root`, or genuinely unbound names) resolve in
-/// the caller's [`Env`](crate::Env) at execution time, so unbound-variable
-/// errors surface at exactly the interpreter's point.
+/// ([`VarRef::Free`] — `$root`, a variable the caller binds, or a
+/// genuinely unbound name) resolve against the executor's bindings
+/// ([`exec_bound`](super::exec_bound)) at execution time, so
+/// unbound-variable errors surface at exactly the interpreter's point.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum VarRef {
     /// A query-bound variable: slot index (= static scope depth of its

@@ -4,7 +4,8 @@
 //! sources) must yield **byte-identical** results sequentially and at
 //! 1/2/4/8 worker threads, on both parallel engines:
 //!
-//! * `xq_core::par::eval_query_par` vs the Figure 1 reference semantics;
+//! * `xq_core::par::eval_compiled_par` vs the Figure 1 reference
+//!   semantics;
 //! * `xq_stream::stream_query` at each thread count vs its sequential
 //!   run, token-for-token, at the default buffer cap — and once more on
 //!   4 threads at buffer cap 1, where almost every source streams lazily
@@ -27,7 +28,7 @@ use cv_xtree::{random_tree, ArenaDoc, Axis, DoublingFamily, NodeTest, Tree, Tree
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use xq_core::ast::{Cond, EqMode, Query, Var};
-use xq_core::{eval_query_par, Budget, Threads};
+use xq_core::{compile_query, eval_compiled_par, Budget, Threads};
 
 /// Variables in scope are `$root` plus loop variables `v0..v{depth}`.
 fn var_in_scope(depth: usize) -> impl Strategy<Value = Var> {
@@ -64,7 +65,7 @@ fn var_step(depth: usize) -> impl Strategy<Value = Query> {
 }
 
 /// A chain of up to three steps grounded at `$root` — the source shape
-/// `resolve_node_source` parallelizes.
+/// the planner resolves to arena nodes.
 fn root_step_chain() -> impl Strategy<Value = Query> {
     proptest::collection::vec((axis(), node_test()), 1..=3).prop_map(|steps| {
         steps
@@ -129,9 +130,9 @@ fn eq_mode() -> impl Strategy<Value = EqMode> {
 }
 
 /// A `where`-filtered node source:
-/// `for $w in ⟨chain⟩ where φ($w) return $w` — the filter shape
-/// `resolve_node_source` evaluates inside the planner so filtered loops
-/// still shard.
+/// `for $w in ⟨chain⟩ where φ($w) return $w` — the filter shape the
+/// planner evaluates while resolving sources, so filtered loops still
+/// shard.
 fn filtered_source() -> impl Strategy<Value = Query> {
     (root_step_chain(), cond(1, 1)).prop_map(|(chain, c)| {
         // The predicate sees $w as "v0" (depth-1 scope), matching cond().
@@ -250,14 +251,15 @@ const FUEL: u64 = 50_000_000;
 fn assert_par_agrees(q: &Query, doc: &Tree) -> Result<(), TestCaseError> {
     let arena = ArenaDoc::from_tree(doc);
 
-    // Materializing engine: reference vs eval_query_par at every count.
+    // Materializing engine: reference vs eval_compiled_par at every count.
     let want = match xq_core::eval_query(q, doc) {
         Ok(out) => Ok(bytes(&out)),
         Err(e) => Err(e),
     };
+    let plan = compile_query(q);
     for threads in thread_counts() {
         let budget = Budget::default().with_threads(Threads::N(threads));
-        let result = eval_query_par(q, &arena, budget);
+        let result = eval_compiled_par(&plan, &arena, budget);
         // The satellite property: `parallelized` implies the sequential
         // run (if it succeeded) produced these exact bytes — checked via
         // the assert below; here we pin the stats side of the contract.
@@ -331,7 +333,7 @@ proptest! {
         for doc in &docs() {
             let arena = ArenaDoc::from_tree(doc);
             let budget = Budget::default().with_threads(Threads::N(4));
-            let Ok((out, stats)) = eval_query_par(&q, &arena, budget) else {
+            let Ok((out, stats)) = eval_compiled_par(&compile_query(&q), &arena, budget) else {
                 continue; // error determinism is assert_par_agrees' job
             };
             if stats.parallelized {

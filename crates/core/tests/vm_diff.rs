@@ -18,8 +18,8 @@
 //! round-trips through the parser (so text-keyed caching is faithful),
 //! compilation is deterministic, and the baked `par_hint` is sound with
 //! respect to the planner (`ParPlan::engages ⟹ par_hint`). The parallel
-//! entry points (`eval_compiled_par` vs `eval_query_par`) are compared at
-//! 1/2/4/8 threads on arena documents.
+//! entry point (`eval_compiled_par`, the sharded VM) is compared with
+//! Figure 1 at 1/2/4/8 threads on arena documents.
 //!
 //! `XQ_RANDOM_CASES` scales the corpus (CI pins 16; local default 64).
 //! The `#[ignore]`d full-size variant (weekly `scheduled.yml` run)
@@ -32,8 +32,7 @@ use cv_xtree::{random_tree, ArenaDoc, DoublingFamily, Tree, TreeGen};
 use xq_core::ast::Query;
 use xq_core::vm::{compile_query, exec_doc, par_hint, PlanCache};
 use xq_core::{
-    eval_compiled_par, eval_query_par, eval_with, parse_query, Budget, Env, ParPlan, Threads,
-    XqError,
+    eval_compiled_par, eval_query, eval_with, parse_query, Budget, Env, ParPlan, Threads, XqError,
 };
 
 /// Cases per property: `XQ_RANDOM_CASES` if set (CI uses 16), else 64.
@@ -200,20 +199,24 @@ fn vm_matches_interpreter_on_the_coverage_corpus() {
     }
 }
 
-/// The parallel entry points agree: `eval_compiled_par` (VM sequential
-/// leg, shared planner) is byte- and error-identical to `eval_query_par`
-/// at every thread count.
+/// The parallel entry point agrees with Figure 1: `eval_compiled_par`
+/// (the sharded VM) is byte- and error-identical to `eval_query` at every
+/// thread count, under `par_diff`'s monotone-budget rule — where the
+/// sequential run exhausts its budget, the per-worker budgets may let the
+/// parallel run finish or fail elsewhere.
 #[test]
-fn compiled_parallel_matches_interpreted_parallel() {
+fn compiled_parallel_matches_figure_1() {
     for doc in &docs() {
         let arena = ArenaDoc::from_tree(doc);
         for q in corpus() {
             let plan = compile_query(&q);
+            let want = eval_query(&q, doc).map(|out| bytes(&out));
             for threads in [1usize, 2, 4, 8] {
                 let budget = Budget::default().with_threads(Threads::N(threads));
-                let want = eval_query_par(&q, &arena, budget.clone()).map(|(out, _)| bytes(&out));
                 let got = eval_compiled_par(&plan, &arena, budget).map(|(out, _)| bytes(&out));
-                assert_eq!(got, want, "{q} at {threads} threads");
+                if !matches!(want, Err(XqError::Budget { .. })) {
+                    assert_eq!(got, want, "{q} at {threads} threads");
+                }
             }
         }
     }

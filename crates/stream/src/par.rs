@@ -23,6 +23,7 @@ use cv_xtree::{ArenaDoc, IToken, NodeId, Token};
 use std::rc::Rc;
 use std::sync::Arc;
 use xq_core::ast::{Query, Var};
+use xq_core::free_vars;
 use xq_core::par::{chunks, run_queue, MergeGauge, RunMsg, RunTx};
 use xq_core::plan::{ParPlan, ShardPlan};
 
@@ -46,8 +47,8 @@ pub(crate) fn stream_par(
         buffer_cap: buffer_limit,
         threads,
     } = cfg;
-    // The planner's filter predicates evaluate under the Figure 1
-    // semantics; the agreement suites prove both engines semantically
+    // The planner's filter predicates run on the bytecode VM (Figure 1
+    // semantics); the agreement suites prove both engines semantically
     // identical, so a planner-filtered node set is exactly the item set
     // this engine would stream. Any planner fallback (including predicate
     // errors) lands on the sequential engine, which reproduces the
@@ -65,7 +66,7 @@ pub(crate) fn stream_par(
     if !plan.engages() {
         return crate::stream_query(q, doc, StreamConfig { threads: 1, ..cfg });
     }
-    let root: Option<Vec<Token>> = plan.needs_root().then(|| doc.tokens());
+    let root: Option<Vec<Token>> = needs_root(&plan).then(|| doc.tokens());
     let mut exec = StreamExec {
         doc,
         max_pulls,
@@ -87,6 +88,18 @@ pub(crate) fn stream_par(
     stats.tokens_out = out.len() as u64;
     stats.peak_buffered_tokens = stats.peak_buffered_tokens.max(gauge.peak());
     Ok((out, stats))
+}
+
+/// Whether any streamed part of `plan` (a shard body or an opaque leaf)
+/// references `$root` — i.e. whether the executor must tokenize the whole
+/// document (once, before the thread split) at all.
+fn needs_root(plan: &ParPlan<'_>) -> bool {
+    match plan {
+        ParPlan::Wrap(_, p) | ParPlan::Hoist(_, _, p) => needs_root(p),
+        ParPlan::Seq(ps) => ps.iter().any(needs_root),
+        ParPlan::Shard(sp) => free_vars(sp.body()).contains(&Var::root()),
+        ParPlan::Opaque(q) => free_vars(q).contains(&Var::root()),
+    }
 }
 
 /// Plan executor for the streaming engine.

@@ -152,8 +152,8 @@ impl From<&Label> for LabelId {
 
 /// A compact, thread-portable token: one symbol of a tag string with its
 /// label interned. An `IToken` is `Copy` and 4 bytes + discriminant (no
-/// refcount traffic at all), so the data-parallel evaluators use it to
-/// ship per-chunk results back to the merging thread, where
+/// refcount traffic at all), so the parallel streaming engine uses it to
+/// ship per-chunk token runs back to the merging thread, where
 /// [`IToken::resolve`] reconstitutes ordinary tokens.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum IToken {
@@ -179,65 +179,6 @@ impl IToken {
             IToken::Close(id) => Token::Close(id.label()),
         }
     }
-}
-
-/// Interns a whole tag string (see [`IToken::intern`]).
-pub fn intern_tokens(tokens: &[Token]) -> Vec<IToken> {
-    tokens.iter().map(IToken::intern).collect()
-}
-
-/// Resolves a whole interned tag string (see [`IToken::resolve`]).
-pub fn resolve_tokens(itokens: &[IToken]) -> Vec<Token> {
-    itokens.iter().map(|t| t.resolve()).collect()
-}
-
-/// Rebuilds a forest of [`Tree`]s straight from interned tokens — the
-/// merge path of the data-parallel evaluators. Equivalent to
-/// `Tree::forest_from_tokens(&resolve_tokens(itokens))` (identical error
-/// messages), but with no intermediate `Vec<Token>` materialization:
-/// labels resolve through the per-thread cache exactly once per token, so
-/// splicing many per-worker `IToken` buffers into one result forest is a
-/// single pass over plain `Copy` data.
-pub fn forest_from_itokens(itokens: &[IToken]) -> Result<Vec<Tree>, crate::XmlError> {
-    struct Frame {
-        label: Label,
-        children: Vec<Tree>,
-    }
-    let mut stack: Vec<Frame> = Vec::new();
-    let mut roots: Vec<Tree> = Vec::new();
-    for (i, tok) in itokens.iter().enumerate() {
-        match tok {
-            IToken::Open(id) => stack.push(Frame {
-                label: id.label(),
-                children: Vec::new(),
-            }),
-            IToken::Close(id) => {
-                let l = id.label();
-                let frame = stack.pop().ok_or_else(|| crate::XmlError {
-                    offset: i,
-                    message: format!("unmatched closing tag </{l}>"),
-                })?;
-                if frame.label != l {
-                    return Err(crate::XmlError {
-                        offset: i,
-                        message: format!("mismatched tags: <{}> closed by </{l}>", frame.label),
-                    });
-                }
-                let t = Tree::node(frame.label, frame.children);
-                match stack.last_mut() {
-                    Some(parent) => parent.children.push(t),
-                    None => roots.push(t),
-                }
-            }
-        }
-    }
-    if let Some(f) = stack.last() {
-        return Err(crate::XmlError {
-            offset: itokens.len(),
-            message: format!("unclosed tag <{}>", f.label),
-        });
-    }
-    Ok(roots)
 }
 
 /// One lock stripe of the global interner: the labels owned by this shard
@@ -966,39 +907,6 @@ mod tests {
                     ));
                 }
             }
-        }
-    }
-
-    #[test]
-    fn interned_tokens_round_trip() {
-        let doc = ArenaDoc::from_tree(&sample());
-        let tokens = doc.tokens();
-        let itokens = intern_tokens(&tokens);
-        assert_eq!(resolve_tokens(&itokens), tokens);
-    }
-
-    #[test]
-    fn forest_from_itokens_matches_the_token_path() {
-        // A two-root forest: the merge path's normal shape.
-        let (a, b) = (sample(), Tree::node("x", [Tree::leaf("y")]));
-        let mut itokens = intern_tokens(&a.tokens());
-        itokens.extend(intern_tokens(&b.tokens()));
-        let got = forest_from_itokens(&itokens).unwrap();
-        assert_eq!(got, vec![a, b]);
-        assert_eq!(forest_from_itokens(&[]).unwrap(), vec![]);
-    }
-
-    #[test]
-    fn forest_from_itokens_rejects_with_identical_messages() {
-        let (a, b) = (LabelId::intern("a"), LabelId::intern("b"));
-        for bad in [
-            vec![IToken::Close(a)],
-            vec![IToken::Open(a)],
-            vec![IToken::Open(a), IToken::Close(b)],
-        ] {
-            let via_tokens = Tree::forest_from_tokens(&resolve_tokens(&bad)).unwrap_err();
-            let via_itokens = forest_from_itokens(&bad).unwrap_err();
-            assert_eq!(via_itokens, via_tokens, "error for {bad:?}");
         }
     }
 

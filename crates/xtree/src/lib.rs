@@ -24,10 +24,7 @@ mod generate;
 mod parse;
 mod tree;
 
-pub use arena::{
-    forest_from_itokens, intern_tokens, interned_labels, resolve_tokens, ArenaBuilder, ArenaDoc,
-    IToken, LabelId, LabelInterner, NodeId,
-};
+pub use arena::{interned_labels, ArenaBuilder, ArenaDoc, IToken, LabelId, LabelInterner, NodeId};
 pub use generate::{random_arena_document, random_forest, random_tree, DoublingFamily, TreeGen};
 pub use parse::{parse_forest, parse_tree, XmlError};
 pub use tree::{Label, Token, Tree};
