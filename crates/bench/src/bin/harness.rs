@@ -257,8 +257,8 @@ struct T16Row {
 /// runs the VM: the 1-thread row is the sequential VM that serves
 /// single-threaded tenants, the others the sharded VM. An eval row is
 /// the median of [`T16_ROUNDS`] runs interleaved across the thread
-/// counts. Self-checking: the 2- and 4-thread rows may take at most 1.2x
-/// the 1-thread row.
+/// counts, and so is a stream row. Self-checking: the 2- and 4-thread
+/// eval rows may take at most 1.2x the 1-thread row.
 fn t16_parallel() -> Vec<T16Row> {
     use xq_core::{compile_query, eval_compiled_par, Threads};
 
@@ -296,18 +296,15 @@ fn t16_parallel() -> Vec<T16Row> {
         let eval_us = interleaved_medians_us(T16_ROUNDS, &THREADS, |threads| {
             eval_compiled_par(&plan, &doc, unbounded(threads)).unwrap();
         });
-        let (eval_base, mut stream_base) = (eval_us[0], 0.0);
-        for (&threads, &eval_us) in THREADS.iter().zip(&eval_us) {
+        let stream_us = interleaved_medians_us(T16_ROUNDS, &THREADS, |threads| {
             let cfg = xq_stream::StreamConfig {
                 threads,
                 ..xq_stream::StreamConfig::buffered(u64::MAX)
             };
-            let stream_us = time_us(2, || {
-                xq_stream::stream_query(&qs, &doc, cfg).unwrap();
-            });
-            if threads == 1 {
-                stream_base = stream_us;
-            }
+            xq_stream::stream_query(&qs, &doc, cfg).unwrap();
+        });
+        let (eval_base, stream_base) = (eval_us[0], stream_us[0]);
+        for ((&threads, &eval_us), &stream_us) in THREADS.iter().zip(&eval_us).zip(&stream_us) {
             println!(
                 "| {family} ({n}) | {} | {outer_items} | {threads} | {eval_us:.1} | {stream_us:.1} | {:.2}x | {:.2}x |",
                 family.size(n),
@@ -1358,8 +1355,7 @@ fn t18_json(rows: &[T18Row]) -> String {
 /// Runs of the T18 service batch its median is taken over.
 const T18_BATCH_RUNS: usize = 31;
 
-/// Median wall time of `runs` calls of `f` (after one warm-up), in µs.
-/// Rounds of T16's interleaved eval timing.
+/// Rounds of T16's interleaved timing.
 const T16_ROUNDS: usize = 7;
 
 /// The median time of `f(k)` for each `k` of `ks`, measured in `rounds`
@@ -1385,17 +1381,9 @@ fn interleaved_medians_us(rounds: usize, ks: &[usize], mut f: impl FnMut(usize))
         .collect()
 }
 
+/// Median wall time of `runs` calls of `f` (after one warm-up), in µs.
 fn median_us(runs: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut times: Vec<f64> = (0..runs)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[runs / 2]
+    interleaved_medians_us(runs, &[0], |_| f())[0]
 }
 
 /// Times `f` over `iters` runs (after one warmup) and returns mean µs.

@@ -340,3 +340,29 @@ fn stream_chunk_runs(
     tx.send(batch);
     tx.finish(result);
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xq_core::{parse_query, Budget};
+
+    #[test]
+    fn needs_root_tracks_shard_bodies_and_opaque_leaves() {
+        let doc = ArenaDoc::parse("<r><a/><a/></r>").unwrap();
+        let needs = |text: &str| {
+            let q = parse_query(text).unwrap();
+            let plan = ParPlan::of(&q, &doc, Budget::default());
+            assert!(plan.engages(), "{text} must shard");
+            needs_root(&plan)
+        };
+        assert!(!needs("for $x in $root/a return <w>{ $x }</w>"));
+        assert!(!needs(
+            "<out>{ for $x in $root/a return <w>{ $x }</w> }</out>"
+        ));
+        assert!(needs("for $x in $root/a return ($x, $root)"));
+        assert!(
+            needs("(for $x in $root/a return <w/>, $root/a)"),
+            "opaque branch mentions $root"
+        );
+    }
+}
