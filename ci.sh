@@ -107,10 +107,16 @@ cargo test --release --offline --manifest-path servebench/Cargo.toml
 
 # The machine-readable experiment tables: T16 parallel scaling, T17
 # planner coverage, T18 VM vs interpreter, T19 network serving, T20
-# connection scaling, T21 chaos soak.
+# connection scaling, T21 chaos soak. Each table checks itself as it
+# runs. They are written under target/bench-tables/ (CI uploads them from
+# there), so a CI run leaves the committed BENCH_T*.json at the root
+# alone; regenerate those on purpose with the harness command in the
+# README.
+TABLES=target/bench-tables
+mkdir -p "$TABLES"
 for t in 16 17 18 19 20 21; do
-    step "T$t harness table (machine-readable: BENCH_T$t.json)"
-    cargo run --release -p xq_bench --bin harness -- --only "t$t" --json "BENCH_T$t.json" > /dev/null
+    step "T$t harness table (machine-readable: $TABLES/BENCH_T$t.json)"
+    cargo run --release -p xq_bench --bin harness -- --only "t$t" --json "$TABLES/BENCH_T$t.json" > /dev/null
 done
 
 step "cargo bench --no-run --workspace (bench targets must compile)"

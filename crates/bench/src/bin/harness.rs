@@ -1386,6 +1386,23 @@ fn median_us(runs: usize, mut f: impl FnMut()) -> f64 {
     interleaved_medians_us(runs, &[0], |_| f())[0]
 }
 
+/// Median µs of `Tree::tokens` over `trees` and of `ArenaDoc::tokens`
+/// over `arenas`, timed interleaved for `rounds` rounds.
+fn tokenize_medians_us(rounds: usize, trees: &[cv_xtree::Tree], arenas: &[ArenaDoc]) -> [f64; 2] {
+    let us = interleaved_medians_us(rounds, &[0, 1], |k| {
+        if k == 0 {
+            for t in trees {
+                std::hint::black_box(t.tokens());
+            }
+        } else {
+            for a in arenas {
+                std::hint::black_box(a.tokens());
+            }
+        }
+    });
+    [us[0], us[1]]
+}
+
 /// Times `f` over `iters` runs (after one warmup) and returns mean µs.
 fn time_us(iters: u32, mut f: impl FnMut()) -> f64 {
     f();
@@ -1514,12 +1531,13 @@ fn t15_arena() {
     println!("|---|---|---|---|");
     let tree = DoublingFamily::Binary.tree(7);
     let arena = DoublingFamily::Binary.arena(7);
-    let t_us = time_us(50, || {
-        std::hint::black_box(tree.tokens());
-    });
-    let a_us = time_us(50, || {
-        std::hint::black_box(arena.tokens());
-    });
+    // Each pair of rows is timed interleaved (median of 101 alternating
+    // rounds): separate means drift apart with the host's CPU speed.
+    let [t_us, a_us] = tokenize_medians_us(
+        101,
+        std::slice::from_ref(&tree),
+        std::slice::from_ref(&arena),
+    );
     println!(
         "| binary n=7 | {t_us:.1} | {a_us:.1} | {:.1}x |",
         t_us / a_us
@@ -1532,16 +1550,7 @@ fn t15_arena() {
         })
         .collect();
     let arenas: Vec<ArenaDoc> = corpus.iter().map(ArenaDoc::from_tree).collect();
-    let ct_us = time_us(500, || {
-        for d in &corpus {
-            std::hint::black_box(d.tokens());
-        }
-    });
-    let ca_us = time_us(500, || {
-        for d in &arenas {
-            std::hint::black_box(d.tokens());
-        }
-    });
+    let [ct_us, ca_us] = tokenize_medians_us(501, &corpus, &arenas);
     println!(
         "| random-queries docs() corpus | {ct_us:.2} | {ca_us:.2} | {:.1}x |",
         ct_us / ca_us
@@ -1568,7 +1577,7 @@ fn t15_arena() {
         1u64 << 12,
         tp_us / dp_us
     );
-    println!("\nShape: contiguous id-indexed vectors beat per-node Rc allocation on build and axis scans; tokenization and the path-set encoding (where Term construction dominates) run at about the same speed on both stores.");
+    println!("\nShape: contiguous id-indexed vectors beat per-node Rc allocation on build and axis scans; the path-set encoding (where Term construction dominates) and tokenizing a 255-node document run at about the same speed on both stores, while the arena pays a per-call cost tokenizing 10-node documents.");
 }
 
 /// T1 — Theorem 5.6 / Lemma 5.7(a,b): NTM reduction.

@@ -276,216 +276,6 @@ fn exec_seq(
     ))
 }
 
-// ---------------------------------------------------------------------
-// Incremental merge plumbing: bounded token-run queues + a shared
-// high-water gauge. The streaming engine's parallel path (xq_stream)
-// uses these so workers hand their output to the merger in small runs
-// instead of one fully-materialized per-chunk buffer — peak queued
-// tokens is bounded by `parts × cap` regardless of result size. The
-// eval-side merge above hands over whole result vectors on purpose: its
-// output is materialized trees anyway, so an incremental hand-off would
-// bound nothing.
-// ---------------------------------------------------------------------
-
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-
-/// High-water gauge over everything queued in one merge: all
-/// [`run_queue`]s of a merge share one gauge, so `peak()` is the maximum
-/// number of tokens simultaneously in flight between the workers and the
-/// merger — the number that proves the merge incremental.
-#[derive(Debug, Default)]
-pub struct MergeGauge {
-    cur: AtomicU64,
-    peak: AtomicU64,
-}
-
-impl MergeGauge {
-    pub fn new() -> MergeGauge {
-        MergeGauge::default()
-    }
-
-    fn add(&self, n: u64) {
-        let now = self.cur.fetch_add(n, Ordering::SeqCst) + n;
-        self.peak.fetch_max(now, Ordering::SeqCst);
-    }
-
-    fn sub(&self, n: u64) {
-        self.cur.fetch_sub(n, Ordering::SeqCst);
-    }
-
-    /// Peak tokens simultaneously queued across every attached queue.
-    pub fn peak(&self) -> u64 {
-        self.peak.load(Ordering::SeqCst)
-    }
-}
-
-/// One message out of a [`run_queue`].
-pub enum RunMsg<T, F> {
-    /// A run of tokens, in stream order.
-    Run(Vec<T>),
-    /// The producer finished; carries its final result. Always the last
-    /// message.
-    Done(F),
-}
-
-struct RunInner<T, F> {
-    runs: VecDeque<Vec<T>>,
-    queued: usize,
-    done: Option<F>,
-    finished: bool,
-    rx_alive: bool,
-}
-
-struct RunShared<T, F> {
-    inner: Mutex<RunInner<T, F>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-    cap: usize,
-    gauge: Arc<MergeGauge>,
-}
-
-/// Sending half of a [`run_queue`]. Dropping it without
-/// [`finish`](RunTx::finish) (a panicking producer) marks the queue
-/// finished with no result; the receiver panics on that queue, which the
-/// join of the producer's thread turns into the producer's own panic.
-pub struct RunTx<T, F> {
-    shared: Arc<RunShared<T, F>>,
-}
-
-/// Receiving half of a [`run_queue`]. Dropping it (an aborted merge)
-/// disconnects the producer: pending runs are discarded and every
-/// subsequent send is a no-op, so producers never block on a merger that
-/// went away.
-pub struct RunRx<T, F> {
-    shared: Arc<RunShared<T, F>>,
-}
-
-/// A bounded single-producer single-consumer queue of token *runs*,
-/// capped by total queued tokens (not run count). The producer blocks in
-/// [`RunTx::send`] while the consumer is `cap` or more tokens behind;
-/// [`RunTx::finish`] always goes through (the final result is not a
-/// token). All queues of one merge share a [`MergeGauge`], whose peak
-/// bounds the merge's in-flight memory.
-pub fn run_queue<T, F>(cap: usize, gauge: Arc<MergeGauge>) -> (RunTx<T, F>, RunRx<T, F>) {
-    let shared = Arc::new(RunShared {
-        inner: Mutex::new(RunInner {
-            runs: VecDeque::new(),
-            queued: 0,
-            done: None,
-            finished: false,
-            rx_alive: true,
-        }),
-        not_full: Condvar::new(),
-        not_empty: Condvar::new(),
-        cap,
-        gauge,
-    });
-    (
-        RunTx {
-            shared: shared.clone(),
-        },
-        RunRx { shared },
-    )
-}
-
-impl<T, F> RunTx<T, F> {
-    /// Queues one run, blocking while the queue is at capacity. Empty
-    /// runs and sends after the receiver dropped are no-ops.
-    pub fn send(&self, run: Vec<T>) {
-        if run.is_empty() {
-            return;
-        }
-        let mut inner = self.shared.inner.lock().expect("run queue poisoned");
-        while inner.rx_alive && inner.queued >= self.shared.cap && !inner.runs.is_empty() {
-            inner = self
-                .shared
-                .not_full
-                .wait(inner)
-                .expect("run queue poisoned");
-        }
-        if !inner.rx_alive {
-            return; // merger gone: discard, never block
-        }
-        inner.queued += run.len();
-        self.shared.gauge.add(run.len() as u64);
-        inner.runs.push_back(run);
-        drop(inner);
-        self.shared.not_empty.notify_one();
-    }
-
-    /// Marks the stream complete with its final result. Bypasses the
-    /// capacity bound (a result is not queued tokens).
-    pub fn finish(self, result: F) {
-        let mut inner = self.shared.inner.lock().expect("run queue poisoned");
-        inner.done = Some(result);
-        inner.finished = true;
-        drop(inner);
-        self.shared.not_empty.notify_one();
-    }
-}
-
-impl<T, F> Drop for RunTx<T, F> {
-    fn drop(&mut self) {
-        let mut inner = self.shared.inner.lock().expect("run queue poisoned");
-        // Runs after `finish` too (it takes self by value); setting the
-        // flag twice is harmless, and a producer that never called
-        // `finish` (a panic) leaves `done` empty for recv to detect.
-        inner.finished = true;
-        drop(inner);
-        self.shared.not_empty.notify_one();
-    }
-}
-
-impl<T, F> RunRx<T, F> {
-    /// The next message, blocking until one is available. Runs drain in
-    /// send order; [`RunMsg::Done`] is returned exactly once, after the
-    /// last run.
-    ///
-    /// # Panics
-    ///
-    /// If called again after `Done`, or if the producer dropped without
-    /// calling [`RunTx::finish`] (i.e. it panicked).
-    pub fn recv(&mut self) -> RunMsg<T, F> {
-        let mut inner = self.shared.inner.lock().expect("run queue poisoned");
-        loop {
-            if let Some(run) = inner.runs.pop_front() {
-                inner.queued -= run.len();
-                self.shared.gauge.sub(run.len() as u64);
-                drop(inner);
-                self.shared.not_full.notify_one();
-                return RunMsg::Run(run);
-            }
-            if inner.finished {
-                let result = inner
-                    .done
-                    .take()
-                    .expect("producer dropped without finishing (or recv after Done)");
-                return RunMsg::Done(result);
-            }
-            inner = self
-                .shared
-                .not_empty
-                .wait(inner)
-                .expect("run queue poisoned");
-        }
-    }
-}
-
-impl<T, F> Drop for RunRx<T, F> {
-    fn drop(&mut self) {
-        let mut inner = self.shared.inner.lock().expect("run queue poisoned");
-        inner.rx_alive = false;
-        for run in inner.runs.drain(..) {
-            self.shared.gauge.sub(run.len() as u64);
-        }
-        inner.queued = 0;
-        drop(inner);
-        self.shared.not_full.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

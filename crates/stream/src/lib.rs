@@ -41,9 +41,9 @@
 //!   `O(live cursors × cap)`. [`StreamStats::buffered_sources`] counts
 //!   decisions that held.
 //! * `par` — the planner-sharded parallel path: workers stream chunks
-//!   through the same pipeline and hand the merger bounded interned-token
-//!   runs, consumed incrementally in chunk order
-//!   ([`StreamStats::peak_buffered_tokens`] proves the bound).
+//!   through the same pipeline and send the merger token runs over bounded
+//!   `std::sync::mpsc::sync_channel`s, consumed incrementally in chunk
+//!   order ([`StreamStats::peak_buffered_tokens`] proves the bound).
 //!
 //! The `cursor_diff` differential suite checks the engine byte-identical
 //! to the Figure 1 interpreter over the coverage corpus and pins its
@@ -59,7 +59,6 @@ mod pipeline;
 
 pub use buffer::BufferPolicy;
 pub use cursor::{BoxCursor, Cursor};
-pub use par::{QUEUE_CAP_TOKENS as PAR_QUEUE_CAP_TOKENS, RUN_TOKENS as PAR_RUN_TOKENS};
 pub use pipeline::Pipeline;
 
 /// Streaming failure.
@@ -117,11 +116,13 @@ pub struct StreamStats {
     /// source overflowed the per-source cap.
     pub lazy_fallbacks: u64,
     /// High-water mark of tokens parked in working buffers: per-source
-    /// item buffers, and (on the parallel path) the worker→merger run
-    /// queues. Maximum across workers/accounting domains, not a sum —
-    /// each domain tracks its own peak. This is the number that proves
-    /// the parallel merge incremental: it stays bounded while
-    /// `tokens_out` grows.
+    /// item buffers, and (on the parallel path) the token runs in flight
+    /// between the workers and the merger — sent or about to be sent and
+    /// not yet received, summed over one sharded loop's channels and at
+    /// most `workers × (8,192 + 512)` tokens. Maximum across accounting
+    /// domains, not a sum — each domain tracks its own peak. This is the
+    /// number that proves the parallel merge incremental: it stays
+    /// bounded while `tokens_out` grows.
     pub peak_buffered_tokens: u64,
 }
 
@@ -186,10 +187,13 @@ impl StreamConfig {
 /// loop's rows split into contiguous chunks; workers stream the body with
 /// the loop variables bound to row token slices straight out of the
 /// shared arena — exactly the binding the buffered fast path would
-/// produce. Per-chunk output crosses back as bounded interned-token runs
-/// that the merger consumes *incrementally* in chunk (= iteration) order,
-/// so the stream is byte-identical to the sequential one while peak
-/// in-flight memory stays bounded ([`StreamStats::peak_buffered_tokens`]).
+/// produce. Per-chunk output crosses back as token runs over one bounded
+/// channel per worker, which the merger drains *incrementally* in chunk
+/// (= iteration) order, so the stream is byte-identical to the sequential
+/// one while peak in-flight memory stays bounded
+/// ([`StreamStats::peak_buffered_tokens`]). An error stops the merge at
+/// the first failing chunk in chunk order; the other workers still finish
+/// their chunks.
 /// Queries the planner cannot shard take the sequential path. The
 /// `$root` token stream, when some body needs it, is tokenized once
 /// before the thread split; each worker re-wraps the shared slice.
@@ -654,6 +658,40 @@ mod tests {
                 "{name}: peak {} exceeds bound {bound}",
                 stats.peak_buffered_tokens
             );
+        }
+    }
+
+    /// An aborted merge: the first error in chunk order wins while later
+    /// workers are still blocked in `send`, and none of them deadlocks.
+    /// Each `M` row emits 18,006 tokens, past one channel's bound, so at 4
+    /// threads the workers after the failing chunk are stuck on full
+    /// channels when the merger returns; with `B` last the merger drains
+    /// full chunks before it meets the error.
+    #[test]
+    fn par_merge_aborts_on_first_chunk_error() {
+        let row = |leaves: usize| format!("<a>{}</a>", "<b/>".repeat(leaves));
+        let (big, medium) = (row(20_000), row(3_000));
+        let q = parse_query("for $x in $root/a return ($x, $x, $x)").unwrap();
+        // On the 4-thread path an M row charges 48,021 pulls and the B
+        // row 320,021; the budget sits halfway, so only B's chunk fails
+        // there (the sequential path charges 84,040 per M row).
+        let max_pulls = (48_021 + 320_021) / 2;
+        let budgeted = |threads| StreamConfig {
+            max_pulls,
+            ..par(threads)
+        };
+        let ms = medium.repeat(3);
+        assert!(stream_query(&q, &arena(&format!("<r>{ms}</r>")), budgeted(4)).is_ok());
+        for doc in [format!("<r>{big}{ms}</r>"), format!("<r>{ms}{big}</r>")] {
+            let doc = arena(&doc);
+            for threads in [1, 2, 4] {
+                assert!(stream_query(&q, &doc, par(threads)).is_ok());
+                assert_eq!(
+                    stream_query(&q, &doc, budgeted(threads)).unwrap_err(),
+                    StreamError::Budget,
+                    "{threads} threads"
+                );
+            }
         }
     }
 

@@ -3,37 +3,47 @@
 //!
 //! Workers do not materialize their chunk's output. Each one streams its
 //! rows through the same cursor pipeline as the sequential paths and
-//! hands the merger small interned-token runs over a bounded
-//! [`run_queue`](xq_core::par::run_queue) — a worker that gets more than
-//! [`QUEUE_CAP_TOKENS`] ahead of the merger blocks until the merger
-//! catches up. The merger drains the queues in chunk (= iteration) order,
-//! so the spliced stream is byte-identical to the sequential one while
-//! peak in-flight memory is bounded by `workers × cap` tokens instead of
-//! the full result size. The shared [`MergeGauge`] records the high-water
-//! mark, reported as [`StreamStats::peak_buffered_tokens`].
+//! sends the merger runs of at most [`RUN_TOKENS`] tokens over a bounded
+//! [`sync_channel`] of `QUEUE_CAP_TOKENS / RUN_TOKENS` runs: a worker
+//! that gets [`QUEUE_CAP_TOKENS`] ahead of the merger blocks in `send`
+//! until the merger catches up. The merger drains the channels in chunk
+//! (= iteration) order, so the spliced stream is byte-identical to the
+//! sequential one while peak in-flight memory is bounded by
+//! `workers × (QUEUE_CAP_TOKENS + RUN_TOKENS)` tokens instead of the full
+//! result size. A private gauge records the high-water mark, reported as
+//! [`StreamStats::peak_buffered_tokens`].
 //!
-//! Error semantics match the materialized merge this replaced: every
-//! worker runs its chunk to completion (an aborted merge only disconnects
-//! their queues), and the first error in chunk order wins.
+//! The materializing engine's sharded merge (`xq_core::par`) hands over
+//! whole per-chunk result vectors instead: its output is materialized
+//! trees anyway, so an incremental hand-off would bound nothing there.
+//! A token stream is the one result form whose size an incremental merge
+//! can keep out of memory.
+//!
+//! Error semantics match a materialized merge: every worker runs its
+//! chunk to completion (an aborted merge only drops the receivers, so
+//! their sends fail instead of blocking), and the first error in chunk
+//! order wins.
 
 use crate::cursor::{bind, Binding, Env, Shared};
 use crate::pipeline::build_query;
 use crate::{StreamConfig, StreamError, StreamStats};
-use cv_xtree::{ArenaDoc, IToken, NodeId, Token};
+use cv_xtree::{ArenaDoc, NodeId, Token};
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SendError};
 use xq_core::ast::{Query, Var};
 use xq_core::free_vars;
-use xq_core::par::{chunks, run_queue, MergeGauge, RunMsg, RunTx};
+use xq_core::par::chunks;
 use xq_core::plan::{ParPlan, ShardPlan};
 
 /// Tokens a worker batches per run before handing off to the merger
-/// (amortizes queue locking without meaningfully delaying the merge).
-pub const RUN_TOKENS: usize = 512;
+/// (amortizes channel synchronization without meaningfully delaying the
+/// merge).
+pub(crate) const RUN_TOKENS: usize = 512;
 
-/// Per-queue cap on queued tokens: a worker this far ahead of the merger
-/// blocks until the merger catches up.
-pub const QUEUE_CAP_TOKENS: usize = 8 * 1024;
+/// Per-channel cap on queued tokens: a worker this far ahead of the
+/// merger blocks until the merger catches up.
+pub(crate) const QUEUE_CAP_TOKENS: usize = 8 * 1024;
 
 /// The parallel path of [`stream_query`](crate::stream_query)
 /// (`cfg.threads <= 1` short-circuits before reaching here).
@@ -76,17 +86,10 @@ pub(crate) fn stream_par(
         hoisted: Vec::new(),
         out: Vec::new(),
         stats: StreamStats::default(),
-        gauge: Arc::new(MergeGauge::new()),
     };
     exec.run(&plan)?;
-    let StreamExec {
-        out,
-        mut stats,
-        gauge,
-        ..
-    } = exec;
+    let StreamExec { out, mut stats, .. } = exec;
     stats.tokens_out = out.len() as u64;
-    stats.peak_buffered_tokens = stats.peak_buffered_tokens.max(gauge.peak());
     Ok((out, stats))
 }
 
@@ -114,8 +117,6 @@ struct StreamExec<'d> {
     hoisted: Vec<(Var, Vec<Token>)>,
     out: Vec<Token>,
     stats: StreamStats,
-    /// High-water mark over every merge queue of this execution.
-    gauge: Arc<MergeGauge>,
 }
 
 impl StreamExec<'_> {
@@ -194,7 +195,7 @@ impl StreamExec<'_> {
         let hoisted = self.hoisted.as_slice();
         if parts.len() <= 1 {
             // One chunk: stream inline — no thread to pay for, and no
-            // reason to round-trip the output through interned tokens.
+            // channel to cross.
             let chunk = parts.first().copied().unwrap_or(&[]);
             let out = &mut self.out;
             let s = stream_rows(
@@ -211,52 +212,96 @@ impl StreamExec<'_> {
             self.merge_stats(&s);
             return Ok(());
         }
-        let gauge = &self.gauge;
+        let gauge = Gauge::default();
         let out = &mut self.out;
-        type ChunkResult = Result<StreamStats, StreamError>;
         let merged: Result<Vec<StreamStats>, StreamError> = std::thread::scope(|scope| {
-            let mut rxs = Vec::with_capacity(parts.len());
-            for &chunk in &parts {
-                let (tx, rx) = run_queue::<IToken, ChunkResult>(QUEUE_CAP_TOKENS, gauge.clone());
-                scope.spawn(move || {
-                    stream_chunk_runs(
-                        doc,
-                        vars,
-                        body,
-                        chunk,
-                        max_pulls,
-                        buffer_limit,
-                        root,
-                        hoisted,
-                        tx,
-                    )
-                });
-                rxs.push(rx);
-            }
-            // Merge on this thread, chunk by chunk in order. An error
-            // returns early; dropping the remaining receivers disconnects
-            // their workers (sends become no-ops), which finish their
-            // chunks and exit before the scope joins them — the same
-            // run-to-completion semantics as the materialized merge, so
-            // the first error in chunk order wins deterministically.
-            let mut per_chunk = Vec::with_capacity(rxs.len());
-            for mut rx in rxs {
-                loop {
-                    match rx.recv() {
-                        RunMsg::Run(run) => out.extend(run.iter().map(|t| t.resolve())),
-                        RunMsg::Done(res) => {
-                            per_chunk.push(res?);
-                            break;
+            let gauge = &gauge;
+            let workers: Vec<_> = parts
+                .iter()
+                .map(|&chunk| {
+                    let (tx, rx) = sync_channel::<Vec<Token>>(QUEUE_CAP_TOKENS / RUN_TOKENS);
+                    let worker = scope.spawn(move || {
+                        let send = |run: Vec<Token>| {
+                            gauge.add(run.len());
+                            if let Err(SendError(run)) = tx.send(run) {
+                                gauge.sub(run.len()); // merger gone
+                            }
+                        };
+                        let mut run = Vec::with_capacity(RUN_TOKENS);
+                        let result = stream_rows(
+                            doc,
+                            vars,
+                            body,
+                            chunk,
+                            max_pulls,
+                            buffer_limit,
+                            root,
+                            hoisted,
+                            |t| {
+                                run.push(t);
+                                if run.len() == RUN_TOKENS {
+                                    send(std::mem::replace(
+                                        &mut run,
+                                        Vec::with_capacity(RUN_TOKENS),
+                                    ));
+                                }
+                            },
+                        );
+                        if !run.is_empty() {
+                            send(run);
                         }
-                    }
+                        result
+                    });
+                    (rx, worker)
+                })
+                .collect();
+            // Merge on this thread, chunk by chunk in order: drain a
+            // channel until its worker drops the sender, then join the
+            // worker for its result. An error returns early; dropping the
+            // remaining receivers makes their workers' sends fail, and
+            // those workers finish their chunks before the scope joins
+            // them, so the first error in chunk order wins.
+            let mut per_chunk = Vec::with_capacity(workers.len());
+            for (rx, worker) in workers {
+                for run in rx {
+                    gauge.sub(run.len());
+                    out.extend(run);
                 }
+                let result = worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                per_chunk.push(result?);
             }
             Ok(per_chunk)
         });
+        let peak = gauge.peak.into_inner();
+        self.stats.peak_buffered_tokens = self.stats.peak_buffered_tokens.max(peak);
         for s in merged? {
             self.merge_stats(&s);
         }
         Ok(())
+    }
+}
+
+/// Tokens in flight between one shard's workers and the merger: a run
+/// counts from just before its send until the merger receives it (or the
+/// send fails). Each channel holds at most `QUEUE_CAP_TOKENS / RUN_TOKENS`
+/// runs and a blocked worker holds one more, so the peak is at most
+/// `workers × (QUEUE_CAP_TOKENS + RUN_TOKENS)`.
+#[derive(Default)]
+struct Gauge {
+    cur: AtomicU64,
+    peak: AtomicU64,
+}
+
+impl Gauge {
+    fn add(&self, n: usize) {
+        let now = self.cur.fetch_add(n as u64, Ordering::SeqCst) + n as u64;
+        self.peak.fetch_max(now, Ordering::SeqCst);
+    }
+
+    fn sub(&self, n: usize) {
+        self.cur.fetch_sub(n as u64, Ordering::SeqCst);
     }
 }
 
@@ -300,45 +345,6 @@ fn stream_rows(
         }
     }
     Ok(shared.snapshot())
-}
-
-/// One worker's share of a sharded loop: [`stream_rows`] with the output
-/// crossing to the merger as bounded interned-token runs instead of one
-/// materialized buffer.
-#[allow(clippy::too_many_arguments)]
-fn stream_chunk_runs(
-    doc: &ArenaDoc,
-    vars: &[Var],
-    body: &Query,
-    rows: &[&[NodeId]],
-    max_pulls: u64,
-    buffer_limit: usize,
-    root: Option<&[Token]>,
-    hoisted: &[(Var, Vec<Token>)],
-    tx: RunTx<IToken, Result<StreamStats, StreamError>>,
-) {
-    let mut batch: Vec<IToken> = Vec::with_capacity(RUN_TOKENS);
-    let result = stream_rows(
-        doc,
-        vars,
-        body,
-        rows,
-        max_pulls,
-        buffer_limit,
-        root,
-        hoisted,
-        |t| {
-            batch.push(IToken::intern(&t));
-            if batch.len() >= RUN_TOKENS {
-                tx.send(std::mem::replace(
-                    &mut batch,
-                    Vec::with_capacity(RUN_TOKENS),
-                ));
-            }
-        },
-    );
-    tx.send(batch);
-    tx.finish(result);
 }
 
 #[cfg(test)]

@@ -150,37 +150,6 @@ impl From<&Label> for LabelId {
     }
 }
 
-/// A compact, thread-portable token: one symbol of a tag string with its
-/// label interned. An `IToken` is `Copy` and 4 bytes + discriminant (no
-/// refcount traffic at all), so the parallel streaming engine uses it to
-/// ship per-chunk token runs back to the merging thread, where
-/// [`IToken::resolve`] reconstitutes ordinary tokens.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum IToken {
-    /// `<a>`
-    Open(LabelId),
-    /// `</a>`
-    Close(LabelId),
-}
-
-impl IToken {
-    /// Interns the token's label.
-    pub fn intern(t: &Token) -> IToken {
-        match t {
-            Token::Open(l) => IToken::Open(LabelId::intern(l.as_str())),
-            Token::Close(l) => IToken::Close(LabelId::intern(l.as_str())),
-        }
-    }
-
-    /// Resolves back to an ordinary [`Token`].
-    pub fn resolve(self) -> Token {
-        match self {
-            IToken::Open(id) => Token::Open(id.label()),
-            IToken::Close(id) => Token::Close(id.label()),
-        }
-    }
-}
-
 /// One lock stripe of the global interner: the labels owned by this shard
 /// (slot-indexed) plus the reverse map, as `Arc<str>` so the table is
 /// shareable across threads.
@@ -855,13 +824,11 @@ mod tests {
     #[test]
     fn arena_and_label_ids_are_send_and_sync() {
         // Compile-time proof obligations for the data-parallel layer: the
-        // arena store and everything workers ship across threads, plus
-        // `Tree` itself (the planner builds shared values — the `$root`
-        // tree, hoisted `let` bindings — once and clones per worker).
+        // arena store the workers share, plus `Tree` itself (each worker
+        // returns its chunk's result trees to the merging thread).
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<LabelId>();
         assert_send_sync::<ArenaDoc>();
-        assert_send_sync::<IToken>();
         assert_send_sync::<LabelInterner>();
         assert_send_sync::<Tree>();
     }

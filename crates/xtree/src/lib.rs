@@ -24,7 +24,7 @@ mod generate;
 mod parse;
 mod tree;
 
-pub use arena::{interned_labels, ArenaBuilder, ArenaDoc, IToken, LabelId, LabelInterner, NodeId};
+pub use arena::{interned_labels, ArenaBuilder, ArenaDoc, LabelId, LabelInterner, NodeId};
 pub use generate::{random_arena_document, random_forest, random_tree, DoublingFamily, TreeGen};
 pub use parse::{parse_forest, parse_tree, XmlError};
 pub use tree::{Label, Token, Tree};
