@@ -124,8 +124,11 @@ step "cargo bench --no-run --workspace (bench targets must compile)"
 # umbrella package's benches and would skip every xq_bench target.
 cargo bench --no-run --workspace
 
-step "cargo doc --no-deps --workspace (warnings are errors)"
+# Twice: the public pass catches public docs linking to private items,
+# the private pass checks the links in crate-internal docs too.
+step "cargo doc --no-deps --workspace, public and private items (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --document-private-items --workspace
 
 step "examples"
 for ex in quickstart monad_algebra_tour composition_elimination complexity_frontier; do

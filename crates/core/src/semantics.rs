@@ -560,24 +560,12 @@ pub fn eval_query(q: &Query, t: &Tree) -> Result<Vec<Tree>, XqError> {
 /// Evaluates a condition in an environment (exposed for engines that share
 /// the Figure 1 condition semantics).
 pub fn eval_cond_with(c: &Cond, env: &Env, budget: Budget) -> Result<bool, XqError> {
-    eval_cond_with_stats(c, env, budget).map(|(b, _)| b)
-}
-
-/// [`eval_cond_with`] reporting the resources it consumed — the parallel
-/// planner uses this to charge filter-predicate evaluations against one
-/// shared budget instance across all candidates.
-pub fn eval_cond_with_stats(
-    c: &Cond,
-    env: &Env,
-    budget: Budget,
-) -> Result<(bool, EvalStats), XqError> {
     let mut interp = Interp {
         budget,
         stats: EvalStats::default(),
     };
     let mut env = env.clone();
-    let verdict = interp.eval_cond(c, &mut env)?;
-    Ok((verdict, interp.stats))
+    interp.eval_cond(c, &mut env)
 }
 
 /// The paper's Boolean-query convention for XQuery (§7.1): a query

@@ -214,12 +214,12 @@ pub struct PoolConfig {
     /// the supervisor to degraded draining (every job answered
     /// [`ServiceError::Internal`]) rather than hanging callers.
     pub restart_budget: u32,
-    /// Backoff before the first respawn; doubles per respawn up to
-    /// [`PoolConfig::MAX_BACKOFF`], resetting after a calm second.
-    pub restart_backoff: Duration,
 }
 
 impl PoolConfig {
+    /// Backoff before the first respawn; doubles per respawn up to
+    /// [`PoolConfig::MAX_BACKOFF`], resetting after a calm second.
+    pub const RESTART_BACKOFF: Duration = Duration::from_millis(1);
     /// Backoff ceiling for crash-looping pools.
     pub const MAX_BACKOFF: Duration = Duration::from_millis(100);
 }
@@ -230,7 +230,6 @@ impl Default for PoolConfig {
             workers: 2,
             faults: None,
             restart_budget: 32,
-            restart_backoff: Duration::from_millis(1),
         }
     }
 }
@@ -576,13 +575,12 @@ fn supervise(
     notices_tx: Sender<Notice>,
     mut handles: HashMap<usize, JoinHandle<()>>,
     mut budget: u32,
-    base_backoff: Duration,
 ) {
     /// A death this long after the previous one resets the backoff
     /// ladder — the pool was healthy in between.
     const CALM: Duration = Duration::from_secs(1);
     let mut next_id = handles.len();
-    let mut backoff = base_backoff;
+    let mut backoff = PoolConfig::RESTART_BACKOFF;
     let mut last_death: Option<Instant> = None;
     loop {
         match notices_rx.recv() {
@@ -605,7 +603,7 @@ fn supervise(
                     let _ = h.join();
                 }
                 if last_death.is_none_or(|t| t.elapsed() >= CALM) {
-                    backoff = base_backoff;
+                    backoff = PoolConfig::RESTART_BACKOFF;
                 }
                 last_death = Some(Instant::now());
                 let respawned = budget > 0 && {
@@ -614,15 +612,21 @@ fn supervise(
                     backoff = (backoff * 2).min(PoolConfig::MAX_BACKOFF);
                     let id = next_id;
                     next_id += 1;
+                    // Count the restart before the spawn counts the new
+                    // worker in `alive`, so a reader that sees the pool
+                    // back at full strength also sees every restart.
+                    pool.restarts.fetch_add(1, Ordering::SeqCst);
                     match spawn_worker(&pool, id, notices_tx.clone()) {
                         Ok(h) => {
-                            pool.restarts.fetch_add(1, Ordering::SeqCst);
                             handles.insert(id, h);
                             true
                         }
                         // Spawn failure (resource exhaustion) burns the
                         // budget like a failed restart.
-                        Err(_) => false,
+                        Err(_) => {
+                            pool.restarts.fetch_sub(1, Ordering::SeqCst);
+                            false
+                        }
                     }
                 };
                 if !respawned && handles.is_empty() && pool.alive.load(Ordering::SeqCst) == 0 {
@@ -870,7 +874,6 @@ impl QueryService {
                         notices_tx_sup,
                         handles,
                         config.restart_budget,
-                        config.restart_backoff,
                     )
                 })
                 .expect("spawning the pool supervisor")

@@ -113,7 +113,6 @@ fn exhausted_restart_budget_degrades_instead_of_hanging() {
         workers: 1,
         faults: Some(Arc::new(Faults::from_spec("completion-drop=1", 7).unwrap())),
         restart_budget: 2,
-        restart_backoff: Duration::from_millis(1),
     });
     let got = service.run_batch((0..6).map(|_| Request::new("$root/*", d.clone())).collect());
     assert_eq!(got.len(), 6, "every job answered, none hang");

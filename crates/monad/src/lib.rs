@@ -17,10 +17,10 @@
 //!
 //! * [`Expr`] — the algebra's abstract syntax, with a pretty-printer and
 //!   size metrics (used by the Lemma 5.7 reduction-size experiments);
-//! * [`eval`]/[`Evaluator`] — a materializing reference evaluator with
+//! * [`eval`](fn@eval)/[`Evaluator`] — a materializing reference evaluator with
 //!   resource budgets (the paper's queries can build doubly-exponential
 //!   values, Prop 4.2, so the engine must fail gracefully);
-//! * [`typecheck`] — a structural type checker for `Expr : τ → τ′`;
+//! * [`typecheck`](fn@typecheck) — a structural type checker for `Expr : τ → τ′`;
 //! * [`derived`] — the paper's derived forms: Cartesian product
 //!   (Example 2.1), Boolean connectives, `σ_γ`, `⊆`, `∩` (Example 2.3),
 //!   difference (Example 2.4), `=mon` expansion (Proposition 5.1), and the

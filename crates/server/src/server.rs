@@ -128,8 +128,12 @@ pub struct RateLimit {
 /// they need.
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Pool worker threads. Total server threads are `workers + 1` (the
-    /// reactor), independent of connection count.
+    /// Pool worker threads. While every tenant's budget has one thread,
+    /// total server threads are `workers + 1` (the reactor), independent
+    /// of connection count. A request whose budget has `threads` above 1
+    /// runs its loops on that many scoped threads inside its pool worker,
+    /// so the server can run up to `workers × threads` evaluation
+    /// threads.
     pub workers: usize,
     /// Admission high-water mark: frames arriving while this many
     /// requests are queued (accepted, unserved) are shed with an
@@ -274,7 +278,6 @@ impl Server {
                 workers: config.workers,
                 faults,
                 restart_budget: config.restart_budget,
-                ..PoolConfig::default()
             })
             .with_queue_capacity(config.queue_capacity),
         );

@@ -145,6 +145,11 @@ fn run_soak(spec: &str, seed: u64, workers: usize, conns: usize, per_conn: u64) 
     wait_for("pool back to full strength", || {
         server.alive_workers() == workers
     });
+    assert_eq!(
+        server.restarts(),
+        server.worker_deaths(),
+        "every crashed worker was respawned"
+    );
     let mut server = server;
     server.shutdown();
     transcript

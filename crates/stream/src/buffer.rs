@@ -8,9 +8,9 @@
 //! doubling-family outputs. The fix is a *per-source decision*, not a
 //! separate engine: every `for`/`some`/`every` source gets an
 //! [`ItemBuffer`] that materializes its items **once**, on demand, while
-//! the stream stays under the cap ([`BufferPolicy`], set from
-//! [`StreamConfig::buffer_cap`]). A source that overflows the cap
-//! reverts to the lazy discipline — `item_exists` probing plus lazy
+//! the stream stays under the cap ([`StreamConfig::buffer_cap`]; 0
+//! disables buffering, the pure Theorem 4.5 discipline). A source that
+//! overflows the cap reverts to the lazy discipline — `item_exists` probing plus lazy
 //! [`Binding`]s — so the Theorem 4.5 space bound degrades by at most
 //! `O(cap)` *per live loop/quantifier scope*.
 //!
@@ -31,32 +31,6 @@ use crate::StreamError;
 use cv_xtree::Token;
 use std::rc::Rc;
 use xq_core::ast::{Cond, Query, Var};
-
-/// How much of a `for`/`some`/`every` source the engine may materialize:
-/// the per-source token cap of the buffered fast path. `0` disables
-/// buffering entirely (the pure Theorem 4.5 discipline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BufferPolicy {
-    /// Per-source token cap; sources streaming past it fall back to lazy
-    /// re-streaming.
-    pub per_source_cap: usize,
-}
-
-impl BufferPolicy {
-    /// Pure lazy re-streaming — no source is ever materialized.
-    pub fn lazy() -> BufferPolicy {
-        BufferPolicy { per_source_cap: 0 }
-    }
-
-    /// A fixed per-source cap (what
-    /// [`StreamConfig::buffer_cap`](crate::StreamConfig::buffer_cap)
-    /// configures).
-    pub fn fixed(cap: usize) -> BufferPolicy {
-        BufferPolicy {
-            per_source_cap: cap,
-        }
-    }
-}
 
 /// Incrementally materialized items of a `for`/`some`/`every` source —
 /// the buffered fast path. One cursor streams the source exactly once;
@@ -136,22 +110,6 @@ impl<'q> ItemBuffer<'q> {
         }
         Ok(Some(self.items[m].clone()))
     }
-
-    fn fork(&self) -> ItemBuffer<'q> {
-        // The fork holds its own copy of the parked tokens; charge them so
-        // the high-water mark stays honest and the fork's drop balances.
-        self.shared.buffer_tokens(self.parked());
-        ItemBuffer {
-            shared: self.shared.clone(),
-            cursor: self.cursor.as_ref().map(|c| c.fork()),
-            items: self.items.clone(),
-            partial: self.partial.clone(),
-            depth: self.depth,
-            total: self.total,
-            overflowed: self.overflowed,
-            counted: self.counted,
-        }
-    }
 }
 
 impl Drop for ItemBuffer<'_> {
@@ -228,15 +186,6 @@ impl<'q> SourceIter<'q> {
             env: self.env.clone(),
             index: m,
         }))
-    }
-
-    pub(crate) fn fork(&self) -> SourceIter<'q> {
-        SourceIter {
-            source: self.source,
-            env: self.env.clone(),
-            m: self.m,
-            buf: self.buf.as_ref().map(ItemBuffer::fork),
-        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! The cursor core: one pull-based [`Cursor`] trait and the composable
 //! node cursors every `xq_stream` run is built from.
 //!
-//! A cursor is a restartable pull iterator over a token stream. Each node
+//! A cursor is a pull iterator over a token stream. Each node
 //! of the query plan becomes one cursor value — [`SliceCursor`] for raw
 //! input spans, [`ElemCursor`] for element construction, [`SeqCursor`]
 //! for concatenation, [`AxisStepCursor`] for axis steps, [`ForLoopCursor`]
@@ -30,12 +30,10 @@ use xq_core::ast::{Cond, Query, Var};
 
 /// A boxed [`Cursor`] — the form the pipeline builder hands out and the
 /// node cursors compose over.
-pub type BoxCursor<'q> = Box<dyn Cursor<'q> + 'q>;
+pub(crate) type BoxCursor<'q> = Box<dyn Cursor<'q> + 'q>;
 
 /// A pull-based stream of tokens: the one interface behind every
-/// `xq_stream` run.
-///
-/// The contract, in the order the engine relies on it:
+/// `xq_stream` run, the `getNext`/`atEnd` list iterator of Theorem 4.5.
 ///
 /// * [`pull`](Cursor::pull) returns the next [`Token`] of this cursor's
 ///   stream, `None` once exhausted (repeatable), or a [`StreamError`] —
@@ -43,34 +41,18 @@ pub type BoxCursor<'q> = Box<dyn Cursor<'q> + 'q>;
 ///   when exhausted. Budget errors are therefore deterministic functions
 ///   of the pull sequence, which is what lets the differential suites pin
 ///   error points exactly.
-/// * [`size_hint`](Cursor::size_hint) bounds the number of tokens still
-///   to come, `(lower, Some(upper))` or `(lower, None)` when unbounded —
-///   same discipline as [`Iterator::size_hint`]. Hints never affect
-///   results; the buffering policy uses them opportunistically.
-/// * [`fork`](Cursor::fork) clones the cursor *at its current position*
-///   into an independent stream (clone-for-restart): forking a
-///   freshly-built cursor yields a replayable copy of the whole stream.
-///   Forks register as live cursors like any other; the engine itself
-///   restarts by rebuilding from the query instead (cheaper and exactly
-///   what Theorem 4.5's recomputation discipline charges for), so `fork`
-///   exists for hand-composed pipelines and external consumers.
 /// * [`kill`](Cursor::kill) decays the cursor to the exhausted stream,
 ///   releasing all held state (child cursors leave the live gauge at that
 ///   moment). A killed cursor still charges one pull per [`pull`](Cursor::pull) and
 ///   returns `None` — it is how the axis step abandons a base stream
 ///   mid-match without distorting the budget accounting.
-pub trait Cursor<'q> {
+///
+/// There is no clone-for-restart: a restart (a variable reference, an
+/// axis step's next match) rebuilds the cursor from the query, which is
+/// exactly what Theorem 4.5's recomputation discipline charges for.
+pub(crate) trait Cursor<'q> {
     /// Pulls the next token, charging one pull against the budget.
     fn pull(&mut self) -> Result<Option<Token>, StreamError>;
-
-    /// `(lower, upper)` bounds on the tokens still to come.
-    fn size_hint(&self) -> (u64, Option<u64>) {
-        (0, None)
-    }
-
-    /// Clones this cursor at its current position into an independent
-    /// stream.
-    fn fork(&self) -> BoxCursor<'q>;
 
     /// Decays to the exhausted stream, releasing held state. Subsequent
     /// pulls still charge (one per call) and return `None`.
@@ -202,13 +184,6 @@ impl Meter {
     }
 }
 
-impl Clone for Meter {
-    fn clone(&self) -> Meter {
-        // A fork is a new live cursor.
-        Meter::new(&self.shared)
-    }
-}
-
 impl Drop for Meter {
     fn drop(&mut self) {
         self.shared.free();
@@ -286,16 +261,6 @@ impl<'q> Cursor<'q> for EmptyCursor {
         Ok(None)
     }
 
-    fn size_hint(&self) -> (u64, Option<u64>) {
-        (0, Some(0))
-    }
-
-    fn fork(&self) -> BoxCursor<'q> {
-        Box::new(EmptyCursor {
-            meter: self.meter.clone(),
-        })
-    }
-
     fn kill(&mut self) {}
 }
 
@@ -329,19 +294,6 @@ impl<'q> Cursor<'q> for SliceCursor {
         } else {
             Ok(None)
         }
-    }
-
-    fn size_hint(&self) -> (u64, Option<u64>) {
-        let left = (self.tokens.len() - self.pos) as u64;
-        (left, Some(left))
-    }
-
-    fn fork(&self) -> BoxCursor<'q> {
-        Box::new(SliceCursor {
-            meter: self.meter.clone(),
-            tokens: self.tokens.clone(),
-            pos: self.pos,
-        })
     }
 
     fn kill(&mut self) {
@@ -387,26 +339,6 @@ impl<'q> Cursor<'q> for ElemCursor<'q> {
             return Ok(Some(t));
         }
         Ok(None)
-    }
-
-    fn size_hint(&self) -> (u64, Option<u64>) {
-        match &self.body {
-            Some(b) => {
-                let (lo, hi) = b.size_hint();
-                let wrap = if self.opened { 1 } else { 2 };
-                (lo + wrap, hi.map(|h| h + wrap))
-            }
-            None => (0, Some(0)),
-        }
-    }
-
-    fn fork(&self) -> BoxCursor<'q> {
-        Box::new(ElemCursor {
-            meter: self.meter.clone(),
-            tag: self.tag.clone(),
-            opened: self.opened,
-            body: self.body.as_ref().map(|b| b.fork()),
-        })
     }
 
     fn kill(&mut self) {
@@ -455,25 +387,6 @@ impl<'q> Cursor<'q> for SeqCursor<'q> {
                 None => return Ok(None),
             }
         }
-    }
-
-    fn size_hint(&self) -> (u64, Option<u64>) {
-        let (lo, hi) = match &self.cur {
-            Some(c) => c.size_hint(),
-            None => (0, Some(0)),
-        };
-        match &self.rest {
-            Some(_) => (lo, None),
-            None => (lo, hi),
-        }
-    }
-
-    fn fork(&self) -> BoxCursor<'q> {
-        Box::new(SeqCursor {
-            meter: self.meter.clone(),
-            cur: self.cur.as_ref().map(|c| c.fork()),
-            rest: self.rest.clone(),
-        })
     }
 
     fn kill(&mut self) {
@@ -543,52 +456,22 @@ impl<'q> Cursor<'q> for ItemCursor<'q> {
         }
     }
 
-    fn fork(&self) -> BoxCursor<'q> {
-        Box::new(ItemCursor {
-            meter: self.meter.clone(),
-            inner: self.inner.as_ref().map(|c| c.fork()),
-            index: self.index,
-            seen: self.seen,
-            depth: self.depth,
-            done: self.done,
-        })
-    }
-
     fn kill(&mut self) {
         self.done = true;
         self.inner = None;
     }
 }
 
-/// What an axis step ranges over: a re-streamable base. The engine always
-/// steps over a query (rebuilt per match — the recomputation trade); a
-/// hand-composed pipeline can step straight over an input span.
-#[derive(Clone)]
-pub(crate) enum StepBase<'q> {
-    Query(&'q Query, Env<'q>),
-    Input(Rc<[Token]>),
-}
-
-impl<'q> StepBase<'q> {
-    /// Builds a fresh cursor over the base (one re-streaming, charged).
-    fn restream(&self, shared: &Shared) -> Result<BoxCursor<'q>, StreamError> {
-        shared.recompute();
-        match self {
-            StepBase::Query(q, env) => build_query(q, env, shared),
-            StepBase::Input(tokens) => Ok(Box::new(SliceCursor::new(tokens.clone(), shared))),
-        }
-    }
-}
-
-/// Axis step over all items of a re-streamable base: for each match
-/// index, the base is re-streamed and a [`MatchEmitter`] copies out the
+/// Axis step over all items of a base query: for each match index, the
+/// base is rebuilt (one charged re-streaming) and a [`MatchEmitter`] copies out the
 /// subtree of match #index; when a restart finds no further match the
 /// step is exhausted. This is the token-counter implementation of
 /// `child`/`descendant`/`self`/`descendant-or-self` from the paper —
 /// depth counters on the tag stream, no trees.
 pub(crate) struct AxisStepCursor<'q> {
     meter: Meter,
-    base: StepBase<'q>,
+    base: &'q Query,
+    env: Env<'q>,
     axis: Axis,
     test: NodeTest,
     match_idx: u64,
@@ -598,7 +481,8 @@ pub(crate) struct AxisStepCursor<'q> {
 
 impl<'q> AxisStepCursor<'q> {
     pub(crate) fn new(
-        base: StepBase<'q>,
+        base: &'q Query,
+        env: Env<'q>,
         axis: Axis,
         test: NodeTest,
         shared: &Shared,
@@ -606,6 +490,7 @@ impl<'q> AxisStepCursor<'q> {
         AxisStepCursor {
             meter: Meter::new(shared),
             base,
+            env,
             axis,
             test,
             match_idx: 0,
@@ -623,7 +508,9 @@ impl<'q> Cursor<'q> for AxisStepCursor<'q> {
                 return Ok(None);
             }
             if self.sub.is_none() {
-                let inner = self.base.restream(self.meter.shared())?;
+                let shared = self.meter.shared();
+                shared.recompute();
+                let inner = build_query(self.base, &self.env, shared)?;
                 self.sub = Some(MatchEmitter::new(
                     inner,
                     self.axis,
@@ -645,18 +532,6 @@ impl<'q> Cursor<'q> for AxisStepCursor<'q> {
                 }
             }
         }
-    }
-
-    fn fork(&self) -> BoxCursor<'q> {
-        Box::new(AxisStepCursor {
-            meter: self.meter.clone(),
-            base: self.base.clone(),
-            axis: self.axis,
-            test: self.test.clone(),
-            match_idx: self.match_idx,
-            sub: self.sub.as_ref().map(MatchEmitter::fork),
-            exhausted: self.exhausted,
-        })
     }
 
     fn kill(&mut self) {
@@ -692,19 +567,6 @@ impl<'q> MatchEmitter<'q> {
             depth: 0,
             emitting_from: None,
             found: false,
-        }
-    }
-
-    fn fork(&self) -> MatchEmitter<'q> {
-        MatchEmitter {
-            inner: self.inner.fork(),
-            axis: self.axis,
-            test: self.test.clone(),
-            target: self.target,
-            matches_seen: self.matches_seen,
-            depth: self.depth,
-            emitting_from: self.emitting_from,
-            found: self.found,
         }
     }
 
@@ -830,19 +692,6 @@ impl<'q> Cursor<'q> for ForLoopCursor<'q> {
         }
     }
 
-    fn fork(&self) -> BoxCursor<'q> {
-        Box::new(ForLoopCursor {
-            meter: self.meter.clone(),
-            var: self.var.clone(),
-            source: self.source,
-            body: self.body,
-            env: self.env.clone(),
-            iter: self.iter.as_ref().map(SourceIter::fork),
-            cur: self.cur.as_ref().map(|c| c.fork()),
-            exhausted: self.exhausted,
-        })
-    }
-
     fn kill(&mut self) {
         self.exhausted = true;
         self.iter = None;
@@ -896,17 +745,6 @@ impl<'q> Cursor<'q> for IfCursor<'q> {
             }
         }
         self.decided.as_mut().expect("just set").pull()
-    }
-
-    fn fork(&self) -> BoxCursor<'q> {
-        Box::new(IfCursor {
-            meter: self.meter.clone(),
-            cond: self.cond,
-            body: self.body,
-            env: self.env.clone(),
-            decided: self.decided.as_ref().map(|c| c.fork()),
-            dead: self.dead,
-        })
     }
 
     fn kill(&mut self) {

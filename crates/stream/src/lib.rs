@@ -26,18 +26,18 @@
 //! [`StreamConfig`] — a pull budget, a per-source buffer cap and a thread
 //! count — and every setting selects configuration, not a code path:
 //!
-//! * [`cursor`](self) — the [`Cursor`] trait (`pull`/`size_hint`/`fork`/
-//!   kill) and the node cursors (slice, element construction, sequence,
-//!   axis step, `for`-loop, conditional, lazy item handle), each charging
-//!   exactly one pull per call and registering in the live-cursor gauge
-//!   for its lifetime.
-//! * `pipeline` — [`Pipeline`], the one builder mapping a query AST (or
-//!   hand-picked stages) onto composed cursors over a shared budget.
-//! * `buffer` — the [`BufferPolicy`]-driven per-source buffering decision:
-//!   a `for`/`some`/`every` source streaming to completion within the cap
-//!   is materialized once and iterated as plain slices; an oversized
-//!   source falls back to the lazy Theorem 4.5 discipline
-//!   ([`StreamStats::lazy_fallbacks`]), so worst-case space is
+//! * `cursor` — the `Cursor` trait (`pull` and `kill`: the paper's
+//!   `getNext`/`atEnd` iterator) and the node cursors (slice, element
+//!   construction, sequence, axis step, `for`-loop, conditional, lazy item
+//!   handle), each charging exactly one pull per call and registering in
+//!   the live-cursor gauge for its lifetime.
+//! * `pipeline` — the one builder mapping a query AST onto composed
+//!   cursors over a shared budget.
+//! * `buffer` — the per-source buffering decision under
+//!   [`StreamConfig::buffer_cap`]: a `for`/`some`/`every` source streaming
+//!   to completion within the cap is materialized once and iterated as
+//!   plain slices; an oversized source falls back to the lazy Theorem 4.5
+//!   discipline ([`StreamStats::lazy_fallbacks`]), so worst-case space is
 //!   `O(live cursors × cap)`. [`StreamStats::buffered_sources`] counts
 //!   decisions that held.
 //! * `par` — the planner-sharded parallel path: workers stream chunks
@@ -57,9 +57,7 @@ mod cursor;
 mod par;
 mod pipeline;
 
-pub use buffer::BufferPolicy;
-pub use cursor::{BoxCursor, Cursor};
-pub use pipeline::Pipeline;
+use cursor::Shared;
 
 /// Streaming failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,7 +98,7 @@ pub struct StreamStats {
     /// constant number of references).
     pub peak_live_cursors: u64,
     /// Per-source buffering decisions that engaged and *held* — the
-    /// source stayed under the [`BufferPolicy`] cap for its whole life
+    /// source stayed under [`StreamConfig::buffer_cap`] for its whole life
     /// (fully drained or abandoned early without overflowing). Counted
     /// identically on the sequential and parallel paths (a
     /// planner-sharded loop counts once: its row set is a
@@ -146,7 +144,7 @@ pub struct StreamConfig {
     /// lazy discipline, so the Theorem 4.5 space bound degrades by at most
     /// `O(buffer_cap)` *per live loop/quantifier scope*. 0 is the pure
     /// Theorem 4.5 discipline — every variable reference re-streams
-    /// ([`BufferPolicy::lazy`]).
+    /// ([`StreamConfig::lazy`]).
     pub buffer_cap: usize,
     /// Worker threads for planner-shardable loops; `<= 1` streams
     /// sequentially.
@@ -208,14 +206,14 @@ pub fn stream_query(
     if cfg.threads > 1 {
         return par::stream_par(q, doc, cfg);
     }
-    let pipe = Pipeline::new(cfg.max_pulls, BufferPolicy::fixed(cfg.buffer_cap));
-    let mut cursor = pipe.build(q, doc.tokens())?;
+    let shared = Shared::new(cfg.max_pulls, cfg.buffer_cap);
+    let mut cursor = pipeline::build_root(q, doc.tokens().into(), &shared)?;
     let mut out = Vec::new();
     while let Some(t) = cursor.pull()? {
         out.push(t);
     }
     drop(cursor);
-    let mut stats = pipe.stats();
+    let mut stats = shared.snapshot();
     stats.tokens_out = out.len() as u64;
     Ok((out, stats))
 }
@@ -224,8 +222,8 @@ pub fn stream_query(
 /// the root element has a child (§7.1 convention); otherwise whether the
 /// stream is nonempty. Never materializes the result.
 pub fn stream_boolean(q: &Query, doc: &ArenaDoc, max_pulls: u64) -> Result<bool, StreamError> {
-    let pipe = Pipeline::new(max_pulls, BufferPolicy::lazy());
-    let mut cursor = pipe.build(q, doc.tokens())?;
+    let shared = Shared::new(max_pulls, 0);
+    let mut cursor = pipeline::build_root(q, doc.tokens().into(), &shared)?;
     match q {
         Query::Elem(_, _) => {
             let _open = cursor.pull()?;
@@ -695,33 +693,19 @@ mod tests {
         }
     }
 
-    /// Hand-composed pipelines: fork replays from the fork point, kill
-    /// decays to the (still charging) exhausted stream.
+    /// A killed cursor is the exhausted stream, and its pulls still
+    /// charge: the axis step relies on both when it abandons a base
+    /// stream partway through a match.
     #[test]
-    fn hand_composed_pipeline_forks_and_kills() {
-        use cv_xtree::{Axis, Label, NodeTest};
-        let t = parse_tree("<r><a><b/></a><c/><a/></r>").unwrap();
-        let pipe = Pipeline::new(10_000, BufferPolicy::lazy());
-        let mut step = pipe.step(t.tokens(), Axis::Child, NodeTest::Tag(Label::new("a")));
-        // Pull the first match's open tag, then fork: both streams must
-        // finish the remaining five tokens identically.
-        let first = pipe
-            .step(t.tokens(), Axis::Child, NodeTest::Tag(Label::new("a")))
-            .pull()
-            .unwrap();
-        assert_eq!(first, Some(Token::Open(Label::new("a"))));
-        assert!(step.pull().unwrap().is_some());
-        let mut fork = step.fork();
-        let rest: Vec<Token> = std::iter::from_fn(|| step.pull().unwrap()).collect();
-        let rest_fork: Vec<Token> = std::iter::from_fn(|| fork.pull().unwrap()).collect();
-        assert_eq!(rest, rest_fork);
-        assert_eq!(rest.len(), 5, "{rest:?}");
-        // Kill: exhausted, but pulls still charge.
-        let mut killed = pipe.step(t.tokens(), Axis::Child, NodeTest::Wildcard);
-        assert!(killed.pull().unwrap().is_some());
-        let before = pipe.stats().pulls;
-        killed.kill();
-        assert_eq!(killed.pull().unwrap(), None);
-        assert_eq!(pipe.stats().pulls, before + 1, "killed pulls charge");
+    fn killed_cursor_is_exhausted_and_still_charges() {
+        let q = parse_query("$root/*").unwrap();
+        let shared = Shared::new(10_000, 0);
+        let input = arena("<r><a><b/></a><c/><a/></r>").tokens().into();
+        let mut cursor = pipeline::build_root(&q, input, &shared).unwrap();
+        assert!(cursor.pull().unwrap().is_some());
+        let before = shared.snapshot().pulls;
+        cursor.kill();
+        assert_eq!(cursor.pull().unwrap(), None);
+        assert_eq!(shared.snapshot().pulls, before + 1, "killed pulls charge");
     }
 }

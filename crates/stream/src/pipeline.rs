@@ -1,7 +1,8 @@
 //! The one pipeline builder behind [`stream_query`](crate::stream_query):
-//! AST → composed [`Cursor`] pipeline, plus the stream-level condition
-//! evaluator.
+//! AST → composed [`Cursor`](crate::cursor::Cursor) pipeline, plus the
+//! stream-level condition evaluator.
 //!
+//! [`build_root`] binds `$root` to the input tokens of a run;
 //! [`build_query`] maps each query node to exactly one node cursor from
 //! [`crate::cursor`] (allocation order is part of the accounting contract:
 //! children register in the live-cursor gauge before their parent, and a
@@ -10,19 +11,14 @@
 //! `recomputations` figures that `cursor_diff`'s golden file pins).
 //! [`eval_cond`] evaluates conditions by probing freshly built pipelines
 //! against the same shared budget.
-//!
-//! The public face is [`Pipeline`]: `stream_query` configures one (pull
-//! budget + [`BufferPolicy`]) and calls [`Pipeline::build`]; external
-//! consumers can also compose cursors by hand (see the example on
-//! [`Pipeline`]).
 
-use crate::buffer::{BufferPolicy, QuantLoopCursor};
+use crate::buffer::QuantLoopCursor;
 use crate::cursor::{
     bind, lookup, AxisStepCursor, Binding, BoxCursor, ElemCursor, EmptyCursor, Env, ForLoopCursor,
-    IfCursor, ItemCursor, SeqCursor, Shared, SliceCursor, StepBase,
+    IfCursor, ItemCursor, SeqCursor, Shared, SliceCursor,
 };
-use crate::{StreamError, StreamStats};
-use cv_xtree::{Axis, Label, NodeTest, Token};
+use crate::StreamError;
+use cv_xtree::{Label, Token};
 use std::rc::Rc;
 use xq_core::ast::{Cond, EqMode, Query, Var};
 
@@ -44,7 +40,8 @@ pub(crate) fn build_query<'q>(
         }
         Query::Var(v) => build_binding(lookup(env, v)?, shared)?,
         Query::Step(base, axis, test) => Box::new(AxisStepCursor::new(
-            StepBase::Query(base, env.clone()),
+            base,
+            env.clone(),
             *axis,
             test.clone(),
             shared,
@@ -144,93 +141,13 @@ pub(crate) fn eval_cond<'q>(
     }
 }
 
-/// The pipeline builder: one pull budget + one [`BufferPolicy`], shared by
-/// every cursor built from it. [`stream_query`](crate::stream_query) and
-/// [`stream_boolean`](crate::stream_boolean) drive
-/// `Pipeline::new(..).build(..)`; external consumers can also compose
-/// node cursors by hand.
-///
-/// # Example: a two-step pipeline composed by hand
-///
-/// An axis step over raw input tokens, wrapped in a constructed element —
-/// no query AST involved:
-///
-/// ```
-/// use cv_xtree::{parse_tree, Axis, Label, NodeTest};
-/// use xq_stream::{BufferPolicy, Pipeline};
-///
-/// let tree = parse_tree("<r><a><b/></a><c/><a/></r>").unwrap();
-/// let pipe = Pipeline::new(10_000, BufferPolicy::lazy());
-///
-/// // Step 1: `child::a` over the input tokens.
-/// let hits = pipe.step(tree.tokens(), Axis::Child, NodeTest::Tag(Label::new("a")));
-/// // Step 2: wrap all matches in one `<out>` element.
-/// let mut wrapped = pipe.elem(Label::new("out"), hits);
-///
-/// let mut out = Vec::new();
-/// while let Some(t) = wrapped.pull().unwrap() {
-///     out.push(t);
-/// }
-/// // <out> + <a><b/></a> + <a/> + </out> = 8 tokens.
-/// assert_eq!(out.len(), 8);
-/// assert!(pipe.stats().pulls > 0);
-/// ```
-pub struct Pipeline {
-    shared: Shared,
-}
-
-impl Pipeline {
-    /// A pipeline charging at most `max_pulls` cursor pulls, buffering
-    /// loop/quantifier sources per `policy`.
-    pub fn new(max_pulls: u64, policy: BufferPolicy) -> Pipeline {
-        Pipeline {
-            shared: Shared::new(max_pulls, policy.per_source_cap),
-        }
-    }
-
-    /// Builds the full pipeline for `q` with `$root` bound to `input` —
-    /// the engine path of every streaming run.
-    pub fn build<'q>(
-        &self,
-        q: &'q Query,
-        input: impl Into<Rc<[Token]>>,
-    ) -> Result<BoxCursor<'q>, StreamError> {
-        let env = bind(&None, Var::root(), Binding::Input(input.into()));
-        build_query(q, &env, &self.shared)
-    }
-
-    /// A source cursor over raw tokens (hand composition).
-    pub fn source<'q>(&self, tokens: impl Into<Rc<[Token]>>) -> BoxCursor<'q> {
-        Box::new(SliceCursor::new(tokens.into(), &self.shared))
-    }
-
-    /// An axis-step cursor ranging over raw input tokens (hand
-    /// composition; the engine path steps over re-streamable queries
-    /// instead).
-    pub fn step<'q>(
-        &self,
-        input: impl Into<Rc<[Token]>>,
-        axis: Axis,
-        test: NodeTest,
-    ) -> BoxCursor<'q> {
-        Box::new(AxisStepCursor::new(
-            StepBase::Input(input.into()),
-            axis,
-            test,
-            &self.shared,
-        ))
-    }
-
-    /// An element-construction cursor wrapping `body` in `⟨tag⟩…⟨/tag⟩`
-    /// (hand composition).
-    pub fn elem<'q>(&self, tag: Label, body: BoxCursor<'q>) -> BoxCursor<'q> {
-        Box::new(ElemCursor::new(tag, body, &self.shared))
-    }
-
-    /// Snapshot of this pipeline's counters. `tokens_out` and `workers`
-    /// are the driver's to fill in (a pipeline doesn't know what the
-    /// caller collected).
-    pub fn stats(&self) -> StreamStats {
-        self.shared.snapshot()
-    }
+/// Builds the pipeline of a whole streaming run: `[[q]]` with `$root`
+/// bound to `input`, charging `shared`'s budget.
+pub(crate) fn build_root<'q>(
+    q: &'q Query,
+    input: Rc<[Token]>,
+    shared: &Shared,
+) -> Result<BoxCursor<'q>, StreamError> {
+    let env = bind(&None, Var::root(), Binding::Input(input));
+    build_query(q, &env, shared)
 }
